@@ -92,6 +92,18 @@ def _json_default(obj):
     return str(obj)
 
 
+def warn_max_iter(label: str, solver_stats: dict) -> int:
+    """Warn on stderr for every stage of a decomposition's ``solver_stats``
+    that stopped on ``max_iter``; return the number of such stages."""
+    stalled = {stage: st for stage, st in solver_stats.items()
+               if st["stop_reason"] == "max_iter"}
+    for stage, st in stalled.items():
+        print(f"warning: {label}: {stage} stage stopped on max_iter after "
+              f"{st['iterations']} iterations (normal residual "
+              f"{st['final_normal_residual_norm']:.3e})", file=sys.stderr)
+    return len(stalled)
+
+
 def cmd_verify_theorems(args) -> int:
     options = _merged_options(args)
     sizes = options.get("n") or ([6] if int(options.get("dim", 2)) == 2 else [4])
@@ -146,6 +158,7 @@ def cmd_remainder(args) -> int:
     result = remainder_study(config)
     out = _out_dir(config.out_dir)
     ops, dec = result["ops"], result["decomposition"]
+    warn_max_iter("remainder", dec.diagnostics["solver_stats"])
     writer = write_field_binary if args.format == "binary" else write_field_csv
     suffix = "bin" if args.format == "binary" else "csv"
     for name, data in (("u", result["problem"]["u"]),
@@ -170,6 +183,8 @@ def cmd_convergence(args) -> int:
         options["n"] = [17, 33, 49, 65] if dim == 2 else [9, 13, 17, 21]
     config = _experiment_config(options, default_dim=dim)
     result = convergence_study(config)
+    for n, stats in result["solver_stats"].items():
+        warn_max_iter(f"convergence n={n}", stats)
     out = _out_dir(config.out_dir)
     rows = result["rows"]
     quantities = list(rows[0].errors)
@@ -187,7 +202,7 @@ def cmd_convergence(args) -> int:
     _write_json(out / f"convergence_{dim}d_order{config.order}.json", {
         "order": config.order,
         "dim": dim,
-        "solver": config.solver_name,
+        "solver": config.solver_name or "direct",
         "projection_order": config.projection.value,
         "sizes": list(config.sizes),
         "eoc_summary": result["eoc_summary"],
@@ -211,13 +226,14 @@ def cmd_mhd(args) -> int:
         n=int(n),
         order=int(options.get("order", 6)),
         projection_order=str(options.get("projection_order", "grad-first")),
-        solver=str(options.get("solver", "lsqr")),
+        solver=options.get("solver"),
         atol=float(options.get("atol", 1e-12)),
         btol=float(options.get("btol", 1e-12)),
     )
     result = mhd_study(config)
     out = _out_dir(str(options.get("out", "out")))
     ops, dec = result["ops"], result["decomposition"]
+    warn_max_iter("mhd", dec.diagnostics["solver_stats"])
     writer = write_field_binary if args.format == "binary" else write_field_csv
     suffix = "bin" if args.format == "binary" else "csv"
     for name, data in (("j_perp", result["j_perp"]),

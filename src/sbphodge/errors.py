@@ -52,13 +52,13 @@ class NotDivCurlFree(SbpHodgeError, ValueError):
     """Field is not discretely divergence and curl free at tolerance."""
 
 
-class SolverStalled(SbpHodgeError, RuntimeError):
-    """Iterative solver hit the iteration cap far from the requested tolerance."""
-
-
 class NonFiniteEncountered(SbpHodgeError, FloatingPointError):
     """NaN or infinity appeared during an iterative solve."""
 
 
 class NoPlaneNode(SbpHodgeError, ValueError):
     """Grid has no node on the requested extraction plane."""
+
+
+class CorruptFieldFile(SbpHodgeError, ValueError):
+    """Field file has a bad header or a payload of the wrong size."""

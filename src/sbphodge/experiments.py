@@ -37,7 +37,7 @@ class ExperimentConfig:
     dim: int = 2
     x_min: float = -1.0
     x_max: float = 1.0
-    solver: str | None = None           # default: lsqr in 2D, lsmr in 3D
+    solver: str | None = None           # default: direct in 2D, lsmr in 3D
     projection_order: str | None = None  # default: grad-first 2D, curl-first 3D
     atol: float = 1e-14
     btol: float = 1e-14
@@ -58,8 +58,10 @@ class ExperimentConfig:
             )
 
     @property
-    def solver_name(self) -> str:
-        return self.solver or ("lsqr" if self.dim == 2 else "lsmr")
+    def solver_name(self) -> str | None:
+        """Solver passed to the projections; None, the 2D default, selects
+        the library's direct engine."""
+        return self.solver or (None if self.dim == 2 else "lsmr")
 
     @property
     def projection(self) -> ProjectionOrder:
@@ -86,7 +88,7 @@ class MhdConfig:
     n: int = 101
     order: int = 6
     projection_order: str = "grad-first"
-    solver: str = "lsqr"
+    solver: str | None = None
     atol: float = 1e-12
     btol: float = 1e-12
 
@@ -384,7 +386,7 @@ def convergence_study(config: ExperimentConfig) -> dict:
     relative M-norm errors with experimental orders of convergence."""
     if len(config.sizes) < 3:
         raise ValueError("need at least 3 grid sizes for a convergence study")
-    rows = []
+    rows, solver_stats = [], {}
     for n in config.sizes:
         ops = config.ops(n)
         prob = (separable_problem_2d if config.dim == 2
@@ -411,6 +413,7 @@ def convergence_study(config: ExperimentConfig) -> dict:
             ).data
             errors["v_gauged"] = _relative(ops, dec.v.data, gauged)
         rows.append(ConvergenceRow(n=n, errors=errors))
+        solver_stats[n] = dec.diagnostics["solver_stats"]
 
     for prev, cur in zip(rows, rows[1:]):
         cur.eoc = {
@@ -421,7 +424,8 @@ def convergence_study(config: ExperimentConfig) -> dict:
         q: fit_eoc([r.n for r in rows], [r.errors[q] for r in rows])
         for q in rows[0].errors
     }
-    return {"config": config, "rows": rows, "eoc_summary": summary}
+    return {"config": config, "rows": rows, "eoc_summary": summary,
+            "solver_stats": solver_stats}
 
 
 # -- MHD wave modes ---------------------------------------------------------------

@@ -17,10 +17,12 @@ written with ``repr`` so a read-back reproduces the payload bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 
 import numpy as np
 
+from .errors import CorruptFieldFile
 from .tensor import GridField
 
 _MAGIC = b"SBPH"
@@ -40,18 +42,43 @@ def write_field_binary(path, field: GridField) -> None:
 
 
 def read_field_binary(path) -> GridField:
+    """Read a field written by ``write_field_binary``.
+
+    Raises CorruptFieldFile when the magic, version, dim or kind byte is
+    wrong, when the header is truncated or holds a grid no operator can have
+    (fewer than 2 nodes on an axis, empty or non-finite bounds), and when the
+    payload is not exactly the size the header announces.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a field file (magic {magic!r})")
-        version, d, kind = struct.unpack("<BBB", fh.read(3))
-        if version != _VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        shape = struct.unpack(f"<{d}I", fh.read(4 * d))
-        flat = struct.unpack(f"<{2 * d}d", fh.read(16 * d))
-        bounds = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(d))
-        count = int(np.prod(shape)) * (d if kind else 1)
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
+        blob = fh.read()
+    if blob[:4] != _MAGIC:
+        raise CorruptFieldFile(f"not a field file (magic {blob[:4]!r})")
+    if len(blob) < 7:
+        raise CorruptFieldFile("truncated header")
+    version, d, kind = struct.unpack_from("<BBB", blob, 4)
+    if version != _VERSION:
+        raise CorruptFieldFile(f"unsupported format version {version}")
+    if d not in (2, 3) or kind not in (0, 1):
+        raise CorruptFieldFile(f"bad header: dim {d}, kind {kind}")
+    start = 7 + 20 * d
+    if len(blob) < start:
+        raise CorruptFieldFile("truncated header")
+    shape = struct.unpack_from(f"<{d}I", blob, 7)
+    flat = struct.unpack_from(f"<{2 * d}d", blob, 7 + 4 * d)
+    bounds = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(d))
+    if min(shape) < 2 or not all(
+        np.isfinite(lo) and np.isfinite(hi) and hi > lo for lo, hi in bounds
+    ):
+        raise CorruptFieldFile(
+            f"bad grid in header: shape {shape}, bounds {bounds}"
+        )
+    count = math.prod(shape) * (d if kind else 1)
+    if len(blob) - start != 8 * count:
+        raise CorruptFieldFile(
+            f"header announces {8 * count} payload bytes, file holds "
+            f"{len(blob) - start}"
+        )
+    data = np.frombuffer(blob, dtype="<f8", offset=start).astype(np.float64)
     full_shape = (d, *shape) if kind else shape
     return GridField(data.reshape(full_shape), bounds)
 

@@ -1,13 +1,19 @@
-"""Discrete Helmholtz Hodge decomposition via scaled least-norm projections.
+"""Discrete Helmholtz Hodge decomposition via M-orthogonal projections.
 
 A vector field splits as ``u = grad(phi) + sol + r`` where ``sol`` is the
 rotation of a scalar potential in 2D or the curl of a vector potential in 3D,
 and the remainder ``r`` is M-orthogonal to both images but in general nonzero
-on collocated grids.  Each projection is a least-norm least-squares problem;
-conjugating the operator with the square root of the diagonal mass matrix
-turns the Euclidean guarantees of LSQR/LSMR into M-norm guarantees, and the
-zero initial guess fixes the gauge: potentials are the minimum-M-norm
-representatives (mean-zero for scalars).
+on collocated grids.  Each projection is a least-norm least-squares problem,
+and potentials are the minimum-M-norm representatives (mean-zero for
+scalars).
+
+The grad projection, and in 2D the rot projection through ``rot = J grad``,
+reduce to the Gram operator ``L = sum_i D_i^T M D_i``, which the default
+path solves directly by fast diagonalization (``TensorOps.gram_pinv``).  The
+3D curl projection, and every stage when a Krylov solver is named, runs
+LSQR/LSMR on the operator conjugated with the square root of the diagonal
+mass matrix, which turns the Euclidean guarantees of the solvers into
+M-norm guarantees; the zero initial guess fixes the gauge.
 
 The two projections do not commute, so the order is part of the result.
 """
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krylov import SOLVERS, LinearMap
+from .krylov import SOLVERS, LinearMap, SolveStats
 from .tensor import GridField, TensorOps
 
 
@@ -65,7 +71,7 @@ def _solver(name_or_fn):
 def project_im_grad(
     ops: TensorOps,
     u,
-    solver="lsqr",
+    solver=None,
     atol: float = 1e-12,
     btol: float = 1e-12,
     max_iter: int | None = None,
@@ -73,12 +79,29 @@ def project_im_grad(
     """M-orthogonal projection onto the image of the gradient.
 
     Returns ``(phi, grad_phi, stats)`` with ``phi`` shifted to M-mean zero.
-    The residual ``u - grad_phi`` is M-orthogonal to every gradient at the
-    solver tolerance.
+    With ``solver=None`` the normal equations ``L phi = grad^T M u`` are
+    solved directly by ``TensorOps.gram_pinv``; ``"lsqr"``/``"lsmr"`` (or a
+    solver callable) run the Krylov reference instead, and the residual
+    ``u - grad_phi`` is then M-orthogonal to every gradient at the solver
+    tolerance.
     """
-    u = u.require("vector") if isinstance(u, GridField) else np.asarray(u)
-    shape = ops.shape
+    u = ops.vector_data(u)
     s = np.sqrt(ops.mass)
+    if solver is None:
+        phi = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
+        grad_phi = ops.grad(phi)
+        r = u - grad_phi
+        stats = SolveStats(
+            iterations=0,
+            final_residual_norm=ops.norm(r),
+            final_normal_residual_norm=float(
+                np.linalg.norm(ops.grad_transpose(ops.mass * r) / s)
+            ),
+            stop_reason="direct",
+        )
+        return ops.field(phi), ops.field(grad_phi), stats
+
+    shape = ops.shape
     d = ops.dim
 
     def forward(y):
@@ -102,63 +125,56 @@ def project_im_grad(
 def project_im_curl(
     ops: TensorOps,
     u,
-    solver="lsqr",
+    solver=None,
     atol: float = 1e-12,
     btol: float = 1e-12,
     max_iter: int | None = None,
 ):
     """M-orthogonal projection onto the image of rot (2D) or curl (3D).
 
-    Returns ``(v, sol_part, stats)`` where ``v`` is the least-norm potential
-    delivered by the zero-start Krylov solve; no divergence-free gauge is
-    imposed (none exists discretely in general).
+    Returns ``(v, sol_part, stats)`` where ``v`` is the least-norm potential;
+    no divergence-free gauge is imposed (none exists discretely in general).
+
+    In 2D, ``rot = J grad`` with the rotation ``J(a, b) = (b, -a)``, which
+    commutes with M, so the projection is ``J P_grad J^T`` and ``v`` is the
+    grad potential of ``J^T u``, solved as ``project_im_grad`` solves it.
+    In 3D the curl projection runs the Krylov solver, LSQR when ``solver``
+    is None.
     """
-    u = u.require("vector") if isinstance(u, GridField) else np.asarray(u)
+    u = ops.vector_data(u)
+    if ops.dim == 2:
+        v, grad_v, stats = project_im_grad(ops, np.stack([-u[1], u[0]]),
+                                           solver, atol=atol, btol=btol,
+                                           max_iter=max_iter)
+        g = grad_v.data
+        return v, ops.field(np.stack([g[1], -g[0]])), stats  # J grad v = rot v
+
     shape = ops.shape
     s = np.sqrt(ops.mass)
-    d = ops.dim
 
-    if d == 2:
-        def forward(y):
-            v = y.reshape(shape) / s
-            return (ops.rot(v) * s).ravel()
+    def forward(y):
+        v = y.reshape((3, *shape)) / s
+        return (ops.curl(v) * s).ravel()
 
-        def adjoint(c):
-            w = c.reshape((2, *shape)) * s
-            return (ops.rot_transpose(w) / s).ravel()
+    def adjoint(c):
+        w = c.reshape((3, *shape)) * s
+        return (ops.curl_transpose(w) / s).ravel()
 
-        cols = ops.n_total
-    else:
-        def forward(y):
-            v = y.reshape((3, *shape)) / s
-            return (ops.curl(v) * s).ravel()
-
-        def adjoint(c):
-            w = c.reshape((3, *shape)) * s
-            return (ops.curl_transpose(w) / s).ravel()
-
-        cols = 3 * ops.n_total
-
-    system = LinearMap(rows=d * ops.n_total, cols=cols,
-                       forward=forward, adjoint=adjoint)
-    y, stats = _solver(solver)(
+    n3 = 3 * ops.n_total
+    system = LinearMap(rows=n3, cols=n3, forward=forward, adjoint=adjoint)
+    y, stats = _solver(solver or "lsqr")(
         system, (u * s).ravel(), atol=atol, btol=btol, max_iter=max_iter,
         self_test=False,
     )
-    if d == 2:
-        v = y.reshape(shape) / s
-        sol = ops.rot(v)
-    else:
-        v = y.reshape((3, *shape)) / s
-        sol = ops.curl(v)
-    return ops.field(v), ops.field(sol), stats
+    v = y.reshape((3, *shape)) / s
+    return ops.field(v), ops.field(ops.curl(v)), stats
 
 
 def helmholtz(
     ops: TensorOps,
     u,
     order=ProjectionOrder.GRAD_FIRST,
-    solver="lsqr",
+    solver=None,
     atol: float = 1e-12,
     btol: float = 1e-12,
     max_iter: int | None = None,
@@ -169,9 +185,15 @@ def helmholtz(
     final remainder is obtained by subtraction, so additivity is exact.
     Orthogonality of the remainder to both images holds at the solver
     tolerance and is reported in the diagnostics rather than enforced.
+    ``solver=None`` solves every stage that reduces to the Gram operator
+    directly; ``diagnostics["solver_stats"]`` records, per stage, whether it
+    ran directly (``stop_reason == "direct"``) or how its Krylov solve ended.
+    ``atol``, ``btol`` and ``max_iter`` govern the Krylov stages only: with
+    ``solver=None`` that is the 3D curl stage, and a 2D decomposition is
+    exact to roundoff whatever tolerance is passed.
     """
     order = ProjectionOrder.parse(order)
-    u_arr = u.require("vector") if isinstance(u, GridField) else np.asarray(u)
+    u_arr = ops.vector_data(u)
     field_u = ops.field(u_arr)
     kwargs = dict(solver=solver, atol=atol, btol=btol, max_iter=max_iter)
 
@@ -235,7 +257,7 @@ def project_onto_curl_coimage(
     gauge part of the analytic potential is removed by projecting onto the
     row space of the scaled curl.
     """
-    v = v.require("vector") if isinstance(v, GridField) else np.asarray(v)
+    v = ops.vector_data(v)
     shape = ops.shape
     s = np.sqrt(ops.mass)
 

@@ -79,7 +79,9 @@ class SolveStats:
     iterations: int
     final_residual_norm: float
     final_normal_residual_norm: float
-    stop_reason: str  # residual_tol | normal_tol | max_iter
+    # residual_tol | normal_tol | max_iter; "direct" (iterations 0) for a
+    # stage solved without Krylov, e.g. by TensorOps.gram_pinv
+    stop_reason: str
     residual_norms: list = field(default_factory=list)
     normal_residual_norms: list = field(default_factory=list)
     iterates: Optional[list] = None

@@ -199,6 +199,28 @@ class SbpOperator1D:
             object.__setattr__(self, key, cached)
         return cached
 
+    # -- eigenbasis of the 1D Gram pencil ----------------------------------
+
+    def eigenbasis(self) -> tuple:
+        """Generalized eigenpairs ``(lam, S)`` of the pencil (D^T M D, M).
+
+        ``D^T M D S = M S diag(lam)`` and ``S^T M S = I``, with ``lam``
+        ascending; ``lam[0]`` belongs to the constants, the kernel of D.
+        Built on first use and cached, so operator construction never pays
+        for it: a dense symmetric ``eigh`` of ``M^-1/2 D^T M D M^-1/2``,
+        whose eigenvectors scaled by ``M^-1/2`` are S.
+        """
+        key = "_eig_cache"
+        cached = getattr(self, key, None)
+        if cached is None:
+            d = self.dense()
+            w = 1.0 / np.sqrt(self.mass_weights)
+            gram = d.T @ (self.mass_weights[:, None] * d)
+            lam, q = np.linalg.eigh(w[:, None] * gram * w)
+            cached = (lam, w[:, None] * q)
+            object.__setattr__(self, key, cached)
+        return cached
+
 
 @dataclass(frozen=True, eq=False)
 class OscillationVector1D:

@@ -8,7 +8,8 @@ potentials: invert one axis derivative on fields vanishing at the left
 boundary, axis by axis, pinning the potential at the domain corner.  Fields
 that are both divergence and curl free are gradients of discretely harmonic
 functions, recovered here from the singular normal system assembled from the
-derivative, mass, and boundary operators.
+derivative, mass, and boundary operators; that system is the Gram operator of
+the Hodge projections and is solved directly by fast diagonalization.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionsViolated, NotDivCurlFree, SolverStalled, TooLarge
-from .krylov import LinearMap, lsmr
+from .errors import ConditionsViolated, NotDivCurlFree, TooLarge
 from .tensor import GridField, TensorOps
 
 _EPS = np.finfo(np.float64).eps
@@ -143,7 +143,7 @@ def _derivative_scale(ops: TensorOps) -> float:
 
 
 def check_potential_conditions(ops: TensorOps, u) -> PotentialConditions:
-    u = u.require("vector") if isinstance(u, GridField) else np.asarray(u)
+    u = ops.vector_data(u)
     unorm = ops.norm(u)
     curl_norm = ops.norm(ops.curl(u))
     rel_curl = curl_norm / (_derivative_scale(ops) * unorm) if unorm > 0 else 0.0
@@ -177,7 +177,7 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     boundary, then sweep the remaining axes.  The potential vanishes at the
     lower-left domain corner.
     """
-    u = u.require("vector") if isinstance(u, GridField) else np.asarray(u)
+    u = ops.vector_data(u)
     cond = check_potential_conditions(ops, ops.field(u))
     failed = []
     if cond.curl_residual > tol:
@@ -204,22 +204,15 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
 # -- discrete Neumann problem ----------------------------------------------------
 
 
-def harmonic_neumann_potential(
-    ops: TensorOps,
-    u,
-    tol: float = 1e-8,
-    atol: float = 1e-14,
-    btol: float = 1e-14,
-    max_iter: int | None = None,
-) -> GridField:
+def harmonic_neumann_potential(ops: TensorOps, u, tol: float = 1e-8) -> GridField:
     """Mean-zero potential of a divergence- and curl-free field.
 
     Solves the singular symmetric positive-semidefinite normal system
-    ``sum_i D_i^T M D_i phi = sum_i E_i u_i`` after conjugation with the
-    square root of the mass matrix, by least-norm LSMR; the kernel of the
-    system is the constants, removed afterwards by an exact mean shift.
+    ``sum_i D_i^T M D_i phi = sum_i E_i u_i`` directly with
+    ``TensorOps.gram_pinv``; the kernel of the system is the constants,
+    removed by an exact mean shift.
     """
-    u = u.require("vector") if isinstance(u, GridField) else np.asarray(u)
+    u = ops.vector_data(u)
     unorm = ops.norm(u)
     scale = _derivative_scale(ops) * unorm
     if unorm > 0:
@@ -230,29 +223,5 @@ def harmonic_neumann_potential(
                 f"relative residuals div {div_norm / scale:.3e}, "
                 f"curl {curl_norm / scale:.3e} exceed {tol:.1e}"
             )
-
-    shape = ops.shape
-    s = np.sqrt(ops.mass)
-    n = ops.n_total
-
-    def apply_scaled_normal(y):
-        phi = y.reshape(shape) / s
-        out = np.zeros(shape)
-        for i in range(ops.dim):
-            out += ops.apply_axis_transpose(i, ops.mass * ops.apply_axis(i, phi))
-        return (out / s).ravel()
-
-    system = LinearMap(rows=n, cols=n, forward=apply_scaled_normal,
-                       adjoint=apply_scaled_normal)
-    rhs = np.zeros(shape)
-    for i in range(ops.dim):
-        rhs += ops.e_weight(i) * u[i]
-    y, stats = lsmr(system, (rhs / s).ravel(), atol=atol, btol=btol,
-                    max_iter=max_iter, self_test=False)
-    if stats.stop_reason == "max_iter":
-        raise SolverStalled(
-            f"Neumann solve hit max_iter={stats.iterations} with normal "
-            f"residual {stats.final_normal_residual_norm:.3e}"
-        )
-    phi = ops.mean_zero(y.reshape(shape) / s)
-    return ops.field(phi)
+    rhs = sum(ops.e_weight(i) * u[i] for i in range(ops.dim))
+    return ops.field(ops.mean_zero(ops.gram_pinv(rhs)))

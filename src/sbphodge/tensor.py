@@ -15,7 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, KindMismatch, WrongDimension
+from .errors import (
+    DimensionMismatch,
+    KindMismatch,
+    NonFiniteEncountered,
+    WrongDimension,
+)
 from .grid import Grid1D
 from .operators1d import build_operator_1d
 
@@ -120,6 +125,22 @@ class TensorOps:
         moved = np.moveaxis(u, i, 0)
         return np.moveaxis(self.axis_ops[i].apply_d_star(moved), 0, i)
 
+    def vector_data(self, u) -> np.ndarray:
+        """The array of a vector field (GridField or raw array), checked.
+
+        Raises KindMismatch for a scalar GridField, DimensionMismatch unless
+        the shape is ``(dim, *shape)``, and NonFiniteEncountered on NaN/Inf.
+        """
+        u = u.require("vector") if isinstance(u, GridField) else u
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (self.dim, *self.shape):
+            raise DimensionMismatch(
+                f"vector field shape {u.shape} != {(self.dim, *self.shape)}"
+            )
+        if not np.all(np.isfinite(u)):
+            raise NonFiniteEncountered("vector field contains NaN or Inf")
+        return u
+
     # -- vector calculus on raw arrays --------------------------------------
 
     def grad(self, f: np.ndarray) -> np.ndarray:
@@ -164,13 +185,6 @@ class TensorOps:
             ]
         )
 
-    def rot_transpose(self, w: np.ndarray) -> np.ndarray:
-        if self.dim != 2:
-            raise WrongDimension("rot is a 2D operator")
-        return self.apply_axis_transpose(1, w[0]) - self.apply_axis_transpose(
-            0, w[1]
-        )
-
     def grad_transpose(self, w: np.ndarray) -> np.ndarray:
         out = self.apply_axis_transpose(0, w[0])
         for i in range(1, self.dim):
@@ -194,6 +208,30 @@ class TensorOps:
         """Shift a scalar array so that <f, 1>_M = 0."""
         vol = float(np.sum(self.mass))
         return f - float(np.sum(self.mass * f)) / vol
+
+    # -- the Gram operator L = sum_i D_i^T M D_i ----------------------------
+
+    def gram_pinv(self, b: np.ndarray) -> np.ndarray:
+        """The M-mean-zero solution phi of ``L phi = b``, for b orthogonal
+        to the constants.
+
+        L is the tensor sum of the 1D pencils (D^T M D, M), so it is
+        diagonalized by the per-axis eigenbases (fast diagonalization):
+        ``S^T`` along every axis, division by the summed eigenvalues, ``S``
+        along every axis.  The single zero mode, the constants, is set to 0.
+        """
+        b = self._check(b)
+        pairs = [op.eigenbasis() for op in self.axis_ops]
+        for i, (_, s) in enumerate(pairs):
+            b = _along(s.T, b, i)
+        lam = _outer([ev for ev, _ in pairs], np.add)
+        zero_mode = (0,) * self.dim
+        lam[zero_mode] = 1.0
+        b = b / lam
+        b[zero_mode] = 0.0
+        for i, (_, s) in enumerate(pairs):
+            b = _along(s, b, i)
+        return b
 
     # -- boundary operator ----------------------------------------------------
 
@@ -230,11 +268,16 @@ class TensorOps:
         )
 
 
-def _outer(parts) -> np.ndarray:
+def _outer(parts, ufunc=np.multiply) -> np.ndarray:
     out = parts[0]
     for p in parts[1:]:
-        out = np.multiply.outer(out, p)
+        out = ufunc.outer(out, p)
     return out
+
+
+def _along(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
+    """Apply the matrix ``mat`` along axis i of ``u``."""
+    return np.moveaxis(np.tensordot(mat, u, axes=(1, i)), 0, i)
 
 
 def build_tensor_ops(order: int, grids) -> TensorOps:

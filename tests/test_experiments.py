@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sbphodge.cli import main
+from sbphodge.cli import main, warn_max_iter
 from sbphodge.errors import NoPlaneNode
 from sbphodge.experiments import (
     BREAK_ENV,
@@ -19,6 +19,8 @@ from sbphodge.experiments import (
     verify_theorems,
 )
 from sbphodge.fieldio import read_field_csv
+from sbphodge.hodge import helmholtz
+from sbphodge.tensor import square_tensor_ops
 
 
 # -- EOC helpers ------------------------------------------------------------
@@ -49,7 +51,7 @@ def test_config_rejects_sizes_below_operator_minimum():
 
 
 def test_config_defaults_by_dimension():
-    assert ExperimentConfig(dim=2).solver_name == "lsqr"
+    assert ExperimentConfig(dim=2).solver_name is None
     assert ExperimentConfig(dim=3).solver_name == "lsmr"
     assert ExperimentConfig(dim=2).projection.value == "grad-first"
     assert ExperimentConfig(dim=3).projection.value == "curl-first"
@@ -232,6 +234,21 @@ def test_cli_verify_theorems_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setenv(BREAK_ENV, "1")
     assert main(["verify-theorems", "--order", "2", "--n", "6",
                  "--out", str(tmp_path / "broken")]) == 1
+
+
+def test_warn_max_iter_names_stalled_stages(capsys):
+    ops = square_tensor_ops(2, 7, 3)
+    u = np.random.default_rng(5).standard_normal((3, *ops.shape))
+    dec = helmholtz(ops, u, order="curl-first", max_iter=3)
+    stats = dec.diagnostics["solver_stats"]
+    assert stats["curl"]["stop_reason"] == "max_iter"
+    assert warn_max_iter("mhd", stats) == 1
+    err = capsys.readouterr().err
+    assert "mhd: curl stage stopped on max_iter after 3 iterations" in err
+    assert "grad stage" not in err  # the direct grad stage cannot stall
+    done = helmholtz(ops, u, order="curl-first").diagnostics["solver_stats"]
+    assert warn_max_iter("mhd", done) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_usage_error_exit_code():

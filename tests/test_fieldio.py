@@ -1,13 +1,19 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sbphodge.errors import CorruptFieldFile
 from sbphodge.fieldio import (
     read_field_binary,
     read_field_csv,
     write_field_binary,
     write_field_csv,
 )
-from sbphodge.tensor import square_tensor_ops
+from sbphodge.tensor import GridField, square_tensor_ops
 
 
 @pytest.mark.parametrize("dim,kind", [(2, "scalar"), (2, "vector"),
@@ -50,3 +56,87 @@ def test_csv_requires_metadata(tmp_path):
     path.write_text("x1,value\n0.0,1.0\n")
     with pytest.raises(ValueError):
         read_field_csv(path)
+
+
+# -- binary format: round trip and corruption ---------------------------------
+
+
+@st.composite
+def grid_fields(draw):
+    d = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.lists(st.integers(2, 5), min_size=d, max_size=d)))
+    bounds = []
+    for _ in range(d):
+        lo = draw(st.floats(-1e6, 1e6))
+        hi = lo + draw(st.floats(1e-3, 1e6))
+        bounds.append((lo, hi))
+    full = shape if draw(st.booleans()) else (d, *shape)
+    data = draw(arrays(np.float64, full, elements=st.floats(allow_nan=False)))
+    return GridField(data, tuple(bounds))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=grid_fields())
+def test_binary_roundtrip_property(tmp_path_factory, field):
+    path = tmp_path_factory.mktemp("rt") / "field.bin"
+    write_field_binary(path, field)
+    back = read_field_binary(path)
+    assert back.kind == field.kind
+    assert back.bounds == field.bounds
+    assert np.array_equal(back.data, field.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=grid_fields(), data=st.data())
+def test_binary_rejects_truncation_and_trailing_bytes(tmp_path_factory, field,
+                                                       data):
+    path = tmp_path_factory.mktemp("cut") / "field.bin"
+    write_field_binary(path, field)
+    blob = path.read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    path.write_bytes(blob[:cut])
+    with pytest.raises(CorruptFieldFile):
+        read_field_binary(path)
+    extra = data.draw(st.binary(min_size=1, max_size=16))
+    path.write_bytes(blob + extra)
+    with pytest.raises(CorruptFieldFile):
+        read_field_binary(path)
+
+
+def _valid_blob(tmp_path):
+    ops = square_tensor_ops(2, 4, 2)
+    path = tmp_path / "field.bin"
+    write_field_binary(path, ops.field(np.ones((2, 4, 4))))
+    return path, bytearray(path.read_bytes())
+
+
+@pytest.mark.parametrize("offset,value", [(4, 2), (5, 1), (5, 4), (6, 7)],
+                         ids=["version", "dim1", "dim4", "kind7"])
+def test_binary_rejects_bad_header_bytes(tmp_path, offset, value):
+    path, blob = _valid_blob(tmp_path)
+    blob[offset] = value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptFieldFile):
+        read_field_binary(path)
+
+
+@pytest.mark.parametrize("shape,bounds", [
+    ((1, 4), (-1.0, 1.0)),
+    ((4, 4), (1.0, -1.0)),
+    ((4, 4), (float("nan"), 1.0)),
+    ((2**31, 2**31), (-1.0, 1.0)),
+], ids=["one-node", "empty-interval", "nan-bound", "huge-shape"])
+def test_binary_rejects_bad_grid_header(tmp_path, shape, bounds):
+    path, blob = _valid_blob(tmp_path)
+    blob[7:15] = struct.pack("<2I", *shape)
+    blob[15:31] = struct.pack("<2d", *bounds)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptFieldFile):
+        read_field_binary(path)
+
+
+def test_binary_truncated_payload_is_typed(tmp_path):
+    path, blob = _valid_blob(tmp_path)
+    path.write_bytes(bytes(blob[:-9]))
+    with pytest.raises(CorruptFieldFile, match="payload"):
+        read_field_binary(path)

@@ -188,16 +188,18 @@ def test_projection_orders_give_valid_decompositions(ops_2d):
 
 
 def test_solvers_agree_on_grad_projection():
-    # LSQR and LSMR deliver the same projection of the separable problem
+    # the direct engine, LSQR and LSMR deliver the same projection of the
+    # separable problem
     ops = square_tensor_ops(4, 24, 2)
     u = smooth_problem(ops)
     results = {}
-    for solver in ("lsqr", "lsmr"):
+    for solver in (None, "lsqr", "lsmr"):
         _, grad_phi, _ = project_im_grad(ops, ops.field(u), solver=solver,
                                          atol=1e-14, btol=1e-14)
         results[solver] = grad_phi.data
-    gap = ops.norm(results["lsqr"] - results["lsmr"])
-    assert gap <= 1e-8 * ops.norm(results["lsqr"])
+    for solver in ("lsqr", "lsmr"):
+        gap = ops.norm(results[solver] - results[None])
+        assert gap <= 1e-8 * ops.norm(results[None])
 
 
 def test_smooth_problem_orthogonality_diagnostics():

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from sbphodge.errors import ConditionsViolated, NotDivCurlFree, TooLarge
+from sbphodge.errors import (
+    ConditionsViolated,
+    NonFiniteEncountered,
+    NotDivCurlFree,
+    TooLarge,
+)
 from sbphodge.potentials import (
     check_potential_conditions,
     dense_curl,
@@ -178,3 +183,14 @@ def test_neumann_rejects_generic_field(ops_2d, rng):
     u = rng.standard_normal((2, *ops_2d.shape))
     with pytest.raises(NotDivCurlFree):
         harmonic_neumann_potential(ops_2d, ops_2d.field(u))
+
+
+def test_integral_potential_rejects_non_finite_field(ops_2d):
+    # NaN residuals compare False against the tolerance, so the conditions
+    # check alone would let a NaN in an entry the integral never reads pass
+    u = ops_2d.grad(ops_2d.meshgrid()[0])
+    u[0, 3, 3] = np.nan
+    with pytest.raises(NonFiniteEncountered):
+        scalar_potential_integral(ops_2d, ops_2d.field(u))
+    with pytest.raises(NonFiniteEncountered):
+        check_potential_conditions(ops_2d, u)
