@@ -14,6 +14,7 @@ from .errors import (
     NullspaceDimensionUnexpected,
     SbpHodgeError,
     TooLarge,
+    UnknownSolver,
     UnsupportedOrder,
     WrongDimension,
 )
@@ -29,12 +30,8 @@ from .krylov import LinearMap, SolveStats, lsmr, lsqr
 from .operators1d import (
     OscillationVector1D,
     SbpOperator1D,
-    apply_d,
-    apply_d_star,
     build_operator_1d,
     grid_oscillation_1d,
-    invert_on_v0,
-    sbp_residual,
 )
 from .potentials import (
     KernelReport,
@@ -85,10 +82,9 @@ __all__ = [
     "SolveStats",
     "TensorOps",
     "TooLarge",
+    "UnknownSolver",
     "UnsupportedOrder",
     "WrongDimension",
-    "apply_d",
-    "apply_d_star",
     "available_orders",
     "build_operator_1d",
     "build_tensor_ops",
@@ -101,7 +97,6 @@ __all__ = [
     "harmonic_neumann_potential",
     "helmholtz",
     "inner_product",
-    "invert_on_v0",
     "kernel_dimension",
     "lsmr",
     "lsqr",
@@ -109,7 +104,6 @@ __all__ = [
     "project_im_curl",
     "project_im_grad",
     "rot",
-    "sbp_residual",
     "scalar_potential_integral",
     "square_tensor_ops",
 ]

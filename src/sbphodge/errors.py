@@ -25,6 +25,10 @@ class WrongDimension(SbpHodgeError, ValueError):
     """Operation is undefined for the spatial dimension of the operands."""
 
 
+class UnknownSolver(SbpHodgeError, ValueError):
+    """Krylov solver name is neither ``lsqr`` nor ``lsmr``."""
+
+
 class NullspaceDimensionUnexpected(SbpHodgeError, RuntimeError):
     """Numerical rank disagrees with the expected one-dimensional nullspace."""
 

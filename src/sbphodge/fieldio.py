@@ -17,6 +17,7 @@ written with ``repr`` so a read-back reproduces the payload bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 
@@ -66,12 +67,7 @@ def read_field_binary(path) -> GridField:
     shape = struct.unpack_from(f"<{d}I", blob, 7)
     flat = struct.unpack_from(f"<{2 * d}d", blob, 7 + 4 * d)
     bounds = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(d))
-    if min(shape) < 2 or not all(
-        np.isfinite(lo) and np.isfinite(hi) and hi > lo for lo, hi in bounds
-    ):
-        raise CorruptFieldFile(
-            f"bad grid in header: shape {shape}, bounds {bounds}"
-        )
+    _check_grid(shape, bounds)
     count = math.prod(shape) * (d if kind else 1)
     if len(blob) - start != 8 * count:
         raise CorruptFieldFile(
@@ -81,6 +77,17 @@ def read_field_binary(path) -> GridField:
     data = np.frombuffer(blob, dtype="<f8", offset=start).astype(np.float64)
     full_shape = (d, *shape) if kind else shape
     return GridField(data.reshape(full_shape), bounds)
+
+
+def _check_grid(shape, bounds) -> None:
+    """Reject a grid no operator can have: fewer than 2 nodes on an axis, or
+    empty or non-finite bounds."""
+    if min(shape) < 2 or not all(
+        np.isfinite(lo) and np.isfinite(hi) and hi > lo for lo, hi in bounds
+    ):
+        raise CorruptFieldFile(
+            f"bad grid in header: shape {shape}, bounds {bounds}"
+        )
 
 
 def _node_coordinates(shape, bounds):
@@ -114,11 +121,25 @@ def write_field_csv(path, field: GridField) -> None:
 
 
 def read_field_csv(path) -> GridField:
-    with open(path, "r", newline="") as fh:
-        header = fh.readline()
-        if not header.startswith("# field "):
-            raise ValueError("missing field metadata line")
-        meta = dict(item.split("=", 1) for item in header[len("# field ") :].split())
+    """Read a field written by ``write_field_csv``.
+
+    Raises CorruptFieldFile when the file is not text, when the metadata line
+    is missing, lacks a key or has an unknown one, or announces a bad dim or
+    kind or a grid the binary reader would reject, and when the body does not
+    hold exactly one full, numeric row per node.
+    """
+    try:
+        with open(path, "r", newline="") as fh:
+            header, _, body = fh.read().partition("\n")
+    except UnicodeDecodeError as exc:
+        raise CorruptFieldFile(f"not a CSV field file: {exc}") from None
+    if not header.startswith("# field "):
+        raise CorruptFieldFile("missing field metadata line")
+    try:
+        items = header[len("# field ") :].split()
+        meta = dict(item.split("=", 1) for item in items)
+        if set(meta) != {"dim", "kind", "shape", "bounds"}:
+            raise ValueError(f"keys {sorted(meta)}")
         d = int(meta["dim"])
         kind = meta["kind"]
         shape = tuple(int(s) for s in meta["shape"].split("x"))
@@ -126,10 +147,24 @@ def read_field_csv(path) -> GridField:
             tuple(float(x) for x in pair.split(":"))
             for pair in meta["bounds"].split(",")
         )
-        reader = csv.reader(fh)
-        next(reader)  # column header
-        ncomp = 1 if kind == "scalar" else d
-        values = [[float(x) for x in row[d : d + ncomp]] for row in reader if row]
-    data = np.array(values, dtype=np.float64).T
+    except ValueError as exc:
+        raise CorruptFieldFile(f"bad field metadata: {exc}") from None
+    if (d not in (2, 3) or kind not in ("scalar", "vector")
+            or len(shape) != d or len(bounds) != d
+            or any(len(pair) != 2 for pair in bounds)):
+        raise CorruptFieldFile(f"bad field metadata line: {header.strip()}")
+    _check_grid(shape, bounds)
+    rows = [row for row in csv.reader(io.StringIO(body)) if row][1:]
+    width = d + (1 if kind == "scalar" else d)
+    if len(rows) != math.prod(shape):
+        raise CorruptFieldFile(
+            f"header announces {math.prod(shape)} rows, file holds {len(rows)}"
+        )
+    if any(len(row) != width for row in rows):
+        raise CorruptFieldFile(f"a row does not hold {width} cells")
+    try:
+        values = np.array([[float(x) for x in row] for row in rows])
+    except ValueError as exc:
+        raise CorruptFieldFile(f"non-numeric cell: {exc}") from None
     full_shape = shape if kind == "scalar" else (d, *shape)
-    return GridField(data.reshape(full_shape), bounds)
+    return GridField(values[:, d:].T.reshape(full_shape), bounds)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnknownSolver
 from .krylov import SOLVERS, LinearMap, SolveStats
 from .tensor import GridField, TensorOps
 
@@ -62,10 +63,13 @@ class HodgeDecomposition:
         return out
 
 
-def _solver(name_or_fn):
-    if callable(name_or_fn):
-        return name_or_fn
-    return SOLVERS[str(name_or_fn).lower()]
+def _solver(name):
+    try:
+        return SOLVERS[str(name).lower()]
+    except KeyError:
+        raise UnknownSolver(
+            f"unknown solver {name!r}; expected one of {', '.join(SOLVERS)}"
+        ) from None
 
 
 def project_im_grad(
@@ -80,10 +84,10 @@ def project_im_grad(
 
     Returns ``(phi, grad_phi, stats)`` with ``phi`` shifted to M-mean zero.
     With ``solver=None`` the normal equations ``L phi = grad^T M u`` are
-    solved directly by ``TensorOps.gram_pinv``; ``"lsqr"``/``"lsmr"`` (or a
-    solver callable) run the Krylov reference instead, and the residual
-    ``u - grad_phi`` is then M-orthogonal to every gradient at the solver
-    tolerance.
+    solved directly by ``TensorOps.gram_pinv``; ``"lsqr"``/``"lsmr"`` run
+    the Krylov reference instead, and the residual ``u - grad_phi`` is then
+    M-orthogonal to every gradient at the solver tolerance.  Any other name
+    raises UnknownSolver.
     """
     u = ops.vector_data(u)
     s = np.sqrt(ops.mass)

@@ -5,13 +5,16 @@ dense top closure block (the bottom block is its 180-degree rotated negation).
 The diagonal mass matrix makes ``u^T M v`` a quadrature of the L2 inner
 product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
 ``E = diag(-1, 0, ..., 0, 1)`` up to roundoff.  Every operator is validated on
-construction: the identity residual and the polynomial accuracy of all rows are
-checked, so a corrupted coefficient cannot construct silently.
+construction: the identity residual, the polynomial accuracy of all rows and
+nullspace consistency are checked, so a corrupted coefficient cannot construct
+silently.  The grid oscillation (the kernel of D*) and the discrete integral
+are banded LU solves on the entries of D, O(n) in time and memory; ``dense()``
+serves only the eigenbasis and verification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +24,6 @@ from .errors import (
     GridTooSmall,
     NotInImage,
     NullspaceDimensionUnexpected,
-    TooLarge,
 )
 from .grid import Grid1D
 from .stencils import coefficient_table
@@ -144,15 +146,31 @@ class SbpOperator1D:
 
     def dense(self) -> np.ndarray:
         """Materialize D as a dense matrix (verification scale only)."""
-        n = self.n_nodes
-        return self.apply_d(np.eye(n))
+        return self.apply_d(np.eye(self.n_nodes))
+
+    def _entries(self) -> tuple:
+        """``(rows, cols, values)`` of the stored entries of D, row by row."""
+        n, b = self.n_nodes, self.n_closure_rows
+        w, wt = self.halfwidth, self.boundary_block.shape[1]
+        top_r, top_c = np.divmod(np.arange(b * wt), wt)
+        mid = np.arange(b, n - b)
+        rows = np.concatenate([top_r, np.repeat(mid, 2 * w + 1), n - 1 - top_r])
+        cols = np.concatenate(
+            [top_c, (mid[:, None] + np.arange(-w, w + 1)).ravel(), n - 1 - top_c]
+        )
+        top = self.boundary_block.ravel()
+        vals = np.concatenate([top, np.tile(self.interior_stencil, len(mid)), -top])
+        return rows, cols, vals
 
     def sbp_residual(self) -> float:
-        """Max-abs entry of M D + D^T M - E."""
-        n = self.n_nodes
-        d = self.dense()
-        md = self.mass_weights[:, None] * d
-        r = md + md.T - np.diag(self.boundary_diag)
+        """Max-abs entry of M D + D^T M - E, from the entries of D in O(n)."""
+        rows, cols, vals = self._entries()
+        md = self.mass_weights[rows] * vals
+        k = np.max(np.abs(cols - rows))
+        r = np.zeros((2 * k + 1, self.n_nodes))  # entry (i, j) at r[k + j - i, i]
+        r[k + cols - rows, rows] = md
+        r[k + rows - cols, cols] += md
+        r[k, [0, -1]] += [1.0, -1.0]
         return float(np.max(np.abs(r)))
 
     def mass_norm(self, u: np.ndarray) -> float:
@@ -165,9 +183,10 @@ class SbpOperator1D:
 
         ``u`` may carry trailing axes; the inversion acts along the first one.
         Raises NotInImage when u has an oscillation component larger than
-        ``tol`` times max(its own M-norm, ``norm_floor``).  Solved with a
-        dense QR least-squares factorization, intended for verification-scale
-        grids, not as a production path.
+        ``tol`` times max(its own M-norm, ``norm_floor``).  Otherwise solves
+        rows 1..n-1 of ``D v = u`` for ``v[1:]`` by banded LU: row 0 is a
+        combination of the others (the kernel vector of D^T has a nonzero
+        first entry), so it holds once the oscillation component is gone.
         """
         u = np.asarray(u, dtype=np.float64)
         n = self.n_nodes
@@ -182,11 +201,9 @@ class SbpOperator1D:
                 "right-hand side has an oscillation component of relative size "
                 f"{float(np.max(overlap / np.maximum(norms, 1e-300))):.3e}"
             )
-        sol, *_ = scipy.linalg.lstsq(
-            self.dense()[:, 1:], flat, lapack_driver="gelsy"
-        )
+        rows, cols, vals = self._entries()
         out = np.zeros_like(flat)
-        out[1:] = sol
+        out[1:] = _banded_solve(rows - 1, cols - 1, vals, flat[1:])
         return out.reshape(u.shape)
 
     # -- nullspace of the adjoint ----------------------------------------
@@ -227,7 +244,6 @@ class OscillationVector1D:
     """Basis vector of ker D*, unit M-norm, first entry positive."""
 
     values: np.ndarray
-    operator: SbpOperator1D
 
     def __post_init__(self):
         if self.values[0] <= 0:
@@ -238,8 +254,9 @@ def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOpe
     """Construct the diagonal-norm SBP operator of interior order 2p.
 
     Coefficients come from the exact rational tables; construction checks the
-    SBP identity and the polynomial accuracy of every row unless ``validate``
-    is disabled (used only for deliberate negative controls).
+    SBP identity, the polynomial accuracy of every row and nullspace
+    consistency unless ``validate`` is disabled (used only for deliberate
+    negative controls).
     """
     table = coefficient_table(order)
     if grid.n_nodes < table.min_nodes:
@@ -248,7 +265,6 @@ def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOpe
             f"got {grid.n_nodes}"
         )
     dx = grid.dx
-    w = table.halfwidth
     full = [-c for c in reversed(table.interior)] + [0] + list(table.interior)
     interior = np.array([float(c) for c in full]) / dx
     closure = np.array([[float(c) for c in row] for row in table.closure]) / dx
@@ -286,8 +302,22 @@ def _transpose_parts(interior: np.ndarray, closure: np.ndarray) -> tuple:
     return interior[::-1].copy(), corr
 
 
+def _banded_solve(rows, cols, vals, rhs) -> np.ndarray:
+    """Solve ``A x = rhs`` by banded LU, where A holds those of the entries
+    ``A[rows, cols] = vals`` that fall inside its square."""
+    n = len(rhs)
+    keep = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    offset = rows - cols
+    lower, upper = max(offset.max(), 0), max(-offset.min(), 0)
+    ab = np.zeros((lower + upper + 1, n))
+    ab[upper + offset, cols] = vals
+    return scipy.linalg.solve_banded((lower, upper), ab, rhs, check_finite=False)
+
+
 def _validate_operator(op: SbpOperator1D) -> None:
-    scale = np.max(np.abs(op.mass_weights[:, None] * op.dense()))
+    rows, _, vals = op._entries()
+    scale = np.max(np.abs(op.mass_weights[rows] * vals))
     res = op.sbp_residual()
     if res > 1e-13 * max(scale, 1.0):
         raise AssertionError(
@@ -295,13 +325,7 @@ def _validate_operator(op: SbpOperator1D) -> None:
             "coefficient table corrupted?"
         )
     accuracy_check(op)
-    # nullspace consistency on verification-scale grids
-    if op.n_nodes <= 200:
-        rank = np.linalg.matrix_rank(op.dense())
-        if rank != op.n_nodes - 1:
-            raise NullspaceDimensionUnexpected(
-                f"rank {rank} != {op.n_nodes - 1}; operator not nullspace consistent"
-            )
+    op.grid_oscillation()  # nullspace consistency
 
 
 def accuracy_check(op: SbpOperator1D, tol: float = 1e-12) -> None:
@@ -331,55 +355,36 @@ def corrupt_operator(op: SbpOperator1D, delta: float = 1e-3) -> SbpOperator1D:
     """
     stencil = op.interior_stencil.copy()
     stencil[-1] += delta / op.grid.dx
-    return SbpOperator1D(
-        grid=op.grid,
-        interior_order=op.interior_order,
-        interior_stencil=stencil,
-        boundary_block=op.boundary_block,
-        mass_weights=op.mass_weights,
-        _transpose_parts=_transpose_parts(stencil, op.boundary_block),
-    )
-
-
-def apply_d(op: SbpOperator1D, u: np.ndarray) -> np.ndarray:
-    return op.apply_d(u)
-
-
-def apply_d_star(op: SbpOperator1D, u: np.ndarray) -> np.ndarray:
-    return op.apply_d_star(u)
-
-
-def sbp_residual(op: SbpOperator1D) -> float:
-    return op.sbp_residual()
-
-
-def invert_on_v0(op: SbpOperator1D, u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    return op.invert_on_v0(u, tol=tol)
+    return replace(op, interior_stencil=stencil,
+                   _transpose_parts=_transpose_parts(stencil, op.boundary_block))
 
 
 def grid_oscillation_1d(op: SbpOperator1D) -> OscillationVector1D:
     """The unique (up to sign and scale) basis vector of ker D*.
 
-    ker D* = M^-1 ker D^T; the nullspace of D^T is found by dense SVD with
-    rank threshold sigma_max * N * eps.  Raises when the numerical nullspace
-    is not one dimensional.
+    ker D* = M^-1 ker D^T.  The kernel vector z of D^T is normalised to
+    ``z[0] = 1``; columns 0..n-2 of ``z^T D = 0`` then form a banded system
+    for ``z[1:]`` (column n-1 is their negated sum, since D 1 = 0).  Raises
+    NullspaceDimensionUnexpected when that system is singular, or when
+    ``D 1`` or the full residual ``D^T z`` exceeds roundoff: then D is not
+    nullspace consistent (ker D = constants, ker D^T one dimensional).
     """
     n = op.n_nodes
-    if n > 2000:
-        raise TooLarge(
-            f"dense SVD oscillation computation limited to N <= 2000, got {n}"
-        )
-    dt = op.dense().T
-    _, sigma, vt = np.linalg.svd(dt)
-    threshold = sigma[0] * n * _EPS
-    null_dim = int(np.sum(sigma <= threshold)) + (dt.shape[0] - len(sigma))
-    if null_dim != 1:
+    rows, cols, vals = op._entries()
+    row0 = np.bincount(cols, weights=vals * (rows == 0), minlength=n)
+    z = np.ones(n)
+    try:
+        z[1:] = _banded_solve(cols, rows - 1, vals, -row0[:-1])
+    except np.linalg.LinAlgError as exc:
+        raise NullspaceDimensionUnexpected(f"kernel of D^T not found: {exc}")
+    dtz = np.bincount(cols, weights=vals * z[rows], minlength=n)
+    d1 = np.bincount(rows, weights=vals, minlength=n)
+    residual = max(np.max(np.abs(dtz)) / np.max(np.abs(z)), np.max(np.abs(d1)))
+    tol = 10 * n * _EPS * np.max(np.abs(vals))
+    if not residual <= tol:
         raise NullspaceDimensionUnexpected(
-            f"numerical nullspace of D^T has dimension {null_dim}, expected 1"
+            f"nullspace residual {residual:.3e} exceeds {tol:.3e}: ker D is not "
+            "the constants, or ker D^T is not one dimensional with z[0] != 0"
         )
-    z = vt[-1]
     osc = z / op.mass_weights
-    osc = osc / op.mass_norm(osc)
-    if osc[0] < 0:
-        osc = -osc
-    return OscillationVector1D(values=osc, operator=op)
+    return OscillationVector1D(values=osc / op.mass_norm(osc))

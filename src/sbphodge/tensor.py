@@ -281,12 +281,16 @@ def _along(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
 
 
 def build_tensor_ops(order: int, grids) -> TensorOps:
-    """Assemble 2D/3D tensor-product operators from per-axis grids."""
+    """Assemble 2D/3D tensor-product operators from per-axis grids.
+
+    Equal grids share one operator, so its oscillation and eigenbasis are
+    computed once.
+    """
     grids = list(grids)
     if not 2 <= len(grids) <= 3:
         raise WrongDimension(f"need 2 or 3 axes, got {len(grids)}")
-    axis_ops = tuple(build_operator_1d(order, g) for g in grids)
-    return _assemble(axis_ops)
+    built = {g: build_operator_1d(order, g) for g in dict.fromkeys(grids)}
+    return _assemble(tuple(built[g] for g in grids))
 
 
 def tensor_ops_from_axes(axis_ops) -> TensorOps:

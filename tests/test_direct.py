@@ -4,7 +4,11 @@ reference, its reported stats, and its input checks."""
 import numpy as np
 import pytest
 
-from sbphodge.errors import DimensionMismatch, NonFiniteEncountered
+from sbphodge.errors import (
+    DimensionMismatch,
+    NonFiniteEncountered,
+    UnknownSolver,
+)
 from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
 from sbphodge.krylov import LinearMap, lsmr
 from sbphodge.potentials import harmonic_neumann_potential
@@ -166,6 +170,16 @@ def test_stages_reject_wrong_shape(dim):
         for stage, solver in _stages(dim):
             with pytest.raises(DimensionMismatch):
                 stage(ops, np.ones(shape), solver=solver)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unknown_solver_name_is_typed(dim):
+    ops = square_tensor_ops(2, 7, dim)
+    u = np.ones((dim, *ops.shape))
+    for stage in (project_im_grad, project_im_curl, helmholtz):
+        with pytest.raises(UnknownSolver, match="lsqr, lsmr"):
+            stage(ops, u, solver="gmres")
+    assert issubclass(UnknownSolver, ValueError)
 
 
 def test_helmholtz_reports_shape_mismatch_on_grid_field():

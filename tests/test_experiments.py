@@ -267,6 +267,23 @@ def test_cli_oscillations(tmp_path):
     assert any(line.startswith("# inner_product_with_ones=") for line in lines)
 
 
+def test_cli_oscillations_beyond_dense_ceiling(tmp_path):
+    out = tmp_path / "osc"
+    assert main(["oscillations", "--order", "6", "--n", "4097",
+                 "--out", str(out)]) == 0
+    assert (out / "oscillations_order6_n4097.csv").exists()
+
+
+def test_cli_unknown_solver_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"solver": "gmres", "n": [16]}))
+    assert main(["remainder", "--config", str(cfg),
+                 "--out", str(tmp_path / "rem")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown solver 'gmres'")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_cli_remainder_roundtrip(tmp_path):
     out = tmp_path / "rem"
     assert main(["remainder", "--order", "2", "--n", "16",

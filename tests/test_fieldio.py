@@ -140,3 +140,60 @@ def test_binary_truncated_payload_is_typed(tmp_path):
     path.write_bytes(bytes(blob[:-9]))
     with pytest.raises(CorruptFieldFile, match="payload"):
         read_field_binary(path)
+
+
+# -- CSV format: corruption -------------------------------------------------------
+
+
+_CSV_META = "# field dim=2 kind=scalar shape=2x2 bounds=0.0:1.0,0.0:1.0\n"
+_CSV_BODY = "x1,x2,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n"
+
+
+@pytest.mark.parametrize("text", [
+    "# field dim=2 shape=2x2 bounds=0.0:1.0,0.0:1.0\n" + _CSV_BODY,
+    "# field dim=2 kind=scalar shape=2x2 bounds=0.0:1.0,0.0:1.0 n=4\n"
+    + _CSV_BODY,
+    "# field dim=2 kind=scalar shape=2x2 bounds\n" + _CSV_BODY,
+    _CSV_META.replace("dim=2", "dim=two") + _CSV_BODY,
+    _CSV_META.replace("dim=2", "dim=4") + _CSV_BODY,
+    _CSV_META.replace("dim=2", "dim=3") + _CSV_BODY,
+    _CSV_META.replace("shape=2x2", "shape=2x2x2") + _CSV_BODY,
+    _CSV_META.replace("kind=scalar", "kind=tensor") + _CSV_BODY,
+    _CSV_META.replace("shape=2x2", "shape=1x4") + _CSV_BODY,
+    _CSV_META.replace("0.0:1.0,", "1.0:1.0,") + _CSV_BODY,
+    _CSV_META.replace("0.0:1.0,", "nan:1.0,") + _CSV_BODY,
+    _CSV_META.replace("0.0:1.0,", "0.0:1.0:2.0,") + _CSV_BODY,
+    _CSV_META + _CSV_BODY + "2,2,5\n",
+    _CSV_META + _CSV_BODY.rsplit("1,1,4\n", 1)[0],
+    _CSV_META + _CSV_BODY.replace("1,1,4", "1,1"),
+    _CSV_META + _CSV_BODY.replace("1,1,4", "1,1,four"),
+    _CSV_META.replace("shape=2x2", "shape=65536x65536") + _CSV_BODY,
+], ids=["no-kind", "unknown-key", "no-equals", "dim-text", "dim4",
+        "dim-vs-shape", "shape-vs-dim", "kind", "one-node", "empty-bounds",
+        "nan-bound", "bound-triple", "extra-row", "missing-row", "short-row",
+        "non-numeric", "huge-shape"])
+def test_csv_rejects_corruption(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CorruptFieldFile):
+        read_field_csv(path)
+
+
+def test_csv_rejects_binary_file(tmp_path):
+    path, _ = _valid_blob(tmp_path)
+    with pytest.raises(CorruptFieldFile):
+        read_field_csv(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=grid_fields(), data=st.data())
+def test_csv_rejects_truncation(tmp_path_factory, field, data):
+    path = tmp_path_factory.mktemp("cut") / "field.csv"
+    write_field_csv(path, field)
+    text = path.read_text()
+    # a cut inside the last value leaves a well-formed file of other data,
+    # so cut anywhere up to the start of that value
+    cut = data.draw(st.integers(0, text.rindex(",") + 1))
+    path.write_text(text[:cut])
+    with pytest.raises(CorruptFieldFile):
+        read_field_csv(path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,13 +8,16 @@ from sbphodge.errors import (
     DimensionMismatch,
     GridTooSmall,
     NotInImage,
+    NullspaceDimensionUnexpected,
 )
 from sbphodge.grid import Grid1D
 from sbphodge.operators1d import (
+    SbpOperator1D,
     build_operator_1d,
     corrupt_operator,
     grid_oscillation_1d,
 )
+from sbphodge.tensor import build_tensor_ops
 
 from conftest import MIN_NODES
 
@@ -223,6 +227,50 @@ def test_higher_order_interior_alternation():
             assert boundary_dev > 0.01
 
 
+def test_oscillation_matches_dense_svd(order):
+    lo = MIN_NODES[order]
+    for n in (lo, lo + 1, 64, 101, 200, 331):
+        op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
+        _, _, vt = np.linalg.svd(op.dense().T)
+        ref = vt[-1] / op.mass_weights
+        ref = np.sign(ref[0]) * ref / op.mass_norm(ref)
+        assert np.max(np.abs(grid_oscillation_1d(op).values - ref)) <= 1e-13
+
+
+def test_corrupted_operator_not_nullspace_consistent(order):
+    # at order 2, n=32 the corrupted D^T still has a one-dimensional kernel
+    # (a dense SVD finds rank n-1), but D 1 != 0, so ker D is not the constants
+    for n in (13, 32):
+        if n < MIN_NODES[order]:
+            continue
+        bad = corrupt_operator(build_operator_1d(order, Grid1D(0.0, 1.0, n)))
+        with pytest.raises(NullspaceDimensionUnexpected):
+            grid_oscillation_1d(bad)
+
+
+@pytest.fixture
+def no_dense(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense() called")
+
+    monkeypatch.setattr(SbpOperator1D, "dense", refuse)
+
+
+def test_no_dense_matrix_at_large_n(order, no_dense):
+    op = build_operator_1d(order, Grid1D(0.0, 1.0, 65537))
+    osc = op.grid_oscillation().values
+    assert osc[0] > 0 and abs(op.mass_norm(osc) - 1.0) <= 1e-12
+    x = op.grid.nodes()
+    v = op.invert_on_v0(op.apply_d(x))
+    assert np.max(np.abs(v - (x - x[0]))) <= 1e-9
+
+
+def test_tensor_ops_beyond_former_ceiling(no_dense):
+    ops = build_tensor_ops(4, [Grid1D(-1.0, 1.0, 2049), Grid1D(-1.0, 1.0, 9)])
+    assert ops.shape == (2049, 9)
+    assert set(ops.oscillations) == {(0,), (1,), (0, 1)}
+
+
 def test_nullspace_consistency_rank(order):
     for n in (MIN_NODES[order], 20, 64, 200):
         if n < MIN_NODES[order]:
@@ -260,6 +308,16 @@ def test_invert_roundtrip_random(order, rng):
     assert np.max(np.abs(op.apply_d(op.invert_on_v0(u)) - u)) <= 1e-10 * np.max(
         np.abs(u)
     )
+
+
+def test_invert_matches_dense_lstsq(order, rng):
+    for n in (MIN_NODES[order] + 3, 48, 97):
+        op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
+        u = op.apply_d(rng.standard_normal((n, 3)))
+        ref = np.zeros_like(u)
+        ref[1:] = scipy.linalg.lstsq(op.dense()[:, 1:], u)[0]
+        err = np.max(np.abs(op.invert_on_v0(u) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_invert_rejects_oscillation(op_1d):

@@ -37,6 +37,14 @@ def test_wrong_axis_count():
         build_tensor_ops(2, [Grid1D(0, 1, 5)] * 4)
 
 
+def test_equal_axes_share_one_operator():
+    ops = square_tensor_ops(6, 17, 3)
+    assert len({id(op) for op in ops.axis_ops}) == 1
+    aniso = build_tensor_ops(2, [Grid1D(0, 1, 5), Grid1D(0, 1, 6), Grid1D(0, 1, 5)])
+    assert aniso.axis_ops[0] is aniso.axis_ops[2]
+    assert aniso.axis_ops[0] is not aniso.axis_ops[1]
+
+
 def test_gradient_of_coordinate_is_one(ops_2d):
     x, _ = ops_2d.meshgrid()
     g = ops_2d.grad(x)
