@@ -1,9 +1,21 @@
 """Command-line harness for the experiment suite.
 
-Subcommands: verify-theorems, oscillations, remainder, convergence, mhd.
+Subcommands and the options each takes (every one takes ``--config``,
+``--order``, ``--n`` and ``--out``):
+
+    verify-theorems  --dim, --seed
+    oscillations     (no others)
+    remainder        --solver, --projection-order, --atol, --btol, --format
+    convergence      --solver, --projection-order, --atol, --btol, --dim
+    mhd              --solver, --projection-order, --atol, --btol, --format,
+                     --k1, --k3, --eps-alfven, --eps-magnetosonic
+
 Exit codes: 0 success, 1 check failure, 2 usage error.  Options may come from
-a flat JSON (or TOML, where the interpreter provides ``tomllib``) config file;
-command-line flags override file values.  Setting the environment variable
+a flat JSON (or TOML, where the interpreter provides ``tomllib``) config file
+whose keys are the option names with ``_`` for ``-`` (``projection_order``);
+command-line flags override file values, and a key the subcommand does not
+take is a usage error.  Flags carry no defaults, so a file value is only ever
+overridden by a flag that was given.  Setting the environment variable
 ``SBP_HODGE_BREAK_OPERATOR=1`` corrupts the operators under verify-theorems as
 a negative control: the run must then fail.
 """
@@ -28,6 +40,7 @@ from .experiments import (
     verify_theorems,
 )
 from .fieldio import write_field_binary, write_field_csv
+from .krylov import SOLVERS
 
 
 def _load_config_file(path: str) -> dict:
@@ -44,31 +57,44 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
-    options = {}
-    if getattr(args, "config", None):
-        options.update(_load_config_file(args.config))
-    for key in ("order", "n", "dim", "solver", "projection_order", "tol",
-                "atol", "btol", "out", "seed", "k1", "k3", "eps_alfven",
-                "eps_magnetosonic"):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
+    """The config file's options overridden by the flags that were given.
+
+    Raises ValueError for a file key that is not an option of the
+    subcommand."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "func", "config")}
+    options = _load_config_file(args.config) if args.config else {}
+    if not isinstance(options, dict):
+        raise ValueError(f"config file {args.config} does not hold a table")
+    unknown = sorted(set(options) - set(flags))
+    if unknown:
+        raise ValueError(f"{args.command} takes no option {', '.join(unknown)}")
+    options.update((k, v) for k, v in flags.items() if v is not None)
     return options
 
 
-def _experiment_config(options: dict, default_dim: int = 2) -> ExperimentConfig:
+def _field_writer(options: dict):
+    """``(writer, suffix)`` for the ``format`` option, CSV by default."""
+    fmt = options.get("format", "csv")
+    if fmt not in ("csv", "binary"):
+        raise ValueError(f"format must be csv or binary, got {fmt!r}")
+    if fmt == "binary":
+        return write_field_binary, "bin"
+    return write_field_csv, "csv"
+
+
+def _experiment_config(options: dict) -> ExperimentConfig:
     sizes = options.get("n") or ExperimentConfig.sizes
     if isinstance(sizes, int):
         sizes = [sizes]
     return ExperimentConfig(
         order=int(options.get("order", 6)),
         sizes=tuple(int(s) for s in sizes),
-        dim=int(options.get("dim", default_dim)),
+        dim=int(options.get("dim", 2)),
         solver=options.get("solver"),
         projection_order=options.get("projection_order"),
         atol=float(options.get("atol", 1e-14)),
         btol=float(options.get("btol", 1e-14)),
-        tol=float(options.get("tol", 1e-8)),
         out_dir=str(options.get("out", "out")),
         seed=int(options.get("seed", 2023)),
     )
@@ -151,16 +177,12 @@ def cmd_oscillations(args) -> int:
 def cmd_remainder(args) -> int:
     options = _merged_options(args)
     options.setdefault("n", [60])
-    config = _experiment_config(options, default_dim=2)
-    if config.dim != 2:
-        print("remainder study runs in 2D", file=sys.stderr)
-        return 2
+    writer, suffix = _field_writer(options)
+    config = _experiment_config(options)
     result = remainder_study(config)
     out = _out_dir(config.out_dir)
     ops, dec = result["ops"], result["decomposition"]
     warn_max_iter("remainder", dec.diagnostics["solver_stats"])
-    writer = write_field_binary if args.format == "binary" else write_field_csv
-    suffix = "bin" if args.format == "binary" else "csv"
     for name, data in (("u", result["problem"]["u"]),
                        ("grad_phi", dec.grad_phi.data),
                        ("sol_part", dec.sol_part.data),
@@ -177,11 +199,10 @@ def cmd_remainder(args) -> int:
 
 def cmd_convergence(args) -> int:
     options = _merged_options(args)
-    dim = int(options.get("dim", args.dim or 2))
-    options["dim"] = dim
+    dim = int(options.get("dim", 2))
     if not options.get("n"):
         options["n"] = [17, 33, 49, 65] if dim == 2 else [9, 13, 17, 21]
-    config = _experiment_config(options, default_dim=dim)
+    config = _experiment_config(options)
     result = convergence_study(config)
     for n, stats in result["solver_stats"].items():
         warn_max_iter(f"convergence n={n}", stats)
@@ -202,10 +223,11 @@ def cmd_convergence(args) -> int:
     _write_json(out / f"convergence_{dim}d_order{config.order}.json", {
         "order": config.order,
         "dim": dim,
-        "solver": config.solver_name or "direct",
+        "solver": config.solver,  # null: the library default
         "projection_order": config.projection.value,
         "sizes": list(config.sizes),
         "eoc_summary": result["eoc_summary"],
+        "solver_stats": result["solver_stats"],
     })
     print(f"EOC summary (least-squares slopes): "
           + ", ".join(f"{q}={v:.2f}" for q, v in result["eoc_summary"].items()))
@@ -215,6 +237,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_mhd(args) -> int:
     options = _merged_options(args)
+    writer, suffix = _field_writer(options)
     n = options.get("n", 101)
     if isinstance(n, list):
         n = n[0]
@@ -234,8 +257,6 @@ def cmd_mhd(args) -> int:
     out = _out_dir(str(options.get("out", "out")))
     ops, dec = result["ops"], result["decomposition"]
     warn_max_iter("mhd", dec.diagnostics["solver_stats"])
-    writer = write_field_binary if args.format == "binary" else write_field_csv
-    suffix = "bin" if args.format == "binary" else "csv"
     for name, data in (("j_perp", result["j_perp"]),
                        ("grad_phi", dec.grad_phi.data),
                        ("sol_part", dec.sol_part.data),
@@ -261,26 +282,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=False):
+    def common(p, solver=False, with_format=False):
         p.add_argument("--config", help="JSON (or TOML) config file")
         p.add_argument("--order", type=int, help="interior order 2p")
         p.add_argument("--n", type=int, action="append",
                        help="grid size per axis (repeatable)")
-        p.add_argument("--solver", choices=["lsqr", "lsmr"])
-        p.add_argument("--projection-order", dest="projection_order",
-                       choices=["grad-first", "curl-first"])
-        p.add_argument("--tol", type=float, help="gating tolerance")
-        p.add_argument("--atol", type=float, help="solver atol")
-        p.add_argument("--btol", type=float, help="solver btol")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
+        if solver:
+            p.add_argument("--solver", choices=list(SOLVERS),
+                           help="Krylov reference for every stage "
+                                "(default: direct, LSQR for the 3D curl stage)")
+            p.add_argument("--projection-order", dest="projection_order",
+                           choices=["grad-first", "curl-first"])
+            p.add_argument("--atol", type=float, help="solver atol")
+            p.add_argument("--btol", type=float, help="solver btol")
         if with_format:
-            p.add_argument("--format", choices=["csv", "binary"], default="csv")
+            p.add_argument("--format", choices=["csv", "binary"],
+                           help="field file format (default: csv)")
 
     p = sub.add_parser("verify-theorems",
                        help="kernel/membership/orthogonality oracle suite")
     common(p)
-    p.add_argument("--dim", type=int, choices=[2, 3], default=2)
+    p.add_argument("--dim", type=int, choices=[2, 3], help="default: 2")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify_theorems)
 
     p = sub.add_parser("oscillations", help="dump the 1D oscillation vector")
@@ -288,16 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oscillations)
 
     p = sub.add_parser("remainder", help="2D decomposition remainder study")
-    common(p, with_format=True)
-    p.set_defaults(func=cmd_remainder, dim=2)
+    common(p, solver=True, with_format=True)
+    p.set_defaults(func=cmd_remainder)
 
     p = sub.add_parser("convergence", help="2D/3D convergence study with EOC")
-    common(p)
-    p.add_argument("--dim", type=int, choices=[2, 3], default=2)
+    common(p, solver=True)
+    p.add_argument("--dim", type=int, choices=[2, 3], help="default: 2")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("mhd", help="MHD wave-mode separation")
-    common(p, with_format=True)
+    common(p, solver=True, with_format=True)
     p.add_argument("--k1", type=float, help="wavenumber k1")
     p.add_argument("--k3", type=float, help="wavenumber k3")
     p.add_argument("--eps-alfven", dest="eps_alfven", type=float)

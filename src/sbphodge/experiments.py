@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoPlaneNode
 from .grid import Grid1D
-from .hodge import ProjectionOrder, helmholtz, project_onto_curl_coimage
+from .hodge import ProjectionOrder, helmholtz, project_im_curl
 from .operators1d import build_operator_1d, corrupt_operator
 from .potentials import (
     dense_curl,
@@ -37,11 +37,10 @@ class ExperimentConfig:
     dim: int = 2
     x_min: float = -1.0
     x_max: float = 1.0
-    solver: str | None = None           # default: direct in 2D, lsmr in 3D
+    solver: str | None = None           # None: the library default
     projection_order: str | None = None  # default: grad-first 2D, curl-first 3D
     atol: float = 1e-14
     btol: float = 1e-14
-    tol: float = 1e-8
     out_dir: str = "out"
     seed: int = 2023
 
@@ -56,12 +55,6 @@ class ExperimentConfig:
                 f"grid size {self.sizes[0]} below the order-{self.order} "
                 f"minimum of {minimum} nodes"
             )
-
-    @property
-    def solver_name(self) -> str | None:
-        """Solver passed to the projections; None, the 2D default, selects
-        the library's direct engine."""
-        return self.solver or (None if self.dim == 2 else "lsmr")
 
     @property
     def projection(self) -> ProjectionOrder:
@@ -346,7 +339,7 @@ def remainder_study(config: ExperimentConfig, n: int | None = None) -> dict:
     ops = config.ops(n)
     prob = separable_problem_2d(ops)
     dec = helmholtz(ops, prob["u"], order=config.projection,
-                    solver=config.solver_name, atol=config.atol,
+                    solver=config.solver, atol=config.atol,
                     btol=config.btol)
     u = prob["u"]
     u2 = ops.inner(u, u)
@@ -392,7 +385,7 @@ def convergence_study(config: ExperimentConfig) -> dict:
         prob = (separable_problem_2d if config.dim == 2
                 else separable_problem_3d)(ops)
         dec = helmholtz(ops, prob["u"], order=config.projection,
-                        solver=config.solver_name, atol=config.atol,
+                        solver=config.solver, atol=config.atol,
                         btol=config.btol)
         errors = {
             "phi": _relative(ops, ops.mean_zero(dec.phi.data),
@@ -407,10 +400,12 @@ def convergence_study(config: ExperimentConfig) -> dict:
                                     ops.mean_zero(prob["v"]))
         else:
             errors["v_raw"] = _relative(ops, dec.v.data, prob["v"])
-            gauged = project_onto_curl_coimage(
-                ops, ops.field(prob["v"]), solver=config.solver_name,
+            # the least-norm preimage of curl v is the projection of v onto
+            # the coimage (ker curl)^perp_M, where dec.v lives
+            gauged = project_im_curl(
+                ops, ops.curl(prob["v"]), solver=config.solver,
                 atol=config.atol, btol=config.btol,
-            ).data
+            )[0].data
             errors["v_gauged"] = _relative(ops, dec.v.data, gauged)
         rows.append(ConvergenceRow(n=n, errors=errors))
         solver_stats[n] = dec.diagnostics["solver_stats"]

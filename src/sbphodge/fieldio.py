@@ -125,8 +125,9 @@ def read_field_csv(path) -> GridField:
 
     Raises CorruptFieldFile when the file is not text, when the metadata line
     is missing, lacks a key or has an unknown one, or announces a bad dim or
-    kind or a grid the binary reader would reject, and when the body does not
-    hold exactly one full, numeric row per node.
+    kind or a grid the binary reader would reject, when the body does not
+    hold exactly one full, numeric row per node, and when a row's coordinates
+    are not those of its node (rows out of order) to within 1e-6 of a cell.
     """
     try:
         with open(path, "r", newline="") as fh:
@@ -166,5 +167,11 @@ def read_field_csv(path) -> GridField:
         values = np.array([[float(x) for x in row] for row in rows])
     except ValueError as exc:
         raise CorruptFieldFile(f"non-numeric cell: {exc}") from None
+    coords = np.stack([c.ravel() for c in _node_coordinates(shape, bounds)], 1)
+    cell = np.array([(hi - lo) / (n - 1) for (lo, hi), n in zip(bounds, shape)])
+    if not np.all(np.abs(values[:, :d] - coords) <= 1e-6 * cell):
+        raise CorruptFieldFile(
+            "node coordinates do not match the grid of the metadata line"
+        )
     full_shape = shape if kind == "scalar" else (d, *shape)
     return GridField(values[:, d:].T.reshape(full_shape), bounds)

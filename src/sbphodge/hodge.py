@@ -72,6 +72,30 @@ def _solver(name):
         ) from None
 
 
+def _krylov(ops, apply, apply_t, x_shape, u, solver, atol, btol, max_iter):
+    """Least-M-norm least-squares solution ``x`` of ``apply(x) = u``.
+
+    Runs the named Krylov solver on the operator conjugated with
+    ``s = sqrt(M)`` on both sides, so that its Euclidean least-norm
+    guarantee becomes the M-norm one; returns ``(x, stats)``.
+    """
+    s = np.sqrt(ops.mass)  # broadcasts over a leading component axis
+
+    def forward(y):
+        return (apply(y.reshape(x_shape) / s) * s).ravel()
+
+    def adjoint(c):
+        return (apply_t(c.reshape(u.shape) * s) / s).ravel()
+
+    system = LinearMap(rows=u.size, cols=int(np.prod(x_shape)),
+                       forward=forward, adjoint=adjoint)
+    y, stats = _solver(solver)(
+        system, (u * s).ravel(), atol=atol, btol=btol, max_iter=max_iter,
+        self_test=False,
+    )
+    return y.reshape(x_shape) / s, stats
+
+
 def project_im_grad(
     ops: TensorOps,
     u,
@@ -90,7 +114,6 @@ def project_im_grad(
     raises UnknownSolver.
     """
     u = ops.vector_data(u)
-    s = np.sqrt(ops.mass)
     if solver is None:
         phi = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
         grad_phi = ops.grad(phi)
@@ -98,31 +121,17 @@ def project_im_grad(
         stats = SolveStats(
             iterations=0,
             final_residual_norm=ops.norm(r),
-            final_normal_residual_norm=float(
-                np.linalg.norm(ops.grad_transpose(ops.mass * r) / s)
+            # the Krylov normal residual ||grad^T M r||_{M^-1}
+            final_normal_residual_norm=ops.norm(
+                ops.grad_transpose(ops.mass * r) / ops.mass
             ),
             stop_reason="direct",
         )
         return ops.field(phi), ops.field(grad_phi), stats
 
-    shape = ops.shape
-    d = ops.dim
-
-    def forward(y):
-        phi = y.reshape(shape) / s
-        return (ops.grad(phi) * s).ravel()
-
-    def adjoint(c):
-        w = c.reshape((d, *shape)) * s
-        return (ops.grad_transpose(w) / s).ravel()
-
-    system = LinearMap(rows=d * ops.n_total, cols=ops.n_total,
-                       forward=forward, adjoint=adjoint)
-    y, stats = _solver(solver)(
-        system, (u * s).ravel(), atol=atol, btol=btol, max_iter=max_iter,
-        self_test=False,
-    )
-    phi = ops.mean_zero(y.reshape(shape) / s)
+    phi, stats = _krylov(ops, ops.grad, ops.grad_transpose, ops.shape, u,
+                         solver, atol, btol, max_iter)
+    phi = ops.mean_zero(phi)
     return ops.field(phi), ops.field(ops.grad(phi)), stats
 
 
@@ -138,6 +147,8 @@ def project_im_curl(
 
     Returns ``(v, sol_part, stats)`` where ``v`` is the least-norm potential;
     no divergence-free gauge is imposed (none exists discretely in general).
+    Being least-norm, ``v`` lies in ``(ker curl)^perp_M``: for ``u = curl w``
+    it is the M-orthogonal projection of ``w`` onto the coimage of curl.
 
     In 2D, ``rot = J grad`` with the rotation ``J(a, b) = (b, -a)``, which
     commutes with M, so the projection is ``J P_grad J^T`` and ``v`` is the
@@ -153,24 +164,8 @@ def project_im_curl(
         g = grad_v.data
         return v, ops.field(np.stack([g[1], -g[0]])), stats  # J grad v = rot v
 
-    shape = ops.shape
-    s = np.sqrt(ops.mass)
-
-    def forward(y):
-        v = y.reshape((3, *shape)) / s
-        return (ops.curl(v) * s).ravel()
-
-    def adjoint(c):
-        w = c.reshape((3, *shape)) * s
-        return (ops.curl_transpose(w) / s).ravel()
-
-    n3 = 3 * ops.n_total
-    system = LinearMap(rows=n3, cols=n3, forward=forward, adjoint=adjoint)
-    y, stats = _solver(solver or "lsqr")(
-        system, (u * s).ravel(), atol=atol, btol=btol, max_iter=max_iter,
-        self_test=False,
-    )
-    v = y.reshape((3, *shape)) / s
+    v, stats = _krylov(ops, ops.curl, ops.curl_transpose, u.shape, u,
+                       solver or "lsqr", atol, btol, max_iter)
     return ops.field(v), ops.field(ops.curl(v)), stats
 
 
@@ -245,40 +240,3 @@ def helmholtz(
         diagnostics=diagnostics,
     )
 
-
-def project_onto_curl_coimage(
-    ops: TensorOps,
-    v,
-    solver="lsmr",
-    atol: float = 1e-12,
-    btol: float = 1e-12,
-    max_iter: int | None = None,
-):
-    """M-orthogonal projection of a potential onto (ker curl)^perp.
-
-    Used to compare an analytic vector potential with the least-norm discrete
-    one, which lives in the M-orthogonal complement of the curl kernel: the
-    gauge part of the analytic potential is removed by projecting onto the
-    row space of the scaled curl.
-    """
-    v = ops.vector_data(v)
-    shape = ops.shape
-    s = np.sqrt(ops.mass)
-
-    def forward(z):
-        w = z.reshape((3, *shape)) * s
-        return (ops.curl_transpose(w) / s).ravel()
-
-    def adjoint(y):
-        p = y.reshape((3, *shape)) / s
-        return (ops.curl(p) * s).ravel()
-
-    n3 = 3 * ops.n_total
-    system = LinearMap(rows=n3, cols=n3, forward=forward, adjoint=adjoint)
-    z, _ = _solver(solver)(
-        system, (v * s).ravel(), atol=atol, btol=btol, max_iter=max_iter,
-        self_test=False,
-    )
-    w = z.reshape((3, *shape)) * s
-    projected = ops.curl_transpose(w) / s / s
-    return ops.field(projected)

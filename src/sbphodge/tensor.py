@@ -199,7 +199,7 @@ class TensorOps:
             raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
         if a.shape[-self.dim :] != self.shape:
             raise DimensionMismatch(f"field shape {a.shape} != grid {self.shape}")
-        return float(np.sum(self.mass * a * b))  # mass broadcasts over components
+        return float(np.vdot(self.mass * a, b))  # mass broadcasts over components
 
     def norm(self, a: np.ndarray) -> float:
         return float(np.sqrt(self.inner(a, a)))

@@ -51,8 +51,6 @@ def test_config_rejects_sizes_below_operator_minimum():
 
 
 def test_config_defaults_by_dimension():
-    assert ExperimentConfig(dim=2).solver_name is None
-    assert ExperimentConfig(dim=3).solver_name == "lsmr"
     assert ExperimentConfig(dim=2).projection.value == "grad-first"
     assert ExperimentConfig(dim=3).projection.value == "curl-first"
 
@@ -155,6 +153,10 @@ def test_convergence_study_minimal_3d():
                          "v_gauged"}
     assert errs["v_gauged"] <= errs["v_raw"] * (1 + 1e-9)
     assert result["eoc_summary"]["u_irr"] > 1.0
+    # the library default: a direct grad stage and an LSQR curl stage
+    for stats in result["solver_stats"].values():
+        assert stats["grad"]["stop_reason"] == "direct"
+        assert stats["curl"]["iterations"] > 0
 
 
 # -- MHD ---------------------------------------------------------------------------
@@ -331,3 +333,72 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert main(["oscillations", "--config", str(cfg),
                  "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "b" / "oscillations_order4_n30.csv").exists()
+
+
+def test_cli_config_dim_is_honoured(tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"dim": 3, "order": 2, "n": [4]}))
+    assert main(["verify-theorems", "--config", str(cfg),
+                 "--out", str(tmp_path / "thm")]) == 0
+    report = json.loads((tmp_path / "thm" / "theorem_report.json").read_text())
+    assert report["dim"] == 3
+    cfg.write_text(json.dumps({"dim": 3, "order": 2, "n": [5, 7, 9]}))
+    assert main(["convergence", "--config", str(cfg),
+                 "--out", str(tmp_path / "conv")]) == 0
+    summary = json.loads(
+        (tmp_path / "conv" / "convergence_3d_order2.json").read_text())
+    assert summary["dim"] == 3 and summary["solver"] is None
+    assert {st["grad"]["stop_reason"]
+            for st in summary["solver_stats"].values()} == {"direct"}
+
+
+def test_cli_config_format_is_honoured(tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"format": "binary", "order": 2, "n": [16]}))
+    out = tmp_path / "rem"
+    assert main(["remainder", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "remainder_u.bin").exists()
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("text", ['{"format": "xml"}', '["order", "n"]'])
+def test_cli_config_values_are_checked(tmp_path, capsys, text):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(text)
+    assert main(["remainder", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize("command,key", [
+    ("remainder", "tol"),
+    ("remainder", "seed"),
+    ("remainder", "dim"),
+    ("convergence", "tol"),
+    ("oscillations", "solver"),
+    ("mhd", "eps_alfvén"),
+    ("verify-theorems", "ordr"),
+])
+def test_cli_config_rejects_keys_the_command_does_not_take(tmp_path, capsys,
+                                                           command, key):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"order": 2, key: 1}))
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oscillations", "--solver", "lsqr"],
+    ["verify-theorems", "--tol", "1e-8"],
+    ["remainder", "--dim", "3"],
+    ["convergence", "--format", "binary"],
+])
+def test_cli_rejects_flags_the_command_does_not_take(tmp_path, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path)])
+    assert err.value.code == 2

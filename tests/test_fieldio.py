@@ -168,10 +168,14 @@ _CSV_BODY = "x1,x2,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n"
     _CSV_META + _CSV_BODY.replace("1,1,4", "1,1"),
     _CSV_META + _CSV_BODY.replace("1,1,4", "1,1,four"),
     _CSV_META.replace("shape=2x2", "shape=65536x65536") + _CSV_BODY,
+    _CSV_META + "x1,x2,value\n1,1,4\n1,0,3\n0,1,2\n0,0,1\n",
+    _CSV_META + "x1,x2,value\n0,0,1\n1,0,3\n0,1,2\n1,1,4\n",
+    _CSV_META + _CSV_BODY.replace("1,1,4", "1,nan,4"),
 ], ids=["no-kind", "unknown-key", "no-equals", "dim-text", "dim4",
         "dim-vs-shape", "shape-vs-dim", "kind", "one-node", "empty-bounds",
         "nan-bound", "bound-triple", "extra-row", "missing-row", "short-row",
-        "non-numeric", "huge-shape"])
+        "non-numeric", "huge-shape", "reversed-rows", "swapped-rows",
+        "nan-coordinate"])
 def test_csv_rejects_corruption(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)

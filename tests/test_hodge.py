@@ -5,7 +5,6 @@ from sbphodge.hodge import (
     helmholtz,
     project_im_curl,
     project_im_grad,
-    project_onto_curl_coimage,
 )
 from sbphodge.tensor import square_tensor_ops
 
@@ -232,13 +231,20 @@ def test_helmholtz_3d(ops_3d, rng):
         assert abs(ops_3d.inner(t, cw)) <= 1e-7 * ops_3d.norm(t) * ops_3d.norm(cw)
 
 
-def test_curl_coimage_projection_fixes_discrete_potential(ops_3d, rng):
-    # the least-norm potential already lies in (ker curl)^perp_M
-    u = ops_3d.curl(rng.standard_normal((3, *ops_3d.shape)))
-    v, _, _ = project_im_curl(ops_3d, ops_3d.field(u), solver="lsmr",
-                              atol=1e-13, btol=1e-13)
-    projected = project_onto_curl_coimage(ops_3d, v, atol=1e-13, btol=1e-13)
-    assert ops_3d.norm(projected.data - v.data) <= 1e-6 * ops_3d.norm(v.data)
+def test_curl_potential_of_curl_w_projects_w_onto_curl_coimage(ops_3d, rng):
+    # the least-M-norm preimage p of curl w is the M-orthogonal projection
+    # of w onto (ker curl)^perp_M: w - p lies in ker curl, and p is
+    # M-orthogonal to ker curl = im grad + span{osc_i in slot i}
+    w = rng.standard_normal((3, *ops_3d.shape))
+    cw = ops_3d.curl(w)
+    p = project_im_curl(ops_3d, ops_3d.field(cw), atol=1e-13,
+                        btol=1e-13)[0].data
+    assert ops_3d.norm(w - p) >= 0.1 * ops_3d.norm(w)  # w has a kernel part
+    assert ops_3d.norm(ops_3d.curl(w - p)) <= 1e-10 * ops_3d.norm(cw)
+    kernel = [ops_3d.grad(rng.standard_normal(ops_3d.shape)) for _ in range(3)]
+    kernel += [place(ops_3d, ops_3d.oscillations[(i,)], i) for i in range(3)]
+    for k in kernel:
+        assert abs(ops_3d.inner(p, k)) <= 1e-10 * ops_3d.norm(p) * ops_3d.norm(k)
 
 
 def test_diagnostics_serializable(ops_2d, rng):
