@@ -1,12 +1,21 @@
 #!/usr/bin/env python3
-"""Kernel-theorem oracle suite on small 2D and 3D grids."""
+"""Kernel-theorem oracle suite on small 2D and 3D grids.
+
+Writes ``DIR/2d/theorem_report.json`` and ``DIR/3d/theorem_report.json``
+for ``--out DIR`` (default ``out/theorems``); any other arguments go to
+both runs.
+"""
+import argparse
 import sys
 
 from sbphodge.cli import main
 
 if __name__ == "__main__":
-    rc = main(["verify-theorems", "--dim", "2", "--order", "2", "--n", "6",
-               "--out", "out/theorems2d", *sys.argv[1:]])
-    rc |= main(["verify-theorems", "--dim", "3", "--order", "2", "--n", "4",
-                "--out", "out/theorems3d", *sys.argv[1:]])
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="out/theorems", help="output directory")
+    args, rest = parser.parse_known_args()
+    rc = 0
+    for dim, n in (("2", "6"), ("3", "4")):
+        rc |= main(["verify-theorems", "--dim", dim, "--order", "2", "--n", n,
+                    "--out", f"{args.out}/{dim}d", *rest])
     sys.exit(rc)

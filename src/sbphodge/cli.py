@@ -1,7 +1,8 @@
 """Command-line harness for the experiment suite.
 
 Subcommands and the options each takes (every one takes ``--config``,
-``--order``, ``--n`` and ``--out``):
+``--order``, ``--n`` and ``--out``; ``--n`` repeats only on ``convergence``,
+the one subcommand that reads a ladder of grid sizes):
 
     verify-theorems  --dim, --seed
     oscillations     (no others)
@@ -10,14 +11,16 @@ Subcommands and the options each takes (every one takes ``--config``,
     mhd              --solver, --projection-order, --atol, --btol, --format,
                      --k1, --k3, --eps-alfven, --eps-magnetosonic
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  Options may come from
-a flat JSON (or TOML, where the interpreter provides ``tomllib``) config file
-whose keys are the option names with ``_`` for ``-`` (``projection_order``);
-command-line flags override file values, and a key the subcommand does not
-take is a usage error.  Flags carry no defaults, so a file value is only ever
-overridden by a flag that was given.  Setting the environment variable
-``SBP_HODGE_BREAK_OPERATOR=1`` corrupts the operators under verify-theorems as
-a negative control: the run must then fail.
+Exit codes: 0 success, 1 check failure, 2 usage error (one ``usage error:``
+line).  Options may come from a flat JSON (or TOML, where the interpreter
+provides ``tomllib``) config file whose keys are the option names with ``_``
+for ``-`` (``projection_order``).  A file value is read as the same text given
+to its flag, so argparse checks both alike; it must be a number for a numeric
+flag and a string otherwise, and only ``n`` may be a list (``--n`` per item).
+Flags that were given override the file.  Each default is written once: in
+``ExperimentConfig`` and ``MhdConfig``, and for ``--n`` in ``N_DEFAULT``.
+Setting ``SBP_HODGE_BREAK_OPERATOR=1`` corrupts the operators under
+verify-theorems as a negative control: the run must then fail.
 """
 
 from __future__ import annotations
@@ -42,66 +45,100 @@ from .experiments import (
 from .fieldio import write_field_binary, write_field_csv
 from .krylov import SOLVERS
 
+# --n by (subcommand, --dim, 2 where it has none) if neither a flag nor the
+# file gives it; convergence 2D and mhd take their config dataclass default
+N_DEFAULT = {("verify-theorems", 2): 6, ("verify-theorems", 3): 4,
+             ("oscillations", 2): 50, ("remainder", 2): 60,
+             ("convergence", 3): [9, 13, 17, 21]}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as one usage-error line
+        raise ValueError(f"{self.prog}: {message}")
+
+
+class _OneSize(argparse.Action):
+    """``--n`` outside convergence: a second size is an error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(
+                self, "takes one size; only convergence takes a ladder")
+        setattr(namespace, self.dest, value)
+
 
 def _load_config_file(path: str) -> dict:
     text = Path(path).read_bytes()
     if path.endswith(".toml"):
         try:
             import tomllib
-        except ImportError as exc:  # Python < 3.11 without tomli
-            raise SystemExit(
-                f"TOML config requires Python >= 3.11; use JSON instead ({exc})"
-            )
+        except ImportError:  # Python < 3.11
+            raise ValueError("TOML config requires Python >= 3.11") from None
         return tomllib.loads(text.decode())
     return json.loads(text)
 
 
-def _merged_options(args: argparse.Namespace) -> dict:
-    """The config file's options overridden by the flags that were given.
-
-    Raises ValueError for a file key that is not an option of the
-    subcommand."""
-    flags = {key: value for key, value in vars(args).items()
-             if key not in ("command", "func", "config")}
-    options = _load_config_file(args.config) if args.config else {}
-    if not isinstance(options, dict):
-        raise ValueError(f"config file {args.config} does not hold a table")
-    unknown = sorted(set(options) - set(flags))
+def _file_flags(path: str, parser: argparse.ArgumentParser) -> list:
+    """The config file's values as the flags of the subcommand ``parser``."""
+    table = _load_config_file(path)
+    if not isinstance(table, dict):
+        raise ValueError("it does not hold a table")
+    actions = {a.dest: a for a in parser._actions
+               if a.dest not in ("help", "config")}
+    unknown = sorted(set(table) - set(actions))
     if unknown:
-        raise ValueError(f"{args.command} takes no option {', '.join(unknown)}")
-    options.update((k, v) for k, v in flags.items() if v is not None)
-    return options
+        raise ValueError(f"{parser.prog} takes no option {', '.join(unknown)}")
+    flags = []
+    for key, value in table.items():
+        items = value if key == "n" and isinstance(value, list) else [value]
+        if not items:
+            raise ValueError("n is an empty list")
+        action = actions[key]
+        numeric = action.type in (int, float)
+        for item in items:  # a list for another key is one bad item
+            if isinstance(item, str) == numeric:
+                kind = "a number" if numeric else "a string"
+                raise ValueError(f"{key} takes {kind}, not {item!r}")
+            flags.append(f"{action.option_strings[0]}={item}")
+    return flags
+
+
+def _options(argv) -> dict:
+    """The subcommand's options: the config file's values overridden by the
+    flags that were given (flags carry no defaults)."""
+    given = vars(build_parser().parse_args(argv))
+    path, parser, from_file = given["config"], given["parser"], {}
+    if path:
+        try:
+            from_file = vars(parser.parse_args(_file_flags(path, parser)))
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: {exc}") from None
+    return {key: value for layer in (from_file, given)
+            for key, value in layer.items() if value is not None}
+
+
+def _config(cls, options: dict):
+    """``cls`` from the options it has fields for; for ExperimentConfig,
+    ``n`` (or the subcommand's N_DEFAULT) gives ``sizes``."""
+    kwargs = {f.name: options[f.name] for f in dataclasses.fields(cls)
+              if f.name in options}
+    if cls is ExperimentConfig:
+        n = options.get("n", N_DEFAULT.get(
+            (options["command"], kwargs.get("dim", cls.dim))))
+        if n is not None:
+            kwargs["sizes"] = tuple(n) if isinstance(n, list) else (n,)
+    return cls(**kwargs)
 
 
 def _field_writer(options: dict):
     """``(writer, suffix)`` for the ``format`` option, CSV by default."""
-    fmt = options.get("format", "csv")
-    if fmt not in ("csv", "binary"):
-        raise ValueError(f"format must be csv or binary, got {fmt!r}")
-    if fmt == "binary":
+    if options.get("format") == "binary":
         return write_field_binary, "bin"
     return write_field_csv, "csv"
 
 
-def _experiment_config(options: dict) -> ExperimentConfig:
-    sizes = options.get("n") or ExperimentConfig.sizes
-    if isinstance(sizes, int):
-        sizes = [sizes]
-    return ExperimentConfig(
-        order=int(options.get("order", 6)),
-        sizes=tuple(int(s) for s in sizes),
-        dim=int(options.get("dim", 2)),
-        solver=options.get("solver"),
-        projection_order=options.get("projection_order"),
-        atol=float(options.get("atol", 1e-14)),
-        btol=float(options.get("btol", 1e-14)),
-        out_dir=str(options.get("out", "out")),
-        seed=int(options.get("seed", 2023)),
-    )
-
-
-def _out_dir(config_out: str) -> Path:
-    out = Path(config_out)
+def _out_dir(options: dict) -> Path:
+    out = Path(options.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -130,15 +167,9 @@ def warn_max_iter(label: str, solver_stats: dict) -> int:
     return len(stalled)
 
 
-def cmd_verify_theorems(args) -> int:
-    options = _merged_options(args)
-    sizes = options.get("n") or ([6] if int(options.get("dim", 2)) == 2 else [4])
-    if isinstance(sizes, int):
-        sizes = [sizes]
-    options["n"] = sizes
-    config = _experiment_config(options)
-    report = verify_theorems(config)
-    out = _out_dir(config.out_dir)
+def cmd_verify_theorems(options: dict) -> int:
+    report = verify_theorems(_config(ExperimentConfig, options))
+    out = _out_dir(options)
     _write_json(out / "theorem_report.json", report)
     for check in report["checks"]:
         status = "ok" if check["passed"] else "FAIL"
@@ -155,13 +186,11 @@ def cmd_verify_theorems(args) -> int:
     return 0
 
 
-def cmd_oscillations(args) -> int:
-    options = _merged_options(args)
-    order = int(options.get("order", 6))
-    n = int(options.get("n", 50) if not isinstance(options.get("n"), list)
-            else options["n"][0])
+def cmd_oscillations(options: dict) -> int:
+    config = _config(ExperimentConfig, options)
+    order, n = config.order, config.sizes[0]
     table = oscillation_table(order, n)
-    out = _out_dir(str(options.get("out", "out")))
+    out = _out_dir(options)
     path = out / f"oscillations_order{order}_n{n}.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -174,13 +203,10 @@ def cmd_oscillations(args) -> int:
     return 0
 
 
-def cmd_remainder(args) -> int:
-    options = _merged_options(args)
-    options.setdefault("n", [60])
+def cmd_remainder(options: dict) -> int:
     writer, suffix = _field_writer(options)
-    config = _experiment_config(options)
-    result = remainder_study(config)
-    out = _out_dir(config.out_dir)
+    result = remainder_study(_config(ExperimentConfig, options))
+    out = _out_dir(options)
     ops, dec = result["ops"], result["decomposition"]
     warn_max_iter("remainder", dec.diagnostics["solver_stats"])
     for name, data in (("u", result["problem"]["u"]),
@@ -197,19 +223,16 @@ def cmd_remainder(args) -> int:
     return 0
 
 
-def cmd_convergence(args) -> int:
-    options = _merged_options(args)
-    dim = int(options.get("dim", 2))
-    if not options.get("n"):
-        options["n"] = [17, 33, 49, 65] if dim == 2 else [9, 13, 17, 21]
-    config = _experiment_config(options)
+def cmd_convergence(options: dict) -> int:
+    config = _config(ExperimentConfig, options)
     result = convergence_study(config)
     for n, stats in result["solver_stats"].items():
         warn_max_iter(f"convergence n={n}", stats)
-    out = _out_dir(config.out_dir)
+    out = _out_dir(options)
     rows = result["rows"]
     quantities = list(rows[0].errors)
-    path = out / f"convergence_{dim}d_order{config.order}.csv"
+    stem = f"convergence_{config.dim}d_order{config.order}"
+    path = out / f"{stem}.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n"] + [f"err_{q}" for q in quantities]
@@ -220,9 +243,9 @@ def cmd_convergence(args) -> int:
                 + [repr(row.errors[q]) for q in quantities]
                 + [repr(row.eoc[q]) if q in row.eoc else "" for q in quantities]
             )
-    _write_json(out / f"convergence_{dim}d_order{config.order}.json", {
+    _write_json(out / f"{stem}.json", {
         "order": config.order,
-        "dim": dim,
+        "dim": config.dim,
         "solver": config.solver,  # null: the library default
         "projection_order": config.projection.value,
         "sizes": list(config.sizes),
@@ -235,26 +258,10 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-def cmd_mhd(args) -> int:
-    options = _merged_options(args)
+def cmd_mhd(options: dict) -> int:
     writer, suffix = _field_writer(options)
-    n = options.get("n", 101)
-    if isinstance(n, list):
-        n = n[0]
-    config = MhdConfig(
-        k1=float(options.get("k1", 5 * 3.141592653589793)),
-        k3=float(options.get("k3", 5 * 3.141592653589793)),
-        eps_alfven=float(options.get("eps_alfven", 1e-3)),
-        eps_magnetosonic=float(options.get("eps_magnetosonic", 1e-2)),
-        n=int(n),
-        order=int(options.get("order", 6)),
-        projection_order=str(options.get("projection_order", "grad-first")),
-        solver=options.get("solver"),
-        atol=float(options.get("atol", 1e-12)),
-        btol=float(options.get("btol", 1e-12)),
-    )
-    result = mhd_study(config)
-    out = _out_dir(str(options.get("out", "out")))
+    result = mhd_study(_config(MhdConfig, options))
+    out = _out_dir(options)
     ops, dec = result["ops"], result["decomposition"]
     warn_max_iter("mhd", dec.diagnostics["solver_stats"])
     for name, data in (("j_perp", result["j_perp"]),
@@ -275,18 +282,21 @@ def cmd_mhd(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sbp-hodge",
         description="Discrete vector calculus and Helmholtz Hodge "
                     "decompositions with SBP finite differences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, solver=False, with_format=False):
+    def add(name, func, summary, solver=False, with_format=False, dim=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="JSON (or TOML) config file")
         p.add_argument("--order", type=int, help="interior order 2p")
-        p.add_argument("--n", type=int, action="append",
-                       help="grid size per axis (repeatable)")
+        ladder = name == "convergence"
+        p.add_argument("--n", type=int, action="append" if ladder else _OneSize,
+                       help="grid size per axis" + " (repeatable)" * ladder)
         p.add_argument("--out", help="output directory")
         if solver:
             p.add_argument("--solver", choices=list(SOLVERS),
@@ -299,43 +309,32 @@ def build_parser() -> argparse.ArgumentParser:
         if with_format:
             p.add_argument("--format", choices=["csv", "binary"],
                            help="field file format (default: csv)")
+        if dim:
+            p.add_argument("--dim", type=int, choices=[2, 3],
+                           help=f"default: {ExperimentConfig.dim}")
+        return p
 
-    p = sub.add_parser("verify-theorems",
-                       help="kernel/membership/orthogonality oracle suite")
-    common(p)
-    p.add_argument("--dim", type=int, choices=[2, 3], help="default: 2")
+    p = add("verify-theorems", cmd_verify_theorems,
+            "kernel/membership/orthogonality oracle suite", dim=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_verify_theorems)
-
-    p = sub.add_parser("oscillations", help="dump the 1D oscillation vector")
-    common(p)
-    p.set_defaults(func=cmd_oscillations)
-
-    p = sub.add_parser("remainder", help="2D decomposition remainder study")
-    common(p, solver=True, with_format=True)
-    p.set_defaults(func=cmd_remainder)
-
-    p = sub.add_parser("convergence", help="2D/3D convergence study with EOC")
-    common(p, solver=True)
-    p.add_argument("--dim", type=int, choices=[2, 3], help="default: 2")
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("mhd", help="MHD wave-mode separation")
-    common(p, solver=True, with_format=True)
+    add("oscillations", cmd_oscillations, "dump the 1D oscillation vector")
+    add("remainder", cmd_remainder, "2D decomposition remainder study",
+        solver=True, with_format=True)
+    add("convergence", cmd_convergence, "2D/3D convergence study with EOC",
+        solver=True, dim=True)
+    p = add("mhd", cmd_mhd, "MHD wave-mode separation",
+            solver=True, with_format=True)
     p.add_argument("--k1", type=float, help="wavenumber k1")
     p.add_argument("--k3", type=float, help="wavenumber k3")
     p.add_argument("--eps-alfven", dest="eps_alfven", type=float)
     p.add_argument("--eps-magnetosonic", dest="eps_magnetosonic", type=float)
-    p.set_defaults(func=cmd_mhd)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        options = _options(argv)
+        return options["func"](options)
     except SbpHodgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

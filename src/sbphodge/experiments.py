@@ -35,13 +35,10 @@ class ExperimentConfig:
     order: int = 6
     sizes: tuple = (17, 33, 49, 65)
     dim: int = 2
-    x_min: float = -1.0
-    x_max: float = 1.0
     solver: str | None = None           # None: the library default
     projection_order: str | None = None  # default: grad-first 2D, curl-first 3D
     atol: float = 1e-14
     btol: float = 1e-14
-    out_dir: str = "out"
     seed: int = 2023
 
     def __post_init__(self):
@@ -62,7 +59,7 @@ class ExperimentConfig:
         return ProjectionOrder.parse(self.projection_order or default)
 
     def ops(self, n: int) -> TensorOps:
-        return square_tensor_ops(self.order, n, self.dim, self.x_min, self.x_max)
+        return square_tensor_ops(self.order, n, self.dim)
 
 
 @dataclass
@@ -74,10 +71,10 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class MhdConfig:
-    k1: float
-    k3: float
-    eps_alfven: float
-    eps_magnetosonic: float
+    k1: float = 5 * np.pi
+    k3: float = 5 * np.pi
+    eps_alfven: float = 1e-3
+    eps_magnetosonic: float = 1e-2
     n: int = 101
     order: int = 6
     projection_order: str = "grad-first"
@@ -148,7 +145,7 @@ def verify_theorems(config: ExperimentConfig) -> dict:
     broken = os.environ.get(BREAK_ENV, "") == "1"
     try:
         if broken:
-            grid = Grid1D(config.x_min, config.x_max, n)
+            grid = Grid1D(-1.0, 1.0, n)
             axis = corrupt_operator(build_operator_1d(config.order, grid))
             ops = tensor_ops_from_axes([axis] * config.dim)
         else:
@@ -314,9 +311,8 @@ def _neumann_check(ops: TensorOps) -> list:
 # -- oscillation dump ------------------------------------------------------------
 
 
-def oscillation_table(order: int, n: int,
-                      x_min: float = -1.0, x_max: float = 1.0) -> dict:
-    op = build_operator_1d(order, Grid1D(x_min, x_max, n))
+def oscillation_table(order: int, n: int) -> dict:
+    op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
     osc = op.grid_oscillation().values
     x = op.grid.nodes()
     return {
@@ -332,11 +328,11 @@ def oscillation_table(order: int, n: int,
 # -- remainder study --------------------------------------------------------------
 
 
-def remainder_study(config: ExperimentConfig, n: int | None = None) -> dict:
+def remainder_study(config: ExperimentConfig) -> dict:
+    """Decompose the separable 2D problem on the finest grid of ``sizes``."""
     if config.dim != 2:
         raise ValueError("the remainder study is a 2D experiment")
-    n = n or config.sizes[-1]
-    ops = config.ops(n)
+    ops = config.ops(config.sizes[-1])
     prob = separable_problem_2d(ops)
     dec = helmholtz(ops, prob["u"], order=config.projection,
                     solver=config.solver, atol=config.atol,

@@ -193,41 +193,30 @@ def helmholtz(
     """
     order = ProjectionOrder.parse(order)
     u_arr = ops.vector_data(u)
-    field_u = ops.field(u_arr)
     kwargs = dict(solver=solver, atol=atol, btol=btol, max_iter=max_iter)
-
-    if order is ProjectionOrder.GRAD_FIRST:
-        phi, grad_phi, stats1 = project_im_grad(ops, field_u, **kwargs)
-        t = u_arr - grad_phi.data
-        v, sol, stats2 = project_im_curl(ops, ops.field(t), **kwargs)
-        remainder = t - sol.data
-        stage_stats = {"grad": stats1, "curl": stats2}
-        first_part, first_input = grad_phi.data, u_arr
-        second_part, second_input = sol.data, t
-    else:
-        v, sol, stats1 = project_im_curl(ops, field_u, **kwargs)
-        t = u_arr - sol.data
-        phi, grad_phi, stats2 = project_im_grad(ops, ops.field(t), **kwargs)
-        remainder = t - grad_phi.data
-        stage_stats = {"curl": stats1, "grad": stats2}
-        first_part, first_input = sol.data, u_arr
-        second_part, second_input = grad_phi.data, t
+    project = {"grad": project_im_grad, "curl": project_im_curl}
+    stages = (("grad", "curl") if order is ProjectionOrder.GRAD_FIRST
+              else ("curl", "grad"))
+    # each stage projects what the stages before it left over
+    remainder, results, orthogonality = u_arr, {}, []
+    for name in stages:
+        results[name] = project[name](ops, ops.field(remainder), **kwargs)
+        part = results[name][1].data
+        remainder = remainder - part
+        orthogonality.append(ops.inner(remainder, part))
+    (phi, grad_phi, _), (v, sol, _) = results["grad"], results["curl"]
 
     diagnostics = {
         "norm_u": ops.norm(u_arr),
         "norm_grad_phi": ops.norm(grad_phi.data),
         "norm_sol_part": ops.norm(sol.data),
         "norm_remainder": ops.norm(remainder),
-        "first_stage_orthogonality": ops.inner(
-            first_input - first_part, first_part
-        ),
-        "second_stage_orthogonality": ops.inner(
-            second_input - second_part, second_part
-        ),
+        "first_stage_orthogonality": orthogonality[0],
+        "second_stage_orthogonality": orthogonality[1],
         "remainder_inner_grad_phi": ops.inner(remainder, grad_phi.data),
         "remainder_inner_sol_part": ops.inner(remainder, sol.data),
         "solver_stats": {
-            name: st.as_dict() for name, st in stage_stats.items()
+            name: result[2].as_dict() for name, result in results.items()
         },
     }
     return HodgeDecomposition(

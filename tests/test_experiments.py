@@ -1,5 +1,8 @@
 import csv
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,12 @@ def test_config_rejects_sizes_below_operator_minimum():
 def test_config_defaults_by_dimension():
     assert ExperimentConfig(dim=2).projection.value == "grad-first"
     assert ExperimentConfig(dim=3).projection.value == "curl-first"
+
+
+def test_mhd_config_defaults():
+    config = MhdConfig()
+    assert config.k1 == config.k3 == 5 * np.pi
+    assert (config.eps_alfven, config.eps_magnetosonic) == (1e-3, 1e-2)
 
 
 def test_mhd_config_validation():
@@ -253,10 +262,10 @@ def test_warn_max_iter_names_stalled_stages(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_cli_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
-    assert err.value.code == 2
+def test_cli_usage_error_exit_code(capsys):
+    assert main(["no-such-command"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
 
 
 def test_cli_oscillations(tmp_path):
@@ -280,9 +289,9 @@ def test_cli_unknown_solver_is_one_error_line(tmp_path, capsys):
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps({"solver": "gmres", "n": [16]}))
     assert main(["remainder", "--config", str(cfg),
-                 "--out", str(tmp_path / "rem")]) == 1
+                 "--out", str(tmp_path / "rem")]) == 2  # as --solver gmres
     err = capsys.readouterr().err
-    assert err.startswith("error: unknown solver 'gmres'")
+    assert err.startswith("usage error:") and "'gmres'" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
@@ -398,7 +407,76 @@ def test_cli_config_rejects_keys_the_command_does_not_take(tmp_path, capsys,
     ["remainder", "--dim", "3"],
     ["convergence", "--format", "binary"],
 ])
-def test_cli_rejects_flags_the_command_does_not_take(tmp_path, argv):
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--out", str(tmp_path)])
-    assert err.value.code == 2
+def test_cli_rejects_flags_the_command_does_not_take(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+COMMANDS = ["verify-theorems", "oscillations", "remainder", "convergence", "mhd"]
+USAGE_ERRORS = [
+    ("oscillations", ["--n", "30", "--n", "40"], None),
+    ("verify-theorems", ["--n", "6", "--n", "8"], None),
+    ("remainder", ["--n", "17", "--n", "21"], None),
+    ("mhd", ["--n", "15", "--n", "21"], None),
+    *[(command, [], {"n": []}) for command in COMMANDS],
+    *[(command, [], {"n": 17.5}) for command in COMMANDS],
+    ("remainder", [], {"n": "89"}),
+    ("remainder", [], {"n": [17, 21]}),
+    *[(command, [], {"order": 2.7}) for command in COMMANDS],
+    ("convergence", [], {"order": [4]}),
+    ("mhd", [], {"k1": "3.14"}),
+    ("mhd", [], {"solver": 1}),
+]
+
+
+@pytest.mark.parametrize("command,flags,config", [
+    pytest.param(*case, id=" ".join([case[0], *case[1], json.dumps(case[2])]))
+    for case in USAGE_ERRORS
+])
+def test_cli_usage_errors(tmp_path, capsys, command, flags, config):
+    """A repeated --n outside convergence, and a config value its flag would
+    not take as text, exit 2 with one line before any output is written."""
+    argv = [command, *flags, "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "conf.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "conf.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_value_reads_as_its_flag(tmp_path):
+    flags = ["--order", "2", "--n", "15", "--k1", str(np.pi),
+             "--eps-alfven", "1e-2", "--projection-order", "curl-first"]
+    assert main(["mhd", *flags, "--out", str(tmp_path / "flags")]) == 0
+    (tmp_path / "conf.json").write_text(json.dumps({
+        "order": 2, "n": [15], "k1": np.pi, "eps_alfven": 1e-2,
+        "projection_order": "curl-first"}))
+    assert main(["mhd", "--config", str(tmp_path / "conf.json"),
+                 "--out", str(tmp_path / "file")]) == 0
+    for name in ("mhd_report.json", "mhd_sol_part.csv"):
+        assert ((tmp_path / "flags" / name).read_bytes()
+                == (tmp_path / "file" / name).read_bytes())
+
+
+def test_cli_n_default_per_subcommand(tmp_path):
+    assert main(["oscillations", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "oscillations_order6_n50.csv").exists()
+    assert main(["verify-theorems", "--dim", "3", "--order", "2",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "theorem_report.json").read_text())
+    assert (report["dim"], report["n"]) == (3, 4)
+
+
+def test_theorem_script_writes_a_report_per_dimension(tmp_path, monkeypatch):
+    script = Path(__file__).parents[1] / "scripts" / "run_theorem_checks.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 0
+    for dim in (2, 3):
+        report = json.loads(
+            (tmp_path / f"{dim}d" / "theorem_report.json").read_text())
+        assert report["dim"] == dim and report["passed"]
