@@ -28,7 +28,6 @@ from .hodge import (
 )
 from .krylov import LinearMap, SolveStats, lsmr, lsqr
 from .operators1d import (
-    OscillationVector1D,
     SbpOperator1D,
     build_operator_1d,
     grid_oscillation_1d,
@@ -74,7 +73,6 @@ __all__ = [
     "NotDivCurlFree",
     "NotInImage",
     "NullspaceDimensionUnexpected",
-    "OscillationVector1D",
     "PotentialConditions",
     "ProjectionOrder",
     "SbpHodgeError",

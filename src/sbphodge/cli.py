@@ -18,7 +18,9 @@ for ``-`` (``projection_order``).  A file value is read as the same text given
 to its flag, so argparse checks both alike; it must be a number for a numeric
 flag and a string otherwise, and only ``n`` may be a list (``--n`` per item).
 Flags that were given override the file.  Each default is written once: in
-``ExperimentConfig`` and ``MhdConfig``, and for ``--n`` in ``N_DEFAULT``.
+``ExperimentConfig`` and ``MhdConfig``, and for ``--n`` in ``N_DEFAULT``,
+whose sizes are shifted up together when the first falls below the order's
+minimum grid size.
 Setting ``SBP_HODGE_BREAK_OPERATOR=1`` corrupts the operators under
 verify-theorems as a negative control: the run must then fail.
 """
@@ -44,11 +46,13 @@ from .experiments import (
 )
 from .fieldio import write_field_binary, write_field_csv
 from .krylov import SOLVERS
+from .stencils import coefficient_table
 
 # --n by (subcommand, --dim, 2 where it has none) if neither a flag nor the
-# file gives it; convergence 2D and mhd take their config dataclass default
-N_DEFAULT = {("verify-theorems", 2): 6, ("verify-theorems", 3): 4,
-             ("oscillations", 2): 50, ("remainder", 2): 60,
+# file gives it, shifted up as a whole until its first size reaches the
+# order's minimum; convergence 2D and mhd take their config dataclass default
+N_DEFAULT = {("verify-theorems", 2): [6], ("verify-theorems", 3): [4],
+             ("oscillations", 2): [50], ("remainder", 2): [60],
              ("convergence", 3): [9, 13, 17, 21]}
 
 
@@ -119,12 +123,17 @@ def _options(argv) -> dict:
 
 def _config(cls, options: dict):
     """``cls`` from the options it has fields for; for ExperimentConfig,
-    ``n`` (or the subcommand's N_DEFAULT) gives ``sizes``."""
+    ``n`` (or the subcommand's N_DEFAULT, shifted to the order) gives
+    ``sizes``."""
     kwargs = {f.name: options[f.name] for f in dataclasses.fields(cls)
               if f.name in options}
     if cls is ExperimentConfig:
-        n = options.get("n", N_DEFAULT.get(
-            (options["command"], kwargs.get("dim", cls.dim))))
+        n = options.get("n")
+        default = N_DEFAULT.get((options["command"], kwargs.get("dim", cls.dim)))
+        if n is None and default is not None:
+            order = kwargs.get("order", cls.order)
+            shift = max(0, coefficient_table(order).min_nodes - default[0])
+            n = [size + shift for size in default]
         if n is not None:
             kwargs["sizes"] = tuple(n) if isinstance(n, list) else (n,)
     return cls(**kwargs)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NoPlaneNode
 from .grid import Grid1D
 from .hodge import ProjectionOrder, helmholtz, project_im_curl
-from .operators1d import build_operator_1d, corrupt_operator
+from .operators1d import build_operator_1d, corrupt_operator, grid_oscillation_1d
 from .potentials import (
     dense_curl,
     dense_divergence,
@@ -25,7 +25,7 @@ from .potentials import (
     kernel_dimension,
 )
 from .stencils import coefficient_table
-from .tensor import TensorOps, square_tensor_ops, tensor_ops_from_axes
+from .tensor import TensorOps, square_tensor_ops
 
 BREAK_ENV = "SBP_HODGE_BREAK_OPERATOR"
 
@@ -147,13 +147,15 @@ def verify_theorems(config: ExperimentConfig) -> dict:
         if broken:
             grid = Grid1D(-1.0, 1.0, n)
             axis = corrupt_operator(build_operator_1d(config.order, grid))
-            ops = tensor_ops_from_axes([axis] * config.dim)
+            grid_oscillation_1d(axis)  # the nullspace check, which it fails
+            ops = TensorOps((axis,) * config.dim)
         else:
             ops = config.ops(n)
-        checks.extend(_kernel_checks(ops))
+        kernel, gap = _rank_checks(ops)
+        checks.extend(kernel)
         checks.extend(_membership_checks(ops))
         checks.extend(_orthogonality_checks(ops, config.seed))
-        checks.extend(_vector_potential_gap_check(ops))
+        checks.extend(gap)
         checks.extend(_neumann_check(ops))
     except Exception as exc:  # deliberate corruption must fail loudly
         checks.append({
@@ -171,24 +173,25 @@ def verify_theorems(config: ExperimentConfig) -> dict:
     }
 
 
-def _kernel_checks(ops: TensorOps) -> list:
+def _rank_checks(ops: TensorOps) -> tuple:
+    """The kernel-dimension checks (and in 3D ``image_dim_curl``), and the
+    ``div_rank_gap`` check, from one SVD per dense operator.
+
+    No divergence-free gauge exists: the rank of div exceeds the rank of div
+    on ker curl, which is ``dim ker curl - dim(ker curl ∩ ker div)``; the
+    intersection is the kernel of curl stacked on div.
+    """
     nt = ops.n_total
+    curl, div = dense_curl(ops), dense_divergence(ops)
     if ops.dim == 2:
-        expected = [
-            ("curl", dense_curl(ops), nt + 1),
-            ("div", dense_divergence(ops), nt + 1),
-            ("grad", dense_gradient(ops), 1),
-            ("rot", dense_rot(ops), 1),
-        ]
+        expected = [("curl", curl, nt + 1), ("div", div, nt + 1),
+                    ("grad", dense_gradient(ops), 1), ("rot", dense_rot(ops), 1)]
     else:
-        expected = [
-            ("curl", dense_curl(ops), nt + 2),
-            ("div", dense_divergence(ops), 2 * nt + 1),
-            ("grad", dense_gradient(ops), 1),
-        ]
-    out = []
+        expected = [("curl", curl, nt + 2), ("div", div, 2 * nt + 1),
+                    ("grad", dense_gradient(ops), 1)]
+    out, reports = [], {}
     for name, mat, dim_expected in expected:
-        report = kernel_dimension(mat, dim_expected, name)
+        report = reports[name] = kernel_dimension(mat, dim_expected, name)
         out.append({
             "name": f"kernel_dim_{name}",
             "expected": dim_expected,
@@ -197,14 +200,18 @@ def _kernel_checks(ops: TensorOps) -> list:
             "detail": report.as_dict(),
         })
     if ops.dim == 3:
-        report = kernel_dimension(dense_curl(ops), None, "curl")
-        out.append({
-            "name": "image_dim_curl",
-            "expected": 2 * nt - 2,
-            "observed": report.numerical_rank,
-            "passed": report.numerical_rank == 2 * nt - 2,
-        })
-    return out
+        rank = reports["curl"].numerical_rank
+        out.append({"name": "image_dim_curl", "expected": 2 * nt - 2,
+                    "observed": rank, "passed": rank == 2 * nt - 2})
+    both = kernel_dimension(np.vstack([curl, div]), None, "curl and div")
+    full = reports["div"].numerical_rank
+    restricted = reports["curl"].kernel_dim - both.kernel_dim
+    gap = [{
+        "name": "div_rank_gap",
+        "observed": {"im_div": full, "im_div_on_ker_curl": restricted},
+        "passed": bool(full > restricted),
+    }]
+    return out, gap
 
 
 def _membership_checks(ops: TensorOps) -> list:
@@ -281,24 +288,6 @@ def _orthogonality_checks(ops: TensorOps, seed: int) -> list:
     return out
 
 
-def _vector_potential_gap_check(ops: TensorOps) -> list:
-    """No divergence-free gauge: rank of div exceeds rank of div on ker curl."""
-    div = dense_divergence(ops)
-    curl = dense_curl(ops)
-    _, sigma, vt = np.linalg.svd(curl)
-    tol = sigma[0] * max(curl.shape) * np.finfo(float).eps * 10.0
-    rank_curl = int(np.sum(sigma > tol))
-    kernel_basis = vt[rank_curl:].T
-    full = kernel_dimension(div, None, "div").numerical_rank
-    restricted = kernel_dimension(div @ kernel_basis, None,
-                                  "div|ker curl").numerical_rank
-    return [{
-        "name": "div_rank_gap",
-        "observed": {"im_div": full, "im_div_on_ker_curl": restricted},
-        "passed": bool(full > restricted),
-    }]
-
-
 def _neumann_check(ops: TensorOps) -> list:
     x = ops.meshgrid()[0]
     u = ops.grad(x)
@@ -313,7 +302,7 @@ def _neumann_check(ops: TensorOps) -> list:
 
 def oscillation_table(order: int, n: int) -> dict:
     op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
-    osc = op.grid_oscillation().values
+    osc = op.grid_oscillation
     x = op.grid.nodes()
     return {
         "order": order,

@@ -7,14 +7,19 @@ product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
 ``E = diag(-1, 0, ..., 0, 1)`` up to roundoff.  Every operator is validated on
 construction: the identity residual, the polynomial accuracy of all rows and
 nullspace consistency are checked, so a corrupted coefficient cannot construct
-silently.  The grid oscillation (the kernel of D*) and the discrete integral
-are banded LU solves on the entries of D, O(n) in time and memory; ``dense()``
-serves only the eigenbasis and verification.
+silently.  An operator holds only this defining data; what is derived from it
+(the band and corner parts of D^T, the grid oscillation and the eigenbasis of
+the Gram pencil) is a ``cached_property``, built on first use, so a copy made
+by ``dataclasses.replace`` never carries stale derived state.  The grid
+oscillation (the kernel of D*) and the discrete integral are banded LU solves
+on the entries of D, O(n) in time and memory; ``dense()`` serves only the
+eigenbasis and verification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +41,7 @@ class SbpOperator1D:
     """A first-derivative SBP operator on a uniform 1D grid.
 
     Immutable after construction; all apply methods are pure and safe to call
-    concurrently.
+    concurrently.  Derived state is cached on first use.
     """
 
     grid: Grid1D
@@ -44,7 +49,6 @@ class SbpOperator1D:
     interior_stencil: np.ndarray    # full row -c_w..c_w, scaled by 1/dx
     boundary_block: np.ndarray      # top closure rows, scaled by 1/dx
     mass_weights: np.ndarray        # diagonal of M, scaled by dx
-    _transpose_parts: tuple = field(repr=False, default=None)
 
     @property
     def n_nodes(self) -> int:
@@ -106,6 +110,14 @@ class SbpOperator1D:
             acc = acc + bot[:, j].reshape(-1, *trailing) * u[n - wt + j]
         out[n - b :] = acc
         return out
+
+    @cached_property
+    def _transpose_parts(self) -> tuple:
+        """The reversed band and the corner correction of D^T."""
+        s, (b, wt) = self.interior_stencil, self.boundary_block.shape
+        k = np.arange(wt) - np.arange(b)[:, None] + self.halfwidth  # band index
+        band = np.where((k >= 0) & (k < len(s)), s[np.clip(k, 0, len(s) - 1)], 0.0)
+        return s[::-1], self.boundary_block - band
 
     def apply_d_transpose(self, u: np.ndarray) -> np.ndarray:
         """Apply D^T along the first axis of ``u``."""
@@ -192,7 +204,7 @@ class SbpOperator1D:
         n = self.n_nodes
         if u.shape[0] != n:
             raise DimensionMismatch(f"expected leading axis {n}, got {u.shape[0]}")
-        osc = self.grid_oscillation().values
+        osc = self.grid_oscillation
         flat = u.reshape(n, -1)
         overlap = np.abs((self.mass_weights * osc) @ flat)
         norms = np.sqrt(self.mass_weights @ flat**2)
@@ -208,46 +220,28 @@ class SbpOperator1D:
 
     # -- nullspace of the adjoint ----------------------------------------
 
-    def grid_oscillation(self) -> "OscillationVector1D":
-        key = "_osc_cache"
-        cached = getattr(self, key, None)
-        if cached is None:
-            cached = grid_oscillation_1d(self)
-            object.__setattr__(self, key, cached)
-        return cached
+    @cached_property
+    def grid_oscillation(self) -> np.ndarray:
+        """The unit-M-norm basis vector of ker D* (``grid_oscillation_1d``)."""
+        return grid_oscillation_1d(self)
 
     # -- eigenbasis of the 1D Gram pencil ----------------------------------
 
+    @cached_property
     def eigenbasis(self) -> tuple:
         """Generalized eigenpairs ``(lam, S)`` of the pencil (D^T M D, M).
 
         ``D^T M D S = M S diag(lam)`` and ``S^T M S = I``, with ``lam``
         ascending; ``lam[0]`` belongs to the constants, the kernel of D.
-        Built on first use and cached, so operator construction never pays
-        for it: a dense symmetric ``eigh`` of ``M^-1/2 D^T M D M^-1/2``,
-        whose eigenvectors scaled by ``M^-1/2`` are S.
+        Built on first use, so operator construction never pays for it: a
+        dense symmetric ``eigh`` of ``M^-1/2 D^T M D M^-1/2``, whose
+        eigenvectors scaled by ``M^-1/2`` are S.
         """
-        key = "_eig_cache"
-        cached = getattr(self, key, None)
-        if cached is None:
-            d = self.dense()
-            w = 1.0 / np.sqrt(self.mass_weights)
-            gram = d.T @ (self.mass_weights[:, None] * d)
-            lam, q = np.linalg.eigh(w[:, None] * gram * w)
-            cached = (lam, w[:, None] * q)
-            object.__setattr__(self, key, cached)
-        return cached
-
-
-@dataclass(frozen=True, eq=False)
-class OscillationVector1D:
-    """Basis vector of ker D*, unit M-norm, first entry positive."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values[0] <= 0:
-            raise ValueError("sign convention violated: first entry must be positive")
+        d = self.dense()
+        w = 1.0 / np.sqrt(self.mass_weights)
+        gram = d.T @ (self.mass_weights[:, None] * d)
+        lam, q = np.linalg.eigh(w[:, None] * gram * w)
+        return lam, w[:, None] * q
 
 
 def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOperator1D:
@@ -281,25 +275,10 @@ def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOpe
         interior_stencil=interior,
         boundary_block=closure,
         mass_weights=mass,
-        _transpose_parts=_transpose_parts(interior, closure),
     )
     if validate:
         _validate_operator(op)
     return op
-
-
-def _transpose_parts(interior: np.ndarray, closure: np.ndarray) -> tuple:
-    """Precompute the reversed band and corner correction for D^T."""
-    b, wt = closure.shape
-    w = (len(interior) - 1) // 2
-    band_block = np.zeros((b, wt))
-    for i in range(b):
-        for k in range(2 * w + 1):
-            j = i + k - w
-            if 0 <= j < wt:
-                band_block[i, j] = interior[k]
-    corr = closure - band_block
-    return interior[::-1].copy(), corr
 
 
 def _banded_solve(rows, cols, vals, rhs) -> np.ndarray:
@@ -325,7 +304,7 @@ def _validate_operator(op: SbpOperator1D) -> None:
             "coefficient table corrupted?"
         )
     accuracy_check(op)
-    op.grid_oscillation()  # nullspace consistency
+    op.grid_oscillation  # nullspace consistency: raises unless it holds
 
 
 def accuracy_check(op: SbpOperator1D, tol: float = 1e-12) -> None:
@@ -348,19 +327,20 @@ def accuracy_check(op: SbpOperator1D, tol: float = 1e-12) -> None:
 
 
 def corrupt_operator(op: SbpOperator1D, delta: float = 1e-3) -> SbpOperator1D:
-    """Copy with one interior coefficient perturbed by ``delta`` (dimensionless).
+    """Copy with one closure coefficient perturbed by ``delta`` (dimensionless).
 
     Negative control only: the result violates the SBP identity and nullspace
-    consistency, and is deliberately built without validation.
+    consistency, and is deliberately built without validation.  A closure
+    entry is used at every grid size; at the minimum size an operator has no
+    interior rows.
     """
-    stencil = op.interior_stencil.copy()
-    stencil[-1] += delta / op.grid.dx
-    return replace(op, interior_stencil=stencil,
-                   _transpose_parts=_transpose_parts(stencil, op.boundary_block))
+    closure = op.boundary_block.copy()
+    closure[0, 0] += delta / op.grid.dx
+    return replace(op, boundary_block=closure)
 
 
-def grid_oscillation_1d(op: SbpOperator1D) -> OscillationVector1D:
-    """The unique (up to sign and scale) basis vector of ker D*.
+def grid_oscillation_1d(op: SbpOperator1D) -> np.ndarray:
+    """The basis vector of ker D*, unit M-norm with a positive first entry.
 
     ker D* = M^-1 ker D^T.  The kernel vector z of D^T is normalised to
     ``z[0] = 1``; columns 0..n-2 of ``z^T D = 0`` then form a banded system
@@ -387,4 +367,4 @@ def grid_oscillation_1d(op: SbpOperator1D) -> OscillationVector1D:
             "the constants, or ker D^T is not one dimensional with z[0] != 0"
         )
     osc = z / op.mass_weights
-    return OscillationVector1D(values=osc / op.mass_norm(osc))
+    return osc / op.mass_norm(osc)

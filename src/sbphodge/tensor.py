@@ -5,12 +5,17 @@ the first coordinate outermost, matching the Kronecker convention
 ``D_1 = D_x (x) I_y (x) ...``.  An application of ``D_i`` is therefore a
 strided sweep of the 1D stencil along axis i; no tensor-product matrix is ever
 materialized.  The mass matrix is the tensor product of the 1D diagonal
-weights; vector fields use one copy of it per component.
+weights; vector fields use one copy of it per component.  ``TensorOps`` holds
+only its per-axis operators: the full mass diagonal and the oscillation
+fields are cached on first use.  Each transpose is its forward operator with
+``D_i^T`` in place of ``D_i``: ``grad^T`` is ``div``, and ``curl^T`` is
+``-curl`` in 3D and ``-rot`` in 2D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -67,14 +72,36 @@ class GridField:
 
 @dataclass(frozen=True, eq=False)
 class TensorOps:
-    """Bundle of per-axis SBP operators with tensor-product metadata.
+    """The per-axis SBP operators of a 2D or 3D tensor-product grid.
 
-    Immutable and shareable; all field operations are pure.
+    Immutable and shareable; all field operations are pure.  The mass
+    diagonal and the oscillation fields are built on first use.
     """
 
     axis_ops: tuple
-    mass: np.ndarray            # full tensor-product diagonal of M
-    oscillations: dict          # index tuple -> unit-M-norm oscillation field
+
+    def __post_init__(self):
+        if not 2 <= len(self.axis_ops) <= 3:
+            raise WrongDimension(f"need 2 or 3 axes, got {len(self.axis_ops)}")
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """The full tensor-product diagonal of M."""
+        return _outer([op.mass_weights for op in self.axis_ops])
+
+    @cached_property
+    def oscillations(self) -> dict:
+        """Index tuple -> unit-M-norm oscillation field: the 1D grid
+        oscillation along the indexed axes, constant along the others."""
+        d = self.dim
+        out = {}
+        for r in range(1, d + 1):
+            for key in combinations(range(d), r):
+                field = _outer([op.grid_oscillation if j in key
+                                else np.ones(op.n_nodes)
+                                for j, op in enumerate(self.axis_ops)])
+                out[key] = field / np.sqrt(np.sum(self.mass * field * field))
+        return out
 
     @property
     def dim(self) -> int:
@@ -109,21 +136,20 @@ class TensorOps:
             raise DimensionMismatch(f"field shape {u.shape} != grid {self.shape}")
         return u
 
+    def _along(self, i: int, u: np.ndarray, name: str) -> np.ndarray:
+        """The 1D operator method ``name`` applied along axis i of a scalar
+        array (``apply_d`` for D_i, ``apply_d_transpose`` for D_i^T)."""
+        u = self._check(u)
+        moved = np.moveaxis(u, i, 0)
+        return np.moveaxis(getattr(self.axis_ops[i], name)(moved), 0, i)
+
     def apply_axis(self, i: int, u: np.ndarray) -> np.ndarray:
         """D_i u for a scalar array (0-based axis index)."""
-        u = self._check(u)
-        moved = np.moveaxis(u, i, 0)
-        return np.moveaxis(self.axis_ops[i].apply_d(moved), 0, i)
+        return self._along(i, u, "apply_d")
 
     def apply_axis_transpose(self, i: int, u: np.ndarray) -> np.ndarray:
-        u = self._check(u)
-        moved = np.moveaxis(u, i, 0)
-        return np.moveaxis(self.axis_ops[i].apply_d_transpose(moved), 0, i)
-
-    def apply_axis_star(self, i: int, u: np.ndarray) -> np.ndarray:
-        u = self._check(u)
-        moved = np.moveaxis(u, i, 0)
-        return np.moveaxis(self.axis_ops[i].apply_d_star(moved), 0, i)
+        """D_i^T u for a scalar array (0-based axis index)."""
+        return self._along(i, u, "apply_d_transpose")
 
     def vector_data(self, u) -> np.ndarray:
         """The array of a vector field (GridField or raw array), checked.
@@ -142,54 +168,51 @@ class TensorOps:
         return u
 
     # -- vector calculus on raw arrays --------------------------------------
+    # The private forms take the 1D method name.  The transposes call them,
+    # not the public forward methods, so a wrapper around a public method
+    # (a profiler's, say) sees only that method's own calls.
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         return np.stack([self.apply_axis(i, f) for i in range(self.dim)])
 
     def div(self, u: np.ndarray) -> np.ndarray:
-        out = self.apply_axis(0, u[0])
-        for i in range(1, self.dim):
-            out = out + self.apply_axis(i, u[i])
-        return out
+        return self._div(u, "apply_d")
 
     def curl(self, u: np.ndarray) -> np.ndarray:
-        if self.dim == 2:
-            return self.apply_axis(0, u[1]) - self.apply_axis(1, u[0])
-        return np.stack(
-            [
-                self.apply_axis(1, u[2]) - self.apply_axis(2, u[1]),
-                self.apply_axis(2, u[0]) - self.apply_axis(0, u[2]),
-                self.apply_axis(0, u[1]) - self.apply_axis(1, u[0]),
-            ]
-        )
+        return self._curl(u, "apply_d")
 
     def rot(self, v: np.ndarray) -> np.ndarray:
         if self.dim != 2:
             raise WrongDimension("rot maps scalars to vectors in 2D only")
-        return np.stack([self.apply_axis(1, v), -self.apply_axis(0, v)])
-
-    def curl_transpose(self, w: np.ndarray) -> np.ndarray:
-        """curl^T applied to a scalar (2D) or 3-vector (3D) array."""
-        if self.dim == 2:
-            return np.stack(
-                [-self.apply_axis_transpose(1, w), self.apply_axis_transpose(0, w)]
-            )
-        return np.stack(
-            [
-                self.apply_axis_transpose(2, w[1])
-                - self.apply_axis_transpose(1, w[2]),
-                self.apply_axis_transpose(0, w[2])
-                - self.apply_axis_transpose(2, w[0]),
-                self.apply_axis_transpose(1, w[0])
-                - self.apply_axis_transpose(0, w[1]),
-            ]
-        )
+        return self._rot(v, "apply_d")
 
     def grad_transpose(self, w: np.ndarray) -> np.ndarray:
-        out = self.apply_axis_transpose(0, w[0])
+        """grad^T: div with D_i^T in place of D_i."""
+        return self._div(w, "apply_d_transpose")
+
+    def curl_transpose(self, w: np.ndarray) -> np.ndarray:
+        """curl^T of a scalar (2D) or 3-vector (3D) array: -rot (2D) or
+        -curl (3D) with D_i^T in place of D_i."""
+        name = "apply_d_transpose"
+        out = self._rot(w, name) if self.dim == 2 else self._curl(w, name)
+        return np.negative(out, out=out)
+
+    def _div(self, u: np.ndarray, name: str) -> np.ndarray:
+        out = self._along(0, u[0], name)
         for i in range(1, self.dim):
-            out = out + self.apply_axis_transpose(i, w[i])
+            out = out + self._along(i, u[i], name)
         return out
+
+    def _curl(self, u: np.ndarray, name: str) -> np.ndarray:
+        d = partial(self._along, name=name)
+        if self.dim == 2:
+            return d(0, u[1]) - d(1, u[0])
+        return np.stack([d(1, u[2]) - d(2, u[1]),
+                         d(2, u[0]) - d(0, u[2]),
+                         d(0, u[1]) - d(1, u[0])])
+
+    def _rot(self, v: np.ndarray, name: str) -> np.ndarray:
+        return np.stack([self._along(1, v, name), -self._along(0, v, name)])
 
     # -- inner products ------------------------------------------------------
 
@@ -221,16 +244,16 @@ class TensorOps:
         along every axis.  The single zero mode, the constants, is set to 0.
         """
         b = self._check(b)
-        pairs = [op.eigenbasis() for op in self.axis_ops]
+        pairs = [op.eigenbasis for op in self.axis_ops]
         for i, (_, s) in enumerate(pairs):
-            b = _along(s.T, b, i)
+            b = _transform(s.T, b, i)
         lam = _outer([ev for ev, _ in pairs], np.add)
         zero_mode = (0,) * self.dim
         lam[zero_mode] = 1.0
         b = b / lam
         b[zero_mode] = 0.0
         for i, (_, s) in enumerate(pairs):
-            b = _along(s, b, i)
+            b = _transform(s, b, i)
         return b
 
     # -- boundary operator ----------------------------------------------------
@@ -275,45 +298,20 @@ def _outer(parts, ufunc=np.multiply) -> np.ndarray:
     return out
 
 
-def _along(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
+def _transform(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
     """Apply the matrix ``mat`` along axis i of ``u``."""
     return np.moveaxis(np.tensordot(mat, u, axes=(1, i)), 0, i)
 
 
 def build_tensor_ops(order: int, grids) -> TensorOps:
-    """Assemble 2D/3D tensor-product operators from per-axis grids.
+    """Build 2D/3D tensor-product operators from per-axis grids.
 
     Equal grids share one operator, so its oscillation and eigenbasis are
     computed once.
     """
     grids = list(grids)
-    if not 2 <= len(grids) <= 3:
-        raise WrongDimension(f"need 2 or 3 axes, got {len(grids)}")
     built = {g: build_operator_1d(order, g) for g in dict.fromkeys(grids)}
-    return _assemble(tuple(built[g] for g in grids))
-
-
-def tensor_ops_from_axes(axis_ops) -> TensorOps:
-    """Assemble from prebuilt (possibly deliberately corrupted) 1D operators."""
-    axis_ops = tuple(axis_ops)
-    if not 2 <= len(axis_ops) <= 3:
-        raise WrongDimension(f"need 2 or 3 axes, got {len(axis_ops)}")
-    return _assemble(axis_ops)
-
-
-def _assemble(axis_ops) -> TensorOps:
-    d = len(axis_ops)
-    mass = _outer([op.mass_weights for op in axis_ops])
-    osc_1d = [op.grid_oscillation().values for op in axis_ops]
-    ones = [np.ones(op.n_nodes) for op in axis_ops]
-    oscillations = {}
-    for r in range(1, d + 1):
-        for key in combinations(range(d), r):
-            parts = [osc_1d[j] if j in key else ones[j] for j in range(d)]
-            field = _outer(parts)
-            field = field / np.sqrt(np.sum(mass * field * field))
-            oscillations[key] = field
-    return TensorOps(axis_ops=axis_ops, mass=mass, oscillations=oscillations)
+    return TensorOps(tuple(built[g] for g in grids))
 
 
 def square_tensor_ops(

@@ -78,7 +78,7 @@ def test_criterion_03_oscillation_structure():
     notes = []
     for n in (50, 51):
         op = build_operator_1d(2, Grid1D(-1.0, 1.0, n))
-        osc = op.grid_oscillation().values
+        osc = op.grid_oscillation
         alt = osc[0] * (-1.0) ** np.arange(n)
         exact = np.max(np.abs(osc - alt)) <= 1e-12
         ok &= exact
@@ -87,7 +87,7 @@ def test_criterion_03_oscillation_structure():
     for order in (4, 6, 8):
         for n in (50, 51):
             op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
-            osc = op.grid_oscillation().values
+            osc = op.grid_oscillation
             core = osc[margin : n - margin]
             mags = np.abs(core)
             equal = np.max(np.abs(mags - mags[0])) <= 1e-10 * mags[0]

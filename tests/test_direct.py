@@ -26,7 +26,7 @@ def rel(ops, a, b):
 
 
 def test_eigenbasis_diagonalizes_gram_pencil(op_1d):
-    lam, s = op_1d.eigenbasis()
+    lam, s = op_1d.eigenbasis
     d, m = op_1d.dense(), op_1d.mass_weights
     gram = d.T @ (m[:, None] * d)
     assert np.allclose(s.T @ (m[:, None] * s), np.eye(op_1d.n_nodes),
@@ -36,15 +36,14 @@ def test_eigenbasis_diagonalizes_gram_pencil(op_1d):
     # one zero eigenvalue, whose eigenvector is constant
     assert abs(lam[0]) <= 1e-12 * scale and lam[1] > 1e-3
     assert np.allclose(s[:, 0], s[0, 0], atol=1e-12)
-    assert op_1d.eigenbasis() is op_1d.eigenbasis()
+    assert op_1d.eigenbasis is op_1d.eigenbasis
 
 
 def test_setup_leaves_eigenbasis_unbuilt():
     ops = square_tensor_ops(6, 33, 2)
-    assert all(getattr(op, "_eig_cache", None) is None for op in ops.axis_ops)
+    assert all("eigenbasis" not in vars(op) for op in ops.axis_ops)
     project_im_grad(ops, np.ones((2, *ops.shape)))
-    assert all(getattr(op, "_eig_cache", None) is not None
-               for op in ops.axis_ops)
+    assert all("eigenbasis" in vars(op) for op in ops.axis_ops)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 17), (3, 9)])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbphodge.cli import main, warn_max_iter
+from sbphodge.cli import _config, main, warn_max_iter
 from sbphodge.errors import NoPlaneNode
 from sbphodge.experiments import (
     BREAK_ENV,
@@ -96,6 +96,12 @@ def test_verify_theorems_broken_operator(monkeypatch):
     report = verify_theorems(ExperimentConfig(order=2, sizes=(6,), dim=2))
     assert report["broken_operator"]
     assert not report["passed"]
+    # also at each order's minimum size, which has no interior rows, so the
+    # corruption must hit a closure coefficient to show
+    for order, n in ((2, 2), (4, 8), (6, 12), (8, 16)):
+        report = verify_theorems(ExperimentConfig(order=order, sizes=(n,)))
+        assert [c["name"] for c in report["checks"]] == ["construction"]
+        assert "NullspaceDimensionUnexpected" in report["checks"][0]["detail"]
 
 
 # -- oscillation dump ----------------------------------------------------------
@@ -468,6 +474,16 @@ def test_cli_n_default_per_subcommand(tmp_path):
                  "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "theorem_report.json").read_text())
     assert (report["dim"], report["n"]) == (3, 4)
+    # the default size is shifted up to the order's minimum grid size: bare
+    # verify-theorems runs order 6 on n = 12, not on the order-2 default 6
+    assert main(["verify-theorems", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "theorem_report.json").read_text())
+    assert (report["order"], report["n"], report["passed"]) == (6, 12, True)
+    ladders = {order: _config(ExperimentConfig, {"command": "convergence",
+                                                 "dim": 3, "order": order}).sizes
+               for order in (2, 4, 6, 8)}
+    assert ladders == {2: (9, 13, 17, 21), 4: (9, 13, 17, 21),
+                       6: (12, 16, 20, 24), 8: (16, 20, 24, 28)}
 
 
 def test_theorem_script_writes_a_report_per_dimension(tmp_path, monkeypatch):
@@ -476,7 +492,9 @@ def test_theorem_script_writes_a_report_per_dimension(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as done:
         runpy.run_path(str(script), run_name="__main__")
     assert done.value.code == 0
-    for dim in (2, 3):
-        report = json.loads(
-            (tmp_path / f"{dim}d" / "theorem_report.json").read_text())
-        assert report["dim"] == dim and report["passed"]
+    for dim, orders in ((2, (2, 4, 6, 8)), (3, (2, 4))):
+        for order in orders:
+            report = json.loads((tmp_path / f"{dim}d" / f"order{order}"
+                                 / "theorem_report.json").read_text())
+            assert report["dim"] == dim and report["passed"]
+            assert report["order"] == order

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -153,6 +155,16 @@ def test_transpose_matches_dense(order, rng):
         op.apply_d_transpose(u), op.dense().T @ u,
         atol=1e-13 * np.max(np.abs(op.dense())),
     )
+    # D^T is derived from the stencil and closure, so a copy with new ones
+    # and an operator from the plain constructor each transpose their own D
+    scaled = dataclasses.replace(op, interior_stencil=2 * op.interior_stencil,
+                                 boundary_block=2 * op.boundary_block)
+    plain = SbpOperator1D(op.grid, order, op.interior_stencil,
+                          op.boundary_block, op.mass_weights)
+    for new in (scaled, plain):
+        d = new.dense()
+        assert np.allclose(new.apply_d_transpose(np.eye(op.n_nodes)), d.T,
+                           rtol=0, atol=1e-13 * np.max(np.abs(d)))
 
 
 # -- SBP residual -----------------------------------------------------------
@@ -176,20 +188,20 @@ def test_corrupted_operator_detected(order):
 
 def test_oscillation_second_order_odd():
     op = build_operator_1d(2, Grid1D(0.0, 1.0, 5))
-    osc = grid_oscillation_1d(op).values
+    osc = grid_oscillation_1d(op)
     assert np.allclose(osc, np.array([1, -1, 1, -1, 1]) * osc[0], atol=1e-13)
     assert osc[0] > 0
 
 
 def test_oscillation_second_order_even():
     op = build_operator_1d(2, Grid1D(0.0, 1.0, 6))
-    osc = grid_oscillation_1d(op).values
+    osc = grid_oscillation_1d(op)
     assert np.allclose(osc, np.array([1, -1, 1, -1, 1, -1]) * osc[0], atol=1e-13)
 
 
 def test_oscillation_in_kernel_of_adjoint(order):
     op = build_operator_1d(order, Grid1D(-1.0, 1.0, 50))
-    osc = op.grid_oscillation().values
+    osc = op.grid_oscillation
     residual = op.mass_weights * op.apply_d_star(osc)
     assert np.max(np.abs(residual)) <= 1e-11
     assert abs(op.mass_norm(osc) - 1.0) <= 1e-12
@@ -197,7 +209,7 @@ def test_oscillation_in_kernel_of_adjoint(order):
 
 def test_oscillation_orthogonal_to_image(order, rng):
     op = build_operator_1d(order, Grid1D(-1.0, 1.0, 40))
-    osc = op.grid_oscillation().values
+    osc = op.grid_oscillation
     for _ in range(5):
         w = rng.standard_normal(op.n_nodes)
         val = np.dot(op.mass_weights * osc, op.apply_d(w))
@@ -206,7 +218,7 @@ def test_oscillation_orthogonal_to_image(order, rng):
 
 def test_oscillation_orthogonal_to_constants(order):
     op = build_operator_1d(order, Grid1D(-1.0, 1.0, 51))
-    osc = op.grid_oscillation().values
+    osc = op.grid_oscillation
     assert abs(np.dot(op.mass_weights, osc)) <= 1e-12
 
 
@@ -217,7 +229,7 @@ def test_higher_order_interior_alternation():
     for order in (4, 6, 8):
         for n in (50, 51):
             op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
-            osc = op.grid_oscillation().values
+            osc = op.grid_oscillation
             core = osc[margin : n - margin]
             mags = np.abs(core)
             assert np.max(np.abs(mags - mags[0])) <= 1e-10 * mags[0]
@@ -234,7 +246,7 @@ def test_oscillation_matches_dense_svd(order):
         _, _, vt = np.linalg.svd(op.dense().T)
         ref = vt[-1] / op.mass_weights
         ref = np.sign(ref[0]) * ref / op.mass_norm(ref)
-        assert np.max(np.abs(grid_oscillation_1d(op).values - ref)) <= 1e-13
+        assert np.max(np.abs(grid_oscillation_1d(op) - ref)) <= 1e-13
 
 
 def test_corrupted_operator_not_nullspace_consistent(order):
@@ -258,7 +270,7 @@ def no_dense(monkeypatch):
 
 def test_no_dense_matrix_at_large_n(order, no_dense):
     op = build_operator_1d(order, Grid1D(0.0, 1.0, 65537))
-    osc = op.grid_oscillation().values
+    osc = op.grid_oscillation
     assert osc[0] > 0 and abs(op.mass_norm(osc) - 1.0) <= 1e-12
     x = op.grid.nodes()
     v = op.invert_on_v0(op.apply_d(x))
@@ -321,6 +333,6 @@ def test_invert_matches_dense_lstsq(order, rng):
 
 
 def test_invert_rejects_oscillation(op_1d):
-    osc = op_1d.grid_oscillation().values
+    osc = op_1d.grid_oscillation
     with pytest.raises(NotInImage):
         op_1d.invert_on_v0(osc)

@@ -7,6 +7,7 @@ from sbphodge.errors import DimensionMismatch, KindMismatch, WrongDimension
 from sbphodge.grid import Grid1D
 from sbphodge.tensor import (
     GridField,
+    TensorOps,
     build_tensor_ops,
     curl,
     divergence,
@@ -43,6 +44,23 @@ def test_equal_axes_share_one_operator():
     aniso = build_tensor_ops(2, [Grid1D(0, 1, 5), Grid1D(0, 1, 6), Grid1D(0, 1, 5)])
     assert aniso.axis_ops[0] is aniso.axis_ops[2]
     assert aniso.axis_ops[0] is not aniso.axis_ops[1]
+
+
+def test_mass_and_oscillations_built_on_first_read():
+    ops = square_tensor_ops(4, 9, 3)
+    assert "mass" not in vars(ops) and "oscillations" not in vars(ops)
+    w = [op.mass_weights for op in ops.axis_ops]
+    assert np.allclose(ops.mass, np.einsum("i,j,k->ijk", *w), rtol=1e-15, atol=0)
+    osc = [op.grid_oscillation for op in ops.axis_ops]
+    keys = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    assert list(ops.oscillations) == keys
+    for key in keys:
+        parts = [osc[j] if j in key else np.ones(9) for j in range(3)]
+        expect = np.einsum("i,j,k->ijk", *parts)
+        expect /= np.sqrt(np.sum(ops.mass * expect**2))
+        assert np.allclose(ops.oscillations[key], expect, rtol=1e-14, atol=0)
+    with pytest.raises(WrongDimension):
+        TensorOps(ops.axis_ops[:1])
 
 
 def test_gradient_of_coordinate_is_one(ops_2d):
@@ -160,11 +178,13 @@ def test_oscillation_fields_mutually_orthogonal(ops_2d, ops_3d):
 
 
 def test_oscillation_membership(ops_3d):
-    # osc_i is annihilated by D_i* and by D_j for j != i
+    # osc_i is annihilated by D_i* = M^-1 D_i^T M and by D_j for j != i
     dx = ops_3d.axis_ops[0].grid.dx
+    mass = ops_3d.mass
     for i in range(3):
         osc = ops_3d.oscillations[(i,)]
-        assert ops_3d.norm(ops_3d.apply_axis_star(i, osc)) <= 1e-11 / dx
+        d_star = ops_3d.apply_axis_transpose(i, mass * osc) / mass
+        assert ops_3d.norm(d_star) <= 1e-11 / dx
         for j in range(3):
             if j != i:
                 assert ops_3d.norm(ops_3d.apply_axis(j, osc)) <= 1e-11 / dx
