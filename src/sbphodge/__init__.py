@@ -14,6 +14,7 @@ from .errors import (
     NullspaceDimensionUnexpected,
     SbpHodgeError,
     TooLarge,
+    UnknownProjectionOrder,
     UnknownSolver,
     UnsupportedOrder,
     WrongDimension,
@@ -80,6 +81,7 @@ __all__ = [
     "SolveStats",
     "TensorOps",
     "TooLarge",
+    "UnknownProjectionOrder",
     "UnknownSolver",
     "UnsupportedOrder",
     "WrongDimension",

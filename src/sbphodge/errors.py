@@ -29,6 +29,10 @@ class UnknownSolver(SbpHodgeError, ValueError):
     """Krylov solver name is neither ``lsqr`` nor ``lsmr``."""
 
 
+class UnknownProjectionOrder(SbpHodgeError, ValueError):
+    """Projection order is neither ``grad-first`` nor ``curl-first``."""
+
+
 class NullspaceDimensionUnexpected(SbpHodgeError, RuntimeError):
     """Numerical rank disagrees with the expected one-dimensional nullspace."""
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoPlaneNode
 from .grid import Grid1D
-from .hodge import ProjectionOrder, helmholtz, project_im_curl
+from .hodge import ProjectionOrder, helmholtz, project_im_grad
 from .operators1d import build_operator_1d, corrupt_operator, grid_oscillation_1d
 from .potentials import (
     dense_curl,
@@ -124,19 +124,6 @@ def separable_problem_3d(ops: TensorOps) -> dict:
 # -- theorem verification -------------------------------------------------------
 
 
-def _unit_fields(ops: TensorOps):
-    """Oscillation obstruction fields placed in single components."""
-    d = ops.dim
-    zero = np.zeros(ops.shape)
-
-    def place(arr, i):
-        comps = [zero] * d
-        comps[i] = arr
-        return np.stack(comps)
-
-    return place
-
-
 def verify_theorems(config: ExperimentConfig) -> dict:
     """Run the kernel-dimension, membership, and orthogonality checks on a
     small grid; every check carries its expected and observed values."""
@@ -153,10 +140,10 @@ def verify_theorems(config: ExperimentConfig) -> dict:
             ops = config.ops(n)
         kernel, gap = _rank_checks(ops)
         checks.extend(kernel)
-        checks.extend(_membership_checks(ops))
-        checks.extend(_orthogonality_checks(ops, config.seed))
+        checks.extend(check for predicted, check in
+                      _oscillation_claims(ops, config.seed) if predicted)
         checks.extend(gap)
-        checks.extend(_neumann_check(ops))
+        checks.append(_neumann_check(ops))
     except Exception as exc:  # deliberate corruption must fail loudly
         checks.append({
             "name": "construction",
@@ -177,18 +164,19 @@ def _rank_checks(ops: TensorOps) -> tuple:
     """The kernel-dimension checks (and in 3D ``image_dim_curl``), and the
     ``div_rank_gap`` check, from one SVD per dense operator.
 
-    No divergence-free gauge exists: the rank of div exceeds the rank of div
-    on ker curl, which is ``dim ker curl - dim(ker curl ∩ ker div)``; the
-    intersection is the kernel of curl stacked on div.
+    The expected dimensions follow from the oscillation rule: ker curl is
+    im grad ⊕ span{osc_(i,) e_i}, and div has rank nt - 1, its cokernel
+    being M times the all-axes mode.  No divergence-free gauge exists: the
+    rank of div exceeds the rank of div on ker curl, which is
+    ``dim ker curl - dim(ker curl ∩ ker div)``; the intersection is the
+    kernel of curl stacked on div.
     """
-    nt = ops.n_total
+    d, nt = ops.dim, ops.n_total
     curl, div = dense_curl(ops), dense_divergence(ops)
-    if ops.dim == 2:
-        expected = [("curl", curl, nt + 1), ("div", div, nt + 1),
-                    ("grad", dense_gradient(ops), 1), ("rot", dense_rot(ops), 1)]
-    else:
-        expected = [("curl", curl, nt + 2), ("div", div, 2 * nt + 1),
-                    ("grad", dense_gradient(ops), 1)]
+    expected = [("curl", curl, nt - 1 + d), ("div", div, (d - 1) * nt + 1),
+                ("grad", dense_gradient(ops), 1)]
+    if d == 2:
+        expected.append(("rot", dense_rot(ops), 1))
     out, reports = [], {}
     for name, mat, dim_expected in expected:
         report = reports[name] = kernel_dimension(mat, dim_expected, name)
@@ -214,87 +202,48 @@ def _rank_checks(ops: TensorOps) -> tuple:
     return out, gap
 
 
-def _membership_checks(ops: TensorOps) -> list:
-    place = _unit_fields(ops)
-    scale = max(1.0 / op.grid.dx for op in ops.axis_ops)
-    tol = 1e-11 * scale
-    out = []
-    if ops.dim == 2:
-        cases = [
-            ("curl_annihilates_osc1", ops.curl(place(ops.oscillations[(0,)], 0))),
-            ("curl_annihilates_osc2", ops.curl(place(ops.oscillations[(1,)], 1))),
-            ("div_annihilates_osc1", ops.div(place(ops.oscillations[(0,)], 1))),
-            ("div_annihilates_osc2", ops.div(place(ops.oscillations[(1,)], 0))),
-        ]
-    else:
-        cases = [
-            (f"curl_annihilates_osc{i + 1}",
-             ops.curl(place(ops.oscillations[(i,)], i)))
-            for i in range(3)
-        ]
-        pair_slots = {(1, 2): 0, (0, 2): 1, (0, 1): 2}
-        cases += [
-            (f"div_annihilates_osc{a + 1}{b + 1}",
-             ops.div(place(ops.oscillations[(a, b)], slot)))
-            for (a, b), slot in pair_slots.items()
-        ]
-    for name, residual in cases:
-        val = ops.norm(residual)
-        out.append({"name": name, "observed": val, "tolerance": tol,
-                    "passed": bool(val <= tol)})
-    return out
+def _check(name: str, observed: float, tolerance: float) -> dict:
+    return {"name": name, "observed": observed, "tolerance": tolerance,
+            "passed": bool(observed <= tolerance)}
 
 
-def _orthogonality_checks(ops: TensorOps, seed: int) -> list:
+def _oscillation_claims(ops: TensorOps, seed: int):
+    """Yield ``(predicted, check)`` for four claims on every field
+    ``osc_K e_i`` (mode K of ``ops.oscillations`` in slot i), by the paper's
+    rule ``D_j osc_K = 0`` for j not in K and ``D_j* osc_K = 0`` for j in K:
+    it is in ker curl iff K = {i}, in ker div iff i is not in K, M-orthogonal
+    to im grad iff i is in K, and to im rot (2D) or im curl (3D) iff K holds
+    every axis but i.  Orthogonality is checked against three random images,
+    drawn as ``f`` then ``w`` per trial."""
     rng = np.random.default_rng(seed)
-    place = _unit_fields(ops)
-    out = []
-
-    def pairing(name, obstruction, image_field):
-        scale = ops.norm(image_field)
-        val = abs(ops.inner(obstruction, image_field))
-        out.append({"name": name, "observed": val,
-                    "tolerance": 1e-11 * scale,
-                    "passed": bool(val <= 1e-11 * scale)})
-
-    for trial in range(3):
-        f = rng.standard_normal(ops.shape)
-        gf = ops.grad(f)
+    sol_name, sol, w_shape = (("rot", ops.rot, ops.shape) if ops.dim == 2
+                              else ("curl", ops.curl, (3, *ops.shape)))
+    images = [(ops.grad(rng.standard_normal(ops.shape)),
+               sol(rng.standard_normal(w_shape))) for _ in range(3)]
+    tol = 1e-11 * max(1.0 / op.grid.dx for op in ops.axis_ops)
+    for key, osc in ops.oscillations.items():
         for i in range(ops.dim):
-            pairing(f"osc{i + 1}_perp_im_grad_{trial}",
-                    place(ops.oscillations[(i,)], i), gf)
-        if ops.dim == 2:
-            w = rng.standard_normal(ops.shape)
-            rw = ops.rot(w)
-            top = ops.oscillations[(0, 1)]
-            for i in range(2):
-                pairing(f"osc12_slot{i + 1}_perp_im_grad_{trial}",
-                        place(top, i), gf)
-                pairing(f"osc12_slot{i + 1}_perp_im_rot_{trial}",
-                        place(top, i), rw)
-        else:
-            w = rng.standard_normal((3, *ops.shape))
-            cw = ops.curl(w)
-            pair_slots = {(1, 2): 0, (0, 2): 1, (0, 1): 2}
-            for (a, b), slot in pair_slots.items():
-                pairing(f"osc{a + 1}{b + 1}_perp_im_curl_{trial}",
-                        place(ops.oscillations[(a, b)], slot), cw)
-            top = ops.oscillations[(0, 1, 2)]
-            for i in range(3):
-                pairing(f"osc123_slot{i + 1}_perp_im_grad_{trial}",
-                        place(top, i), gf)
-                pairing(f"osc123_slot{i + 1}_perp_im_curl_{trial}",
-                        place(top, i), cw)
-    return out
+            field = np.zeros((ops.dim, *ops.shape))
+            field[i] = osc
+            name = "osc" + "".join(str(j + 1) for j in key) + f"_slot{i + 1}"
+            yield set(key) == {i}, _check(f"{name}_in_ker_curl",
+                                          ops.norm(ops.curl(field)), tol)
+            yield i not in key, _check(f"{name}_in_ker_div",
+                                       ops.norm(ops.div(field)), tol)
+            holds = {"grad": i in key,
+                     sol_name: set(range(ops.dim)) - {i} <= set(key)}
+            for trial, pair in enumerate(images):
+                for (image_name, predicted), image in zip(holds.items(), pair):
+                    yield predicted, _check(
+                        f"{name}_perp_im_{image_name}_{trial}",
+                        abs(ops.inner(field, image)), 1e-11 * ops.norm(image))
 
 
-def _neumann_check(ops: TensorOps) -> list:
-    x = ops.meshgrid()[0]
-    u = ops.grad(x)
+def _neumann_check(ops: TensorOps) -> dict:
+    u = ops.grad(ops.meshgrid()[0])
     phi = harmonic_neumann_potential(ops, ops.field(u)).data
     err = ops.norm(ops.grad(phi) - u) / ops.norm(u)
-    return [{"name": "neumann_harmonic_recovery", "observed": err,
-             "tolerance": 1e-9, "passed": bool(err <= 1e-9)}]
+    return _check("neumann_harmonic_recovery", err, 1e-9)
 
 
 # -- oscillation dump ------------------------------------------------------------
@@ -359,6 +308,20 @@ def _relative(ops: TensorOps, got, exact) -> float:
     return ops.norm(got - exact) / denom if denom > 0 else ops.norm(got)
 
 
+def _curl_coimage_part(ops: TensorOps, v: np.ndarray,
+                       config: ExperimentConfig) -> np.ndarray:
+    """The least-M-norm preimage of ``curl v``: v minus its M-orthogonal
+    projection onto ker curl = im grad ⊕ span{osc_(i,) e_i} (the
+    ``kernel_dim_curl`` theorem; the osc fields are M-orthonormal and
+    M-orthogonal to im grad), so no curl solve is needed."""
+    out = v - project_im_grad(ops, v, config.solver, atol=config.atol,
+                              btol=config.btol)[1].data
+    for i in range(ops.dim):
+        osc = ops.oscillations[(i,)]
+        out[i] -= ops.inner(v[i], osc) * osc
+    return out
+
+
 def convergence_study(config: ExperimentConfig) -> dict:
     """Decompose the separable problem on each grid size and tabulate
     relative M-norm errors with experimental orders of convergence."""
@@ -385,13 +348,8 @@ def convergence_study(config: ExperimentConfig) -> dict:
                                     ops.mean_zero(prob["v"]))
         else:
             errors["v_raw"] = _relative(ops, dec.v.data, prob["v"])
-            # the least-norm preimage of curl v is the projection of v onto
-            # the coimage (ker curl)^perp_M, where dec.v lives
-            gauged = project_im_curl(
-                ops, ops.curl(prob["v"]), solver=config.solver,
-                atol=config.atol, btol=config.btol,
-            )[0].data
-            errors["v_gauged"] = _relative(ops, dec.v.data, gauged)
+            errors["v_gauged"] = _relative(
+                ops, dec.v.data, _curl_coimage_part(ops, prob["v"], config))
         rows.append(ConvergenceRow(n=n, errors=errors))
         solver_stats[n] = dec.diagnostics["solver_stats"]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownSolver
+from .errors import UnknownProjectionOrder, UnknownSolver
 from .krylov import SOLVERS, LinearMap, SolveStats
 from .tensor import GridField, TensorOps
 
@@ -38,7 +38,12 @@ class ProjectionOrder(enum.Enum):
     def parse(cls, value) -> "ProjectionOrder":
         if isinstance(value, cls):
             return value
-        return cls(str(value).lower().replace("_", "-"))
+        try:
+            return cls(str(value).lower().replace("_", "-"))
+        except ValueError:
+            raise UnknownProjectionOrder(
+                f"unknown projection order {value!r}; expected grad-first or "
+                "curl-first") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -147,14 +147,10 @@ def check_potential_conditions(ops: TensorOps, u) -> PotentialConditions:
     unorm = ops.norm(u)
     curl_norm = ops.norm(ops.curl(u))
     rel_curl = curl_norm / (_derivative_scale(ops) * unorm) if unorm > 0 else 0.0
-    overlaps = []
-    for i in range(ops.dim):
-        osc = ops.oscillations[(i,)]
-        ci_norm = ops.norm(u[i])
-        overlaps.append(
-            abs(ops.inner(u[i], osc)) / ci_norm if ci_norm > 0 else 0.0
-        )
-    return PotentialConditions(rel_curl, tuple(overlaps))
+    norms = [ops.norm(c) for c in u]
+    overlaps = tuple(abs(ops.inner(u[i], ops.oscillations[(i,)])) / norms[i]
+                     if norms[i] > 0 else 0.0 for i in range(ops.dim))
+    return PotentialConditions(rel_curl, overlaps)
 
 
 # -- integral construction -------------------------------------------------------

@@ -64,11 +64,6 @@ class GridField:
     def shape(self) -> tuple:
         return self.data.shape[-self.dim :]
 
-    def require(self, kind: str) -> np.ndarray:
-        if self.kind != kind:
-            raise KindMismatch(f"expected a {kind} field, got {self.kind}")
-        return self.data
-
 
 @dataclass(frozen=True, eq=False)
 class TensorOps:
@@ -151,14 +146,25 @@ class TensorOps:
         """D_i^T u for a scalar array (0-based axis index)."""
         return self._along(i, u, "apply_d_transpose")
 
-    def vector_data(self, u) -> np.ndarray:
-        """The array of a vector field (GridField or raw array), checked.
+    def field_data(self, u, kind: str | None = None):
+        """The data of u: a raw array as it is, or a GridField's once it is
+        found on this grid's domain (bounds equal to roundoff, else
+        DimensionMismatch) and of ``kind``, if given (else KindMismatch)."""
+        if not isinstance(u, GridField):
+            return u
+        want, got = np.array(self.bounds), np.array(u.bounds, dtype=np.float64)
+        if (got.shape != want.shape
+                or not np.abs(got - want).max() <= 1e-12 * np.abs(want).max()):
+            raise DimensionMismatch(f"field on {u.bounds}, not {self.bounds}")
+        if kind is not None and u.kind != kind:
+            raise KindMismatch(f"expected a {kind} field, got {u.kind}")
+        return u.data
 
-        Raises KindMismatch for a scalar GridField, DimensionMismatch unless
-        the shape is ``(dim, *shape)``, and NonFiniteEncountered on NaN/Inf.
-        """
-        u = u.require("vector") if isinstance(u, GridField) else u
-        u = np.asarray(u, dtype=np.float64)
+    def vector_data(self, u) -> np.ndarray:
+        """``field_data(u, "vector")`` as a float array, checked further:
+        DimensionMismatch unless its shape is ``(dim, *shape)``, and
+        NonFiniteEncountered on NaN/Inf."""
+        u = np.asarray(self.field_data(u, "vector"), dtype=np.float64)
         if u.shape != (self.dim, *self.shape):
             raise DimensionMismatch(
                 f"vector field shape {u.shape} != {(self.dim, *self.shape)}"
@@ -325,32 +331,29 @@ def square_tensor_ops(
 
 
 def gradient(ops: TensorOps, f: GridField) -> GridField:
-    return ops.field(ops.grad(f.require("scalar")))
+    return ops.field(ops.grad(ops.field_data(f, "scalar")))
 
 
 def divergence(ops: TensorOps, u: GridField) -> GridField:
-    return ops.field(ops.div(u.require("vector")))
+    return ops.field(ops.div(ops.field_data(u, "vector")))
 
 
 def curl(ops: TensorOps, u: GridField) -> GridField:
-    return ops.field(ops.curl(u.require("vector")))
+    return ops.field(ops.curl(ops.field_data(u, "vector")))
 
 
 def rot(ops: TensorOps, v: GridField) -> GridField:
-    return ops.field(ops.rot(v.require("scalar")))
+    return ops.field(ops.rot(ops.field_data(v, "scalar")))
 
 
 def inner_product(ops: TensorOps, a: GridField, b: GridField) -> float:
-    if a.kind != b.kind:
-        raise KindMismatch(f"cannot pair {a.kind} with {b.kind}")
-    return ops.inner(a.data, b.data)
+    return ops.inner(ops.field_data(a), ops.field_data(b, a.kind))
 
 
 def m_norm(ops: TensorOps, a: GridField) -> float:
-    return ops.norm(a.data)
+    return ops.norm(ops.field_data(a))
 
 
 def filter_field(ops: TensorOps, u: GridField, extended: bool = False) -> GridField:
-    if u.kind == "scalar":
-        return ops.field(ops.filter_scalar(u.data, extended))
-    return ops.field(ops.filter_vector(u.data, extended))
+    apply = ops.filter_scalar if u.kind == "scalar" else ops.filter_vector
+    return ops.field(apply(ops.field_data(u), extended))

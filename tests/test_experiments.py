@@ -13,6 +13,8 @@ from sbphodge.experiments import (
     BREAK_ENV,
     ExperimentConfig,
     MhdConfig,
+    _curl_coimage_part,
+    _oscillation_claims,
     convergence_study,
     fit_eoc,
     mhd_study,
@@ -22,7 +24,7 @@ from sbphodge.experiments import (
     verify_theorems,
 )
 from sbphodge.fieldio import read_field_csv
-from sbphodge.hodge import helmholtz
+from sbphodge.hodge import helmholtz, project_im_curl
 from sbphodge.tensor import square_tensor_ops
 
 
@@ -80,6 +82,7 @@ def test_verify_theorems_2d():
     dims = {c["name"]: c for c in report["checks"] if "kernel_dim" in c["name"]}
     assert dims["kernel_dim_curl"]["observed"] == 37
     assert dims["kernel_dim_div"]["observed"] == 37
+    assert len(report["checks"]) == 34
 
 
 def test_verify_theorems_3d():
@@ -89,6 +92,27 @@ def test_verify_theorems_3d():
     assert by_name["kernel_dim_curl"]["observed"] == 66
     assert by_name["kernel_dim_div"]["observed"] == 129
     assert by_name["image_dim_curl"]["observed"] == 126
+    assert len(report["checks"]) == 72
+
+
+@pytest.mark.parametrize("dim,order", [(2, 2), (2, 4), (2, 6), (2, 8),
+                                       (3, 2), (3, 4)])
+def test_oscillation_rule_is_sharp(dim, order):
+    """At each CI configuration, every claim the paper's rule predicts holds
+    (measured: at most 1.1e-5 of its tolerance), and every claim it does not
+    predict fails by far (measured: at least 2.5e6 times its tolerance)."""
+    config = _config(ExperimentConfig, {"command": "verify-theorems",
+                                        "dim": dim, "order": order})
+    ops = config.ops(config.sizes[0])
+    claims = list(_oscillation_claims(ops, config.seed))
+    modes = 2 ** dim - 1
+    assert len(claims) == modes * dim * (2 + 2 * 3)
+    assert sum(predicted for predicted, _ in claims) == {2: 28, 3: 66}[dim]
+    for predicted, check in claims:
+        if predicted:
+            assert check["passed"], check
+        else:
+            assert check["observed"] >= 1e3 * check["tolerance"], check
 
 
 def test_verify_theorems_broken_operator(monkeypatch):
@@ -172,6 +196,19 @@ def test_convergence_study_minimal_3d():
     for stats in result["solver_stats"].values():
         assert stats["grad"]["stop_reason"] == "direct"
         assert stats["curl"]["iterations"] > 0
+
+
+@pytest.mark.parametrize("order,n,solver", [(2, 9, None), (4, 9, "lsqr"),
+                                            (6, 12, None), (8, 16, None)])
+def test_curl_coimage_part_matches_the_curl_projection(order, n, solver, rng):
+    """The closed form that gauges the exact 3D potential is the potential
+    of the Krylov curl projection of ``curl v``."""
+    config = ExperimentConfig(order=order, sizes=(n,), dim=3, solver=solver)
+    ops = config.ops(n)
+    v = rng.standard_normal((3, *ops.shape))
+    got = _curl_coimage_part(ops, v, config)
+    want = project_im_curl(ops, ops.curl(v), atol=1e-14, btol=1e-14)[0].data
+    assert ops.norm(got - want) <= 1e-10 * ops.norm(want)
 
 
 # -- MHD ---------------------------------------------------------------------------

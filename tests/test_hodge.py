@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from sbphodge.errors import SbpHodgeError, UnknownProjectionOrder
 from sbphodge.hodge import (
     ProjectionOrder,
     helmholtz,
@@ -254,3 +256,15 @@ def test_diagnostics_serializable(ops_2d, rng):
     dec = helmholtz(ops_2d, u)
     text = json.dumps(dec.diagnostics_json())
     assert "solver_stats" in text
+
+
+@pytest.mark.parametrize("bad", ["sideways", None, 3, "grad first "])
+def test_unknown_projection_order_is_a_typed_error(ops_2d, ops_3d, rng, bad):
+    for ops in (ops_2d, ops_3d):
+        u = rng.standard_normal((ops.dim, *ops.shape))
+        with pytest.raises(UnknownProjectionOrder) as err:
+            helmholtz(ops, u, order=bad)
+        assert isinstance(err.value, SbpHodgeError)
+        assert isinstance(err.value, ValueError)
+        assert repr(bad) in str(err.value)
+    assert ProjectionOrder.parse("Curl_First") is ProjectionOrder.CURL_FIRST

@@ -5,6 +5,16 @@ from hypothesis import strategies as st
 
 from sbphodge.errors import DimensionMismatch, KindMismatch, WrongDimension
 from sbphodge.grid import Grid1D
+from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
+from sbphodge.potentials import (
+    check_potential_conditions,
+    dense_curl,
+    dense_divergence,
+    dense_gradient,
+    dense_rot,
+    harmonic_neumann_potential,
+    scalar_potential_integral,
+)
 from sbphodge.tensor import (
     GridField,
     TensorOps,
@@ -292,3 +302,88 @@ def test_field_level_roundtrip(ops_2d, rng):
 def test_inner_dimension_mismatch(ops_2d, ops_3d):
     with pytest.raises(DimensionMismatch):
         ops_2d.inner(np.zeros(ops_2d.shape), np.zeros((3, *ops_2d.shape)))
+
+
+# -- the matrix-free operators against the dense Kronecker oracle ----------
+
+
+@pytest.mark.parametrize("order,sizes", [
+    (2, (7, 9)), (4, (9, 11)), (6, (13, 15)), (8, (17, 19)),
+    (2, (5, 6, 7)), (4, (8, 9, 10)),
+], ids=["2d-order2", "2d-order4", "2d-order6", "2d-order8", "3d-order2",
+        "3d-order4"])
+def test_matrix_free_operators_match_dense_oracle(order, sizes, rng):
+    """Every axis has its own size and domain, so a swapped axis shows."""
+    ops = build_tensor_ops(order, [Grid1D(-1.0 + j, 1.0 + 2 * j, n)
+                                   for j, n in enumerate(sizes)])
+    f = random_scalar(ops, rng)
+    u = random_vector(ops, rng)
+    w = f if ops.dim == 2 else u  # the codomain of curl
+    grad, div, curl_ = dense_gradient(ops), dense_divergence(ops), dense_curl(ops)
+    pairs = [
+        (ops.grad(f), grad @ f.ravel()),
+        (ops.div(u), div @ u.ravel()),
+        (ops.curl(u), curl_ @ u.ravel()),
+        (ops.grad_transpose(u), grad.T @ u.ravel()),
+        (ops.curl_transpose(w), curl_.T @ w.ravel()),
+    ]
+    if ops.dim == 2:
+        pairs.append((ops.rot(f), dense_rot(ops) @ f.ravel()))
+    for got, want in pairs:
+        assert got.size == want.size
+        assert np.linalg.norm(got.ravel() - want) <= 1e-13 * np.linalg.norm(want)
+
+
+# -- fields on another domain ------------------------------------------------
+
+
+FIELD_CALLS = {
+    "helmholtz": lambda ops, f, u: helmholtz(ops, u),
+    "project_im_grad": lambda ops, f, u: project_im_grad(ops, u),
+    "project_im_curl": lambda ops, f, u: project_im_curl(ops, u),
+    "check_potential_conditions":
+        lambda ops, f, u: check_potential_conditions(ops, u),
+    "scalar_potential_integral":
+        lambda ops, f, u: scalar_potential_integral(ops, u),
+    "harmonic_neumann_potential":
+        lambda ops, f, u: harmonic_neumann_potential(ops, u),
+    "gradient": lambda ops, f, u: gradient(ops, f),
+    "divergence": lambda ops, f, u: divergence(ops, u),
+    "curl": lambda ops, f, u: curl(ops, u),
+    "rot": lambda ops, f, u: rot(ops, f),
+    "filter_field_scalar": lambda ops, f, u: filter_field(ops, f),
+    "filter_field_vector": lambda ops, f, u: filter_field(ops, u, True),
+    "inner_product": lambda ops, f, u: inner_product(ops, u, u),
+    "m_norm": lambda ops, f, u: m_norm(ops, f),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_CALLS)
+def test_field_on_another_domain_is_rejected(name):
+    """A GridField must lie on the operators' domain, up to roundoff in its
+    bounds; a field of the right shape on [0, 5]^2 is not accepted on
+    [-1, 1]^2."""
+    call = FIELD_CALLS[name]
+    ops = square_tensor_ops(4, 17, 2)
+    f = sum((j + 1.0) * x for j, x in enumerate(ops.meshgrid()))
+    u = ops.grad(f)  # curl and div free, with no oscillation content
+    call(ops, ops.field(f), ops.field(u))
+    nudged = tuple((lo + 1e-15, hi - 1e-15) for lo, hi in ops.bounds)
+    call(ops, GridField(f, nudged), GridField(u, nudged))
+    other = square_tensor_ops(4, 17, 2, 0.0, 5.0)
+    with pytest.raises(DimensionMismatch):
+        call(ops, other.field(f), other.field(u))
+    for bounds in (((-1.0, 1.0), (-1.0, 1.0 + 1e-6)),
+                   ((-1.0, 1.0), (-1.0, np.nan))):
+        with pytest.raises(DimensionMismatch):
+            call(ops, GridField(f, bounds), GridField(u, bounds))
+
+
+def test_helmholtz_3d_rejects_a_field_on_another_domain(ops_3d, rng):
+    u = random_vector(ops_3d, rng)
+    other = square_tensor_ops(2, 7, 3, -1.0, 2.0)
+    with pytest.raises(DimensionMismatch):
+        helmholtz(ops_3d, other.field(u))
+    # raw arrays carry no domain and stay accepted
+    dec = helmholtz(ops_3d, u)
+    assert dec.remainder.bounds == ops_3d.bounds
