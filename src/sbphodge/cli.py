@@ -34,7 +34,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import SbpHodgeError
+from .errors import InvalidConfig, SbpHodgeError
 from .experiments import (
     ExperimentConfig,
     MhdConfig,
@@ -344,12 +344,11 @@ def main(argv=None) -> int:
     try:
         options = _options(argv)
         return options["func"](options)
-    except SbpHodgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    except (SbpHodgeError, ValueError, OSError) as exc:
+        # a bad setting or flag is a usage error; a failed computation is not
+        usage = isinstance(exc, InvalidConfig) or not isinstance(exc, SbpHodgeError)
+        print(f"{'usage error' if usage else 'error'}: {exc}", file=sys.stderr)
+        return 2 if usage else 1
 
 
 if __name__ == "__main__":

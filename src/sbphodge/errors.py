@@ -17,8 +17,13 @@ class DimensionMismatch(SbpHodgeError, ValueError):
     """Array length or shape does not match the operator."""
 
 
+class BadDomain(DimensionMismatch):
+    """Grid interval is empty or has a non-finite end."""
+
+
 class KindMismatch(SbpHodgeError, ValueError):
-    """Scalar field passed where a vector field is required, or vice versa."""
+    """Scalar field passed where a vector field is required, or vice versa,
+    or field data that is not real."""
 
 
 class WrongDimension(SbpHodgeError, ValueError):
@@ -70,3 +75,7 @@ class NoPlaneNode(SbpHodgeError, ValueError):
 
 class CorruptFieldFile(SbpHodgeError, ValueError):
     """Field file has a bad header or a payload of the wrong size."""
+
+
+class InvalidConfig(SbpHodgeError, ValueError):
+    """Experiment settings out of range: dimension, grid sizes, amplitudes."""

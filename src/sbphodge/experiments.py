@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoPlaneNode
+from .errors import InvalidConfig, NoPlaneNode
 from .grid import Grid1D
 from .hodge import ProjectionOrder, helmholtz, project_im_grad
 from .operators1d import build_operator_1d, corrupt_operator, grid_oscillation_1d
@@ -43,15 +43,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+            raise InvalidConfig(f"dim must be 2 or 3, got {self.dim}")
         if any(s2 <= s1 for s1, s2 in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("grid sizes must be strictly increasing")
+            raise InvalidConfig("grid sizes must be strictly increasing")
         minimum = coefficient_table(self.order).min_nodes
-        if self.sizes and self.sizes[0] < minimum:
-            raise ValueError(
-                f"grid size {self.sizes[0]} below the order-{self.order} "
-                f"minimum of {minimum} nodes"
-            )
+        if not self.sizes or self.sizes[0] < minimum:
+            raise InvalidConfig(f"need grid sizes of at least {minimum} nodes "
+                                f"for order {self.order}, got {self.sizes}")
 
     @property
     def projection(self) -> ProjectionOrder:
@@ -84,9 +82,9 @@ class MhdConfig:
 
     def __post_init__(self):
         if self.eps_alfven < 0 or self.eps_magnetosonic < 0:
-            raise ValueError("wave amplitudes must be nonnegative")
+            raise InvalidConfig("wave amplitudes must be nonnegative")
         if self.eps_alfven == 0 and self.eps_magnetosonic == 0:
-            raise ValueError("at least one wave amplitude must be positive")
+            raise InvalidConfig("at least one wave amplitude must be positive")
 
 
 # -- analytic test problems ---------------------------------------------------
@@ -269,7 +267,7 @@ def oscillation_table(order: int, n: int) -> dict:
 def remainder_study(config: ExperimentConfig) -> dict:
     """Decompose the separable 2D problem on the finest grid of ``sizes``."""
     if config.dim != 2:
-        raise ValueError("the remainder study is a 2D experiment")
+        raise InvalidConfig("the remainder study is a 2D experiment")
     ops = config.ops(config.sizes[-1])
     prob = separable_problem_2d(ops)
     dec = helmholtz(ops, prob["u"], order=config.projection,
@@ -326,7 +324,7 @@ def convergence_study(config: ExperimentConfig) -> dict:
     """Decompose the separable problem on each grid size and tabulate
     relative M-norm errors with experimental orders of convergence."""
     if len(config.sizes) < 3:
-        raise ValueError("need at least 3 grid sizes for a convergence study")
+        raise InvalidConfig("need at least 3 grid sizes for a convergence study")
     rows, solver_stats = [], {}
     for n in config.sizes:
         ops = config.ops(n)

@@ -23,7 +23,8 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptFieldFile
+from .errors import BadDomain, CorruptFieldFile, GridTooSmall
+from .grid import Grid1D
 from .tensor import GridField
 
 _MAGIC = b"SBPH"
@@ -67,7 +68,7 @@ def read_field_binary(path) -> GridField:
     shape = struct.unpack_from(f"<{d}I", blob, 7)
     flat = struct.unpack_from(f"<{2 * d}d", blob, 7 + 4 * d)
     bounds = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(d))
-    _check_grid(shape, bounds)
+    _header_grids(shape, bounds)
     count = math.prod(shape) * (d if kind else 1)
     if len(blob) - start != 8 * count:
         raise CorruptFieldFile(
@@ -79,29 +80,19 @@ def read_field_binary(path) -> GridField:
     return GridField(data.reshape(full_shape), bounds)
 
 
-def _check_grid(shape, bounds) -> None:
-    """Reject a grid no operator can have: fewer than 2 nodes on an axis, or
-    empty or non-finite bounds."""
-    if min(shape) < 2 or not all(
-        np.isfinite(lo) and np.isfinite(hi) and hi > lo for lo, hi in bounds
-    ):
-        raise CorruptFieldFile(
-            f"bad grid in header: shape {shape}, bounds {bounds}"
-        )
-
-
-def _node_coordinates(shape, bounds):
-    axes = [
-        lo + (hi - lo) / (n - 1) * np.arange(n) for (lo, hi), n in zip(bounds, shape)
-    ]
-    return np.meshgrid(*axes, indexing="ij")
+def _header_grids(shape, bounds) -> tuple:
+    """The axis grids of a header, or CorruptFieldFile if one is bad."""
+    try:
+        return tuple(Grid1D(lo, hi, n) for (lo, hi), n in zip(bounds, shape))
+    except (GridTooSmall, BadDomain) as exc:
+        raise CorruptFieldFile(f"bad grid in header: {exc}") from None
 
 
 def dump_field_csv(stream, field: GridField) -> None:
     d = field.dim
     comps = field.data[None] if field.kind == "scalar" else field.data
     names = ["value"] if field.kind == "scalar" else [f"c{i + 1}" for i in range(d)]
-    coords = _node_coordinates(field.shape, field.bounds)
+    coords = np.meshgrid(*(g.nodes() for g in field.grids), indexing="ij")
     meta = {
         "dim": d,
         "kind": field.kind,
@@ -154,7 +145,7 @@ def read_field_csv(path) -> GridField:
             or len(shape) != d or len(bounds) != d
             or any(len(pair) != 2 for pair in bounds)):
         raise CorruptFieldFile(f"bad field metadata line: {header.strip()}")
-    _check_grid(shape, bounds)
+    grids = _header_grids(shape, bounds)
     rows = [row for row in csv.reader(io.StringIO(body)) if row][1:]
     width = d + (1 if kind == "scalar" else d)
     if len(rows) != math.prod(shape):
@@ -167,8 +158,9 @@ def read_field_csv(path) -> GridField:
         values = np.array([[float(x) for x in row] for row in rows])
     except ValueError as exc:
         raise CorruptFieldFile(f"non-numeric cell: {exc}") from None
-    coords = np.stack([c.ravel() for c in _node_coordinates(shape, bounds)], 1)
-    cell = np.array([(hi - lo) / (n - 1) for (lo, hi), n in zip(bounds, shape)])
+    coords = np.stack([c.ravel() for c in np.meshgrid(
+        *(g.nodes() for g in grids), indexing="ij")], 1)
+    cell = np.array([g.dx for g in grids])
     if not np.all(np.abs(values[:, :d] - coords) <= 1e-6 * cell):
         raise CorruptFieldFile(
             "node coordinates do not match the grid of the metadata line"

@@ -6,12 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmall
+from .errors import BadDomain, GridTooSmall
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on [x_min, x_max] with nodes x_min + a*dx, a = 0..n_nodes-1."""
+    """Uniform grid on [x_min, x_max] with nodes x_min + a*dx, a = 0..n_nodes-1:
+    at least 2 nodes (else GridTooSmall) on a nonempty interval of finite
+    length (else BadDomain), the one rule of what a grid is."""
 
     x_min: float
     x_max: float
@@ -20,8 +22,9 @@ class Grid1D:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise GridTooSmall(f"need at least 2 nodes, got {self.n_nodes}")
-        if not self.x_max > self.x_min:
-            raise ValueError(f"empty interval [{self.x_min}, {self.x_max}]")
+        if not 0.0 < float(self.x_max) - float(self.x_min) < np.inf:
+            raise BadDomain(
+                f"interval [{self.x_min}, {self.x_max}] is empty or not finite")
 
     @property
     def dx(self) -> float:

@@ -12,7 +12,7 @@ ill-conditioned problems are expected to arrive in scaled form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,8 +82,6 @@ class SolveStats:
     # residual_tol | normal_tol | max_iter; "direct" (iterations 0) for a
     # stage solved without Krylov, e.g. by TensorOps.gram_pinv
     stop_reason: str
-    residual_norms: list = field(default_factory=list)
-    normal_residual_norms: list = field(default_factory=list)
     iterates: Optional[list] = None
 
     def as_dict(self) -> dict:
@@ -153,8 +151,6 @@ def lsqr(
     anorm2 = alpha**2
     rnorm = bnorm
     arnorm = alpha * beta
-    stats.residual_norms.append(rnorm)
-    stats.normal_residual_norms.append(arnorm)
 
     stop = "max_iter"
     itn = 0
@@ -187,8 +183,6 @@ def lsqr(
         rnorm = phibar
         arnorm = alpha * abs(tau)
         _check_finite(rnorm, arnorm)
-        stats.residual_norms.append(rnorm)
-        stats.normal_residual_norms.append(arnorm)
         if keep_iterates:
             stats.iterates.append(x.copy())
 
@@ -264,8 +258,6 @@ def lsmr(
     anorm2 = alpha**2
     rnorm = bnorm
     arnorm = zetabar
-    stats.residual_norms.append(rnorm)
-    stats.normal_residual_norms.append(arnorm)
 
     stop = "max_iter"
     itn = 0
@@ -322,8 +314,6 @@ def lsmr(
         anorm2 += alpha**2
         arnorm = abs(zetabar)
         _check_finite(rnorm, arnorm)
-        stats.residual_norms.append(rnorm)
-        stats.normal_residual_norms.append(arnorm)
         if keep_iterates:
             stats.iterates.append(x.copy())
 

@@ -75,16 +75,21 @@ class SbpOperator1D:
 
     # -- application -----------------------------------------------------
 
+    def _leading(self, u) -> np.ndarray:
+        """u as a float array with n_nodes rows (else DimensionMismatch)."""
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape[:1] != (self.n_nodes,):
+            raise DimensionMismatch(
+                f"expected leading axis {self.n_nodes}, got shape {u.shape}")
+        return u
+
     def apply_d(self, u: np.ndarray) -> np.ndarray:
         """Apply D along the first axis of ``u``.
 
         Accumulates products in increasing column order, which reproduces a
         naive dense row-by-row multiplication bit for bit.
         """
-        u = np.asarray(u, dtype=np.float64)
-        n = self.n_nodes
-        if u.shape[0] != n:
-            raise DimensionMismatch(f"expected leading axis {n}, got {u.shape[0]}")
+        u, n = self._leading(u), self.n_nodes
         b = self.n_closure_rows
         w = self.halfwidth
         wt = self.boundary_block.shape[1]
@@ -121,10 +126,7 @@ class SbpOperator1D:
 
     def apply_d_transpose(self, u: np.ndarray) -> np.ndarray:
         """Apply D^T along the first axis of ``u``."""
-        u = np.asarray(u, dtype=np.float64)
-        n = self.n_nodes
-        if u.shape[0] != n:
-            raise DimensionMismatch(f"expected leading axis {n}, got {u.shape[0]}")
+        u, n = self._leading(u), self.n_nodes
         band_rev, corr = self._transpose_parts
         b, wt = corr.shape
         w = self.halfwidth
@@ -146,10 +148,7 @@ class SbpOperator1D:
 
     def apply_d_star(self, u: np.ndarray) -> np.ndarray:
         """Apply the M-adjoint D* = M^-1 D^T M along the first axis."""
-        u = np.asarray(u, dtype=np.float64)
-        n = self.n_nodes
-        if u.shape[0] != n:
-            raise DimensionMismatch(f"expected leading axis {n}, got {u.shape[0]}")
+        u, n = self._leading(u), self.n_nodes
         shape = (n,) + (1,) * (u.ndim - 1)
         m = self.mass_weights.reshape(shape)
         return self.apply_d_transpose(m * u) / m
@@ -200,10 +199,7 @@ class SbpOperator1D:
         combination of the others (the kernel vector of D^T has a nonzero
         first entry), so it holds once the oscillation component is gone.
         """
-        u = np.asarray(u, dtype=np.float64)
-        n = self.n_nodes
-        if u.shape[0] != n:
-            raise DimensionMismatch(f"expected leading axis {n}, got {u.shape[0]}")
+        u, n = self._leading(u), self.n_nodes
         osc = self.grid_oscillation
         flat = u.reshape(n, -1)
         overlap = np.abs((self.mass_weights * osc) @ flat)
@@ -249,8 +245,8 @@ def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOpe
 
     Coefficients come from the exact rational tables; construction checks the
     SBP identity, the polynomial accuracy of every row and nullspace
-    consistency unless ``validate`` is disabled (used only for deliberate
-    negative controls).
+    consistency unless ``validate`` is disabled, for a caller that runs or
+    times those checks itself.
     """
     table = coefficient_table(order)
     if grid.n_nodes < table.min_nodes:

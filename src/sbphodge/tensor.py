@@ -35,7 +35,8 @@ class GridField:
     """Scalar or vector grid function together with its domain bounds.
 
     Scalar data has shape ``(N_1, ..., N_d)``; vector data carries a leading
-    component axis of length d.
+    component axis of length d.  Every axis must be a grid ``Grid1D``
+    accepts (GridTooSmall or BadDomain otherwise).
     """
 
     data: np.ndarray
@@ -43,14 +44,18 @@ class GridField:
 
     def __post_init__(self):
         d = len(self.bounds)
-        if self.data.ndim == d:
-            return
-        if self.data.ndim == d + 1 and self.data.shape[0] == d:
-            return
-        raise KindMismatch(
-            f"data shape {self.data.shape} fits neither a scalar nor a "
-            f"{d}-component vector field"
-        )
+        if not (self.data.ndim == d
+                or (self.data.ndim == d + 1 and self.data.shape[0] == d)):
+            raise KindMismatch(
+                f"data shape {self.data.shape} fits neither a scalar nor a "
+                f"{d}-component vector field"
+            )
+        self.grids  # the grid rule, applied to every axis
+
+    @property
+    def grids(self) -> tuple:
+        return tuple(Grid1D(lo, hi, n)
+                     for (lo, hi), n in zip(self.bounds, self.shape))
 
     @property
     def dim(self) -> int:
@@ -102,11 +107,11 @@ class TensorOps:
     def dim(self) -> int:
         return len(self.axis_ops)
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         return tuple(op.n_nodes for op in self.axis_ops)
 
-    @property
+    @cached_property
     def bounds(self) -> tuple:
         return tuple((op.grid.x_min, op.grid.x_max) for op in self.axis_ops)
 
@@ -123,84 +128,86 @@ class TensorOps:
     def field(self, data: np.ndarray) -> GridField:
         return GridField(np.asarray(data, dtype=np.float64), self.bounds)
 
-    # -- axis applications -------------------------------------------------
+    # -- the field rule and axis applications -------------------------------
 
-    def _check(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != self.shape:
-            raise DimensionMismatch(f"field shape {u.shape} != grid {self.shape}")
-        return u
-
-    def _along(self, i: int, u: np.ndarray, name: str) -> np.ndarray:
-        """The 1D operator method ``name`` applied along axis i of a scalar
-        array (``apply_d`` for D_i, ``apply_d_transpose`` for D_i^T)."""
-        u = self._check(u)
-        moved = np.moveaxis(u, i, 0)
-        return np.moveaxis(getattr(self.axis_ops[i], name)(moved), 0, i)
-
-    def apply_axis(self, i: int, u: np.ndarray) -> np.ndarray:
-        """D_i u for a scalar array (0-based axis index)."""
-        return self._along(i, u, "apply_d")
-
-    def apply_axis_transpose(self, i: int, u: np.ndarray) -> np.ndarray:
-        """D_i^T u for a scalar array (0-based axis index)."""
-        return self._along(i, u, "apply_d_transpose")
-
-    def field_data(self, u, kind: str | None = None):
-        """The data of u: a raw array as it is, or a GridField's once it is
-        found on this grid's domain (bounds equal to roundoff, else
-        DimensionMismatch) and of ``kind``, if given (else KindMismatch)."""
-        if not isinstance(u, GridField):
-            return u
-        want, got = np.array(self.bounds), np.array(u.bounds, dtype=np.float64)
-        if (got.shape != want.shape
-                or not np.abs(got - want).max() <= 1e-12 * np.abs(want).max()):
-            raise DimensionMismatch(f"field on {u.bounds}, not {self.bounds}")
-        if kind is not None and u.kind != kind:
-            raise KindMismatch(f"expected a {kind} field, got {u.kind}")
-        return u.data
+    def field_data(self, u, kind: str | None = None) -> np.ndarray:
+        """The data of u, a GridField or a raw array, as a float array: the
+        one check of a field.  A GridField must lie on this grid's domain
+        (bounds equal to roundoff, else DimensionMismatch) and be of
+        ``kind``, if given (else KindMismatch).  Then the data must be real
+        (else KindMismatch) and of the shape of its kind, ``shape`` or
+        ``(dim, *shape)``, a None ``kind`` read from its number of axes
+        (else DimensionMismatch)."""
+        if isinstance(u, GridField):
+            got, want = u.bounds, self.bounds
+            if got != want and not (u.dim == self.dim and np.abs(
+                    np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()):
+                raise DimensionMismatch(f"field on {got}, not {want}")
+            if kind is not None and u.kind != kind:
+                raise KindMismatch(f"expected a {kind} field, got {u.kind}")
+            u = u.data
+        u = np.asarray(u)
+        if u.dtype.kind not in "biuf":
+            raise KindMismatch(f"field data of dtype {u.dtype} is not real")
+        kind = kind or ("scalar" if u.ndim == self.dim else "vector")
+        want = self.shape if kind == "scalar" else (self.dim, *self.shape)
+        if u.shape != want:
+            raise DimensionMismatch(f"{kind} of shape {u.shape} on grid {self.shape}")
+        return np.asarray(u, dtype=np.float64)
 
     def vector_data(self, u) -> np.ndarray:
-        """``field_data(u, "vector")`` as a float array, checked further:
-        DimensionMismatch unless its shape is ``(dim, *shape)``, and
-        NonFiniteEncountered on NaN/Inf."""
-        u = np.asarray(self.field_data(u, "vector"), dtype=np.float64)
-        if u.shape != (self.dim, *self.shape):
-            raise DimensionMismatch(
-                f"vector field shape {u.shape} != {(self.dim, *self.shape)}"
-            )
+        """``field_data(u, "vector")``, and NonFiniteEncountered on NaN/Inf:
+        the check of the input of a solve or a potential."""
+        u = self.field_data(u, "vector")
         if not np.all(np.isfinite(u)):
             raise NonFiniteEncountered("vector field contains NaN or Inf")
         return u
 
-    # -- vector calculus on raw arrays --------------------------------------
-    # The private forms take the 1D method name.  The transposes call them,
-    # not the public forward methods, so a wrapper around a public method
-    # (a profiler's, say) sees only that method's own calls.
+    def _along(self, i: int, u: np.ndarray, name: str) -> np.ndarray:
+        """The 1D operator method ``name`` applied along axis i of a checked
+        scalar array (``apply_d`` for D_i, ``apply_d_transpose`` for D_i^T)."""
+        moved = np.moveaxis(u, i, 0)
+        return np.moveaxis(getattr(self.axis_ops[i], name)(moved), 0, i)
 
-    def grad(self, f: np.ndarray) -> np.ndarray:
-        return np.stack([self.apply_axis(i, f) for i in range(self.dim)])
+    def apply_axis(self, i: int, u) -> np.ndarray:
+        """D_i u for a scalar field (0-based axis index)."""
+        return self._along(i, self.field_data(u, "scalar"), "apply_d")
 
-    def div(self, u: np.ndarray) -> np.ndarray:
-        return self._div(u, "apply_d")
+    def apply_axis_transpose(self, i: int, u) -> np.ndarray:
+        """D_i^T u for a scalar field (0-based axis index)."""
+        return self._along(i, self.field_data(u, "scalar"), "apply_d_transpose")
 
-    def curl(self, u: np.ndarray) -> np.ndarray:
-        return self._curl(u, "apply_d")
+    # -- vector calculus ----------------------------------------------------
+    # Each public method checks its field once; the private forms take
+    # checked arrays and the 1D method name.  The transposes call them, not
+    # the public forward methods, so a wrapper around a public method (a
+    # profiler's, say) sees only that method's own calls.
 
-    def rot(self, v: np.ndarray) -> np.ndarray:
+    def grad(self, f) -> np.ndarray:
+        f = self.field_data(f, "scalar")
+        return np.stack([self._along(i, f, "apply_d") for i in range(self.dim)])
+
+    def div(self, u) -> np.ndarray:
+        return self._div(self.field_data(u, "vector"), "apply_d")
+
+    def curl(self, u) -> np.ndarray:
+        return self._curl(self.field_data(u, "vector"), "apply_d")
+
+    def rot(self, v) -> np.ndarray:
         if self.dim != 2:
             raise WrongDimension("rot maps scalars to vectors in 2D only")
-        return self._rot(v, "apply_d")
+        return self._rot(self.field_data(v, "scalar"), "apply_d")
 
-    def grad_transpose(self, w: np.ndarray) -> np.ndarray:
+    def grad_transpose(self, w) -> np.ndarray:
         """grad^T: div with D_i^T in place of D_i."""
-        return self._div(w, "apply_d_transpose")
+        return self._div(self.field_data(w, "vector"), "apply_d_transpose")
 
-    def curl_transpose(self, w: np.ndarray) -> np.ndarray:
-        """curl^T of a scalar (2D) or 3-vector (3D) array: -rot (2D) or
+    def curl_transpose(self, w) -> np.ndarray:
+        """curl^T of a scalar (2D) or 3-vector (3D) field: -rot (2D) or
         -curl (3D) with D_i^T in place of D_i."""
-        name = "apply_d_transpose"
-        out = self._rot(w, name) if self.dim == 2 else self._curl(w, name)
+        name, planar = "apply_d_transpose", self.dim == 2
+        w = self.field_data(w, "scalar" if planar else "vector")
+        out = self._rot(w, name) if planar else self._curl(w, name)
         return np.negative(out, out=out)
 
     def _div(self, u: np.ndarray, name: str) -> np.ndarray:
@@ -222,25 +229,24 @@ class TensorOps:
 
     # -- inner products ------------------------------------------------------
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = np.asarray(a), np.asarray(b)
-        if a.shape != b.shape:
-            raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-        if a.shape[-self.dim :] != self.shape:
-            raise DimensionMismatch(f"field shape {a.shape} != grid {self.shape}")
+    def inner(self, a, b) -> float:
+        """<a, b>_M of two fields of one kind."""
+        a = self.field_data(a)
+        b = self.field_data(b, "scalar" if a.ndim == self.dim else "vector")
         return float(np.vdot(self.mass * a, b))  # mass broadcasts over components
 
-    def norm(self, a: np.ndarray) -> float:
+    def norm(self, a) -> float:
         return float(np.sqrt(self.inner(a, a)))
 
-    def mean_zero(self, f: np.ndarray) -> np.ndarray:
-        """Shift a scalar array so that <f, 1>_M = 0."""
+    def mean_zero(self, f) -> np.ndarray:
+        """Shift a scalar field so that <f, 1>_M = 0."""
+        f = self.field_data(f, "scalar")
         vol = float(np.sum(self.mass))
         return f - float(np.sum(self.mass * f)) / vol
 
     # -- the Gram operator L = sum_i D_i^T M D_i ----------------------------
 
-    def gram_pinv(self, b: np.ndarray) -> np.ndarray:
+    def gram_pinv(self, b) -> np.ndarray:
         """The M-mean-zero solution phi of ``L phi = b``, for b orthogonal
         to the constants.
 
@@ -249,7 +255,7 @@ class TensorOps:
         ``S^T`` along every axis, division by the summed eigenvalues, ``S``
         along every axis.  The single zero mode, the constants, is set to 0.
         """
-        b = self._check(b)
+        b = self.field_data(b, "scalar")
         pairs = [op.eigenbasis for op in self.axis_ops]
         for i, (_, s) in enumerate(pairs):
             b = _transform(s.T, b, i)
@@ -266,35 +272,36 @@ class TensorOps:
 
     def e_weight(self, i: int) -> np.ndarray:
         """Diagonal of E_i = M_1 (x) ... E_i ... (x) M_d as a full array."""
-        parts = []
-        for j, op in enumerate(self.axis_ops):
-            parts.append(op.boundary_diag if j == i else op.mass_weights)
-        return _outer(parts)
+        return _outer([op.boundary_diag if j == i else op.mass_weights
+                       for j, op in enumerate(self.axis_ops)])
 
-    def boundary_pairing(self, i: int, f: np.ndarray, g: np.ndarray) -> float:
-        """f^T E_i g for scalar arrays."""
+    def boundary_pairing(self, i: int, f, g) -> float:
+        """f^T E_i g for scalar fields."""
+        f, g = self.field_data(f, "scalar"), self.field_data(g, "scalar")
         return float(np.sum(self.e_weight(i) * f * g))
 
     # -- oscillation filter ----------------------------------------------------
 
-    def filter_scalar(self, u: np.ndarray, extended: bool = False) -> np.ndarray:
+    def filter_scalar(self, u, extended: bool = False) -> np.ndarray:
         """Remove axis grid-oscillation components (M-orthogonal projection).
 
         With ``extended`` the pair (and 3D triple) oscillation modes are
         projected out as well.
         """
-        u = self._check(u)
+        return self._filter(self.field_data(u, "scalar"), extended)
+
+    def filter_vector(self, u, extended: bool = False) -> np.ndarray:
+        """``filter_scalar`` on every component."""
+        return np.stack([self._filter(c, extended)
+                         for c in self.field_data(u, "vector")])
+
+    def _filter(self, u: np.ndarray, extended: bool) -> np.ndarray:
         out = u
         for key, osc in self.oscillations.items():
             if not extended and len(key) != 1:
                 continue
             out = out - self.inner(osc, out) * osc
         return out
-
-    def filter_vector(self, u: np.ndarray, extended: bool = False) -> np.ndarray:
-        return np.stack(
-            [self.filter_scalar(u[i], extended) for i in range(u.shape[0])]
-        )
 
 
 def _outer(parts, ufunc=np.multiply) -> np.ndarray:
@@ -328,32 +335,34 @@ def square_tensor_ops(
 
 
 # -- GridField-level operations (the public vector-calculus API) --------------
+# Each takes a GridField or a raw array; the TensorOps method checks it.
 
 
-def gradient(ops: TensorOps, f: GridField) -> GridField:
-    return ops.field(ops.grad(ops.field_data(f, "scalar")))
+def gradient(ops: TensorOps, f) -> GridField:
+    return ops.field(ops.grad(f))
 
 
-def divergence(ops: TensorOps, u: GridField) -> GridField:
-    return ops.field(ops.div(ops.field_data(u, "vector")))
+def divergence(ops: TensorOps, u) -> GridField:
+    return ops.field(ops.div(u))
 
 
-def curl(ops: TensorOps, u: GridField) -> GridField:
-    return ops.field(ops.curl(ops.field_data(u, "vector")))
+def curl(ops: TensorOps, u) -> GridField:
+    return ops.field(ops.curl(u))
 
 
-def rot(ops: TensorOps, v: GridField) -> GridField:
-    return ops.field(ops.rot(ops.field_data(v, "scalar")))
+def rot(ops: TensorOps, v) -> GridField:
+    return ops.field(ops.rot(v))
 
 
-def inner_product(ops: TensorOps, a: GridField, b: GridField) -> float:
-    return ops.inner(ops.field_data(a), ops.field_data(b, a.kind))
+def inner_product(ops: TensorOps, a, b) -> float:
+    return ops.inner(a, b)
 
 
-def m_norm(ops: TensorOps, a: GridField) -> float:
-    return ops.norm(ops.field_data(a))
+def m_norm(ops: TensorOps, a) -> float:
+    return ops.norm(a)
 
 
-def filter_field(ops: TensorOps, u: GridField, extended: bool = False) -> GridField:
-    apply = ops.filter_scalar if u.kind == "scalar" else ops.filter_vector
-    return ops.field(apply(ops.field_data(u), extended))
+def filter_field(ops: TensorOps, u, extended: bool = False) -> GridField:
+    scalar = ops.field_data(u).ndim == ops.dim
+    apply = ops.filter_scalar if scalar else ops.filter_vector
+    return ops.field(apply(u, extended))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sbphodge.cli import _config, main, warn_max_iter
-from sbphodge.errors import NoPlaneNode
+from sbphodge.errors import InvalidConfig, NoPlaneNode, SbpHodgeError
 from sbphodge.experiments import (
     BREAK_ENV,
     ExperimentConfig,
@@ -53,6 +53,43 @@ def test_config_rejects_nonincreasing_sizes():
 def test_config_rejects_sizes_below_operator_minimum():
     with pytest.raises(ValueError):
         ExperimentConfig(order=8, sizes=(15, 33))
+
+
+INVALID_SETTINGS = {
+    "dim 4": (lambda: ExperimentConfig(dim=4), None),
+    "no sizes": (lambda: ExperimentConfig(sizes=()), None),
+    "repeated size": (lambda: ExperimentConfig(order=2, sizes=(9, 9, 13)),
+                      ["convergence", "--order", "2", "--n", "9", "--n", "9",
+                       "--n", "13"]),
+    "size below the order minimum":
+        (lambda: ExperimentConfig(order=8, sizes=(15,)),
+         ["remainder", "--order", "8", "--n", "15"]),
+    "zero amplitudes":
+        (lambda: MhdConfig(eps_alfven=0.0, eps_magnetosonic=0.0),
+         ["mhd", "--eps-alfven", "0", "--eps-magnetosonic", "0"]),
+    "negative amplitude": (lambda: MhdConfig(eps_alfven=-1.0),
+                           ["mhd", "--eps-alfven=-1"]),
+    "two-size convergence":
+        (lambda: convergence_study(ExperimentConfig(order=2, sizes=(9, 13))),
+         ["convergence", "--order", "2", "--n", "9", "--n", "13"]),
+    "3d remainder study":
+        (lambda: remainder_study(ExperimentConfig(dim=3, sizes=(12,))), None),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_SETTINGS)
+def test_invalid_settings_raise_invalid_config(tmp_path, capsys, name):
+    """A bad setting raises the typed InvalidConfig; on the command line it
+    stays a usage error: exit 2, one line, no output written."""
+    make, argv = INVALID_SETTINGS[name]
+    with pytest.raises(InvalidConfig):
+        make()
+    assert issubclass(InvalidConfig, SbpHodgeError)
+    if argv is not None:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+        assert not (tmp_path / "out").exists()
 
 
 def test_config_defaults_by_dimension():
@@ -502,6 +539,29 @@ def test_cli_config_value_reads_as_its_flag(tmp_path):
     for name in ("mhd_report.json", "mhd_sol_part.csv"):
         assert ((tmp_path / "flags" / name).read_bytes()
                 == (tmp_path / "file" / name).read_bytes())
+
+
+@pytest.mark.parametrize("argv,options", [
+    (["remainder"], {"order": 2, "n": 9, "atol": 1e-12, "format": "binary",
+                     "projection_order": "curl-first"}),
+    (["convergence"], {"order": 2, "n": [9, 13, 17], "dim": 3,
+                       "solver": "lsmr"}),
+])
+def test_cli_toml_config_matches_json(tmp_path, argv, options):
+    """The same options from a TOML and from a JSON config file write
+    byte-identical outputs."""
+    (tmp_path / "run.json").write_text(json.dumps(options))
+    (tmp_path / "run.toml").write_text(
+        "".join(f"{key} = {json.dumps(value)}\n" for key, value in options.items()))
+    for suffix in ("json", "toml"):
+        assert main([*argv, "--config", str(tmp_path / f"run.{suffix}"),
+                     "--out", str(tmp_path / suffix)]) == 0
+    written = sorted(p.name for p in (tmp_path / "json").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "toml").iterdir())
+    assert len(written) >= 2
+    for name in written:
+        assert ((tmp_path / "json" / name).read_bytes()
+                == (tmp_path / "toml" / name).read_bytes()), name
 
 
 def test_cli_n_default_per_subcommand(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sbphodge.errors import CorruptFieldFile
+from sbphodge.errors import BadDomain, CorruptFieldFile, GridTooSmall
 from sbphodge.fieldio import (
     read_field_binary,
     read_field_csv,
@@ -42,6 +42,23 @@ def test_csv_roundtrip_bit_exact(tmp_path, rng, dim, kind):
     assert back.kind == kind
     assert back.bounds == field.bounds
     assert np.array_equal(back.data, field.data)
+
+
+@pytest.mark.parametrize("writer", [write_field_binary, write_field_csv])
+@pytest.mark.parametrize("shape,bounds,error", [
+    ((3, 3), ((1.0, -1.0), (0.0, 1.0)), BadDomain),
+    ((3, 3), ((0.0, 1.0), (0.0, np.nan)), BadDomain),
+    ((3, 3), ((0.0, np.inf), (0.0, 1.0)), BadDomain),
+    ((3, 1), ((0.0, 1.0), (0.0, 1.0)), GridTooSmall),
+], ids=["reversed", "nan", "inf", "one-node"])
+def test_writers_cannot_be_handed_a_bad_domain(tmp_path, writer, shape,
+                                               bounds, error):
+    """A field no reader would accept cannot be built, so it is never
+    written."""
+    path = tmp_path / "field"
+    with pytest.raises(error):
+        writer(path, GridField(np.zeros(shape), bounds))
+    assert not path.exists()
 
 
 def test_binary_rejects_wrong_magic(tmp_path):

@@ -68,7 +68,7 @@ def test_lsqr_residual_monotone(rng):
     for prev, cur in zip(norms, norms[1:]):
         assert cur <= prev * (1 + 1e-10)
     # the internal estimate tracks the explicit residual
-    assert np.isclose(stats.residual_norms[-1], norms[-1], rtol=1e-6)
+    assert np.isclose(stats.final_residual_norm, norms[-1], rtol=1e-6)
 
 
 def test_lsmr_normal_residual_monotone(rng):

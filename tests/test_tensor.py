@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbphodge.errors import DimensionMismatch, KindMismatch, WrongDimension
+from sbphodge.errors import (
+    BadDomain,
+    DimensionMismatch,
+    GridTooSmall,
+    KindMismatch,
+    WrongDimension,
+)
 from sbphodge.grid import Grid1D
 from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
 from sbphodge.potentials import (
@@ -387,3 +393,65 @@ def test_helmholtz_3d_rejects_a_field_on_another_domain(ops_3d, rng):
     # raw arrays carry no domain and stay accepted
     dec = helmholtz(ops_3d, u)
     assert dec.remainder.bounds == ops_3d.bounds
+
+
+def test_raw_arrays_are_accepted_by_every_field_call():
+    """A raw array of the right shape passes the same field rule as a
+    GridField, and gives the same result."""
+    ops = square_tensor_ops(4, 17, 2)
+    f = sum((j + 1.0) * x for j, x in enumerate(ops.meshgrid()))
+    u = ops.grad(f)
+    for name, call in FIELD_CALLS.items():
+        raw, wrapped = call(ops, f, u), call(ops, ops.field(f), ops.field(u))
+        if isinstance(raw, GridField):
+            assert np.array_equal(raw.data, wrapped.data), name
+        elif isinstance(raw, float):
+            assert raw == wrapped, name
+
+
+# -- misuse: one typed error per input, raised where it enters ------------------
+
+
+def _ops2():
+    return square_tensor_ops(2, 9, 2)
+
+
+def _ops3():
+    return square_tensor_ops(2, 5, 3)
+
+
+MISUSE = {
+    "2d divergence of 3 components":
+        (lambda: divergence(_ops2(), np.ones((3, 9, 9))), DimensionMismatch),
+    "2d curl of 5 components":
+        (lambda: curl(_ops2(), np.ones((5, 9, 9))), DimensionMismatch),
+    "3d curl_transpose of 4 components":
+        (lambda: _ops3().curl_transpose(np.ones((4, 5, 5, 5))), DimensionMismatch),
+    "3d curl of 2 components":
+        (lambda: _ops3().curl(np.ones((2, 5, 5, 5))), DimensionMismatch),
+    "2d m_norm of 3 components":
+        (lambda: m_norm(_ops2(), np.ones((3, 9, 9))), DimensionMismatch),
+    "helmholtz of complex data":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)) + 1j), KindMismatch),
+    "gradient of complex data":
+        (lambda: gradient(_ops2(), np.ones((9, 9)) + 1j), KindMismatch),
+    "operators on [0, inf]":
+        (lambda: square_tensor_ops(2, 9, 2, 0.0, np.inf), BadDomain),
+    "grid on an empty interval": (lambda: Grid1D(1.0, 0.0, 5), BadDomain),
+    "grid with a nan end": (lambda: Grid1D(0.0, np.nan, 5), BadDomain),
+    "field on a reversed and a nan axis":
+        (lambda: GridField(np.zeros((3, 3)), ((1.0, -1.0), (0.0, np.nan))),
+         BadDomain),
+    "field with a one-node axis":
+        (lambda: GridField(np.zeros((1, 3)), ((0.0, 1.0), (0.0, 1.0))),
+         GridTooSmall),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", MISUSE)
+def test_misuse_raises_its_typed_error(name):
+    """No misuse returns garbage, warns, or raises a bare numpy error."""
+    call, error = MISUSE[name]
+    with pytest.raises(error):
+        call()
