@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--solver", choices=list(SOLVERS),
                            help="Krylov reference for every stage "
-                                "(default: direct, LSQR for the 3D curl stage)")
+                                "(default: every stage direct)")
             p.add_argument("--projection-order", dest="projection_order",
                            choices=["grad-first", "curl-first"])
             p.add_argument("--atol", type=float, help="solver atol")

@@ -7,13 +7,16 @@ on collocated grids.  Each projection is a least-norm least-squares problem,
 and potentials are the minimum-M-norm representatives (mean-zero for
 scalars).
 
-The grad projection, and in 2D the rot projection through ``rot = J grad``,
-reduce to the Gram operator ``L = sum_i D_i^T M D_i``, which the default
-path solves directly by fast diagonalization (``TensorOps.gram_pinv``).  The
-3D curl projection, and every stage when a Krylov solver is named, runs
-LSQR/LSMR on the operator conjugated with the square root of the diagonal
-mass matrix, which turns the Euclidean guarantees of the solvers into
-M-norm guarantees; the zero initial guess fixes the gauge.
+Every projection has a direct default path.  The grad projection, and in 2D
+the rot projection through ``rot = J grad``, reduce to the Gram operator
+``L = sum_i D_i^T M D_i``, solved by fast diagonalization
+(``TensorOps.gram_pinv``).  The 3D curl projection reduces on the coimage of
+curl to one tensor sum of 1D pencils per component, solved the same way
+(``TensorOps.curl_gram_pinv``); its solution is already the least-norm
+potential.  When a Krylov solver is named, every stage runs LSQR/LSMR on
+the operator conjugated with the square root of the diagonal mass matrix,
+which turns the Euclidean guarantees of the solvers into M-norm guarantees;
+the zero initial guess fixes the gauge.
 
 The two projections do not commute, so the order is part of the result.
 """
@@ -101,6 +104,29 @@ def _krylov(ops, apply, apply_t, x_shape, u, solver, atol, btol, max_iter):
     return y.reshape(x_shape) / s, stats
 
 
+@dataclass(frozen=True, eq=False)
+class _Checked:
+    """Vector data that ``TensorOps.vector_data`` has passed.  ``helmholtz``
+    hands each stage its running remainder in this form, so a decomposition
+    checks its input once and still runs its stages through the public
+    functions."""
+
+    data: np.ndarray
+
+
+def _vector_data(ops, u) -> np.ndarray:
+    return u.data if isinstance(u, _Checked) else ops.vector_data(u)
+
+
+def _direct_stats(ops, r, transpose) -> SolveStats:
+    """Stats of a direct stage with residual r, in a Krylov solve's terms:
+    ``||r||_M`` and the normal residual ``||A^T M r||_{M^-1}``."""
+    normal = transpose(ops.mass * r) / ops.mass
+    return SolveStats(iterations=0, final_residual_norm=ops.norm(r),
+                      final_normal_residual_norm=ops.norm(normal),
+                      stop_reason="direct")
+
+
 def project_im_grad(
     ops: TensorOps,
     u,
@@ -118,20 +144,11 @@ def project_im_grad(
     M-orthogonal to every gradient at the solver tolerance.  Any other name
     raises UnknownSolver.
     """
-    u = ops.vector_data(u)
+    u = _vector_data(ops, u)
     if solver is None:
         phi = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
         grad_phi = ops.grad(phi)
-        r = u - grad_phi
-        stats = SolveStats(
-            iterations=0,
-            final_residual_norm=ops.norm(r),
-            # the Krylov normal residual ||grad^T M r||_{M^-1}
-            final_normal_residual_norm=ops.norm(
-                ops.grad_transpose(ops.mass * r) / ops.mass
-            ),
-            stop_reason="direct",
-        )
+        stats = _direct_stats(ops, u - grad_phi, ops.grad_transpose)
         return ops.field(phi), ops.field(grad_phi), stats
 
     phi, stats = _krylov(ops, ops.grad, ops.grad_transpose, ops.shape, u,
@@ -158,19 +175,26 @@ def project_im_curl(
     In 2D, ``rot = J grad`` with the rotation ``J(a, b) = (b, -a)``, which
     commutes with M, so the projection is ``J P_grad J^T`` and ``v`` is the
     grad potential of ``J^T u``, solved as ``project_im_grad`` solves it.
-    In 3D the curl projection runs the Krylov solver, LSQR when ``solver``
-    is None.
+    In 3D, with ``solver=None``, ``v`` solves ``curl^T M curl v = curl^T M u``
+    directly by ``TensorOps.curl_gram_pinv``, which returns the coimage
+    solution; ``"lsqr"``/``"lsmr"`` run the Krylov reference instead.
     """
-    u = ops.vector_data(u)
+    u = _vector_data(ops, u)
     if ops.dim == 2:
-        v, grad_v, stats = project_im_grad(ops, np.stack([-u[1], u[0]]),
-                                           solver, atol=atol, btol=btol,
-                                           max_iter=max_iter)
+        v, grad_v, stats = project_im_grad(
+            ops, _Checked(np.stack([-u[1], u[0]])), solver, atol=atol,
+            btol=btol, max_iter=max_iter)
         g = grad_v.data
         return v, ops.field(np.stack([g[1], -g[0]])), stats  # J grad v = rot v
 
+    if solver is None:
+        v = ops.curl_gram_pinv(ops.curl_transpose(ops.mass * u))
+        sol = ops.curl(v)
+        return (ops.field(v), ops.field(sol),
+                _direct_stats(ops, u - sol, ops.curl_transpose))
+
     v, stats = _krylov(ops, ops.curl, ops.curl_transpose, u.shape, u,
-                       solver or "lsqr", atol, btol, max_iter)
+                       solver, atol, btol, max_iter)
     return ops.field(v), ops.field(ops.curl(v)), stats
 
 
@@ -189,12 +213,12 @@ def helmholtz(
     final remainder is obtained by subtraction, so additivity is exact.
     Orthogonality of the remainder to both images holds at the solver
     tolerance and is reported in the diagnostics rather than enforced.
-    ``solver=None`` solves every stage that reduces to the Gram operator
-    directly; ``diagnostics["solver_stats"]`` records, per stage, whether it
-    ran directly (``stop_reason == "direct"``) or how its Krylov solve ended.
-    ``atol``, ``btol`` and ``max_iter`` govern the Krylov stages only: with
-    ``solver=None`` that is the 3D curl stage, and a 2D decomposition is
-    exact to roundoff whatever tolerance is passed.
+    ``solver=None`` solves every stage directly, and
+    ``diagnostics["solver_stats"]`` records, per stage, whether it ran
+    directly (``stop_reason == "direct"``) or how its Krylov solve ended.
+    ``atol``, ``btol`` and ``max_iter`` govern a named Krylov solver only:
+    the default decomposition, 2D or 3D, is exact to roundoff whatever
+    tolerance is passed.  The input is checked once, here.
     """
     order = ProjectionOrder.parse(order)
     u_arr = ops.vector_data(u)
@@ -205,7 +229,7 @@ def helmholtz(
     # each stage projects what the stages before it left over
     remainder, results, orthogonality = u_arr, {}, []
     for name in stages:
-        results[name] = project[name](ops, ops.field(remainder), **kwargs)
+        results[name] = project[name](ops, _Checked(remainder), **kwargs)
         part = results[name][1].data
         remainder = remainder - part
         orthogonality.append(ops.inner(remainder, part))

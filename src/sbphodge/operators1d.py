@@ -8,12 +8,12 @@ product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
 construction: the identity residual, the polynomial accuracy of all rows and
 nullspace consistency are checked, so a corrupted coefficient cannot construct
 silently.  An operator holds only this defining data; what is derived from it
-(the band and corner parts of D^T, the grid oscillation and the eigenbasis of
-the Gram pencil) is a ``cached_property``, built on first use, so a copy made
-by ``dataclasses.replace`` never carries stale derived state.  The grid
+(the band and corner parts of D^T, the grid oscillation and the eigenbases of
+the Gram pencil and its dual) is a ``cached_property``, built on first use,
+so a copy made by ``dataclasses.replace`` never carries stale derived state.  The grid
 oscillation (the kernel of D*) and the discrete integral are banded LU solves
 on the entries of D, O(n) in time and memory; ``dense()`` serves only the
-eigenbasis and verification.
+eigenbases and verification.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ class SbpOperator1D:
         """The unit-M-norm basis vector of ker D* (``grid_oscillation_1d``)."""
         return grid_oscillation_1d(self)
 
-    # -- eigenbasis of the 1D Gram pencil ----------------------------------
+    # -- eigenbases of the 1D Gram pencil and its dual -----------------
 
     @cached_property
     def eigenbasis(self) -> tuple:
@@ -238,6 +238,23 @@ class SbpOperator1D:
         gram = d.T @ (self.mass_weights[:, None] * d)
         lam, q = np.linalg.eigh(w[:, None] * gram * w)
         return lam, w[:, None] * q
+
+    @cached_property
+    def dual_eigenbasis(self) -> tuple:
+        """Generalized eigenpairs ``(mu, R)`` of the pencil
+        (M D M^-1 D^T M, M), the dual of the Gram pencil (D D* against D* D).
+
+        ``M D M^-1 D^T M R = M R diag(mu)`` and ``R^T M R = I``, with ``mu``
+        ascending; ``mu[0]`` belongs to ``grid_oscillation``, the kernel of
+        D*.  Built on first use, as ``eigenbasis`` is: a dense symmetric
+        ``eigh`` of ``C C^T`` with ``C = M^1/2 D M^-1/2``, whose eigenvectors
+        scaled by ``M^-1/2`` are R.  (R is not derived from ``eigenbasis``
+        as ``D S lam^-1/2``: that loses M-orthonormality as n grows.)
+        """
+        w = np.sqrt(self.mass_weights)
+        c = w[:, None] * self.dense() / w
+        mu, q = np.linalg.eigh(c @ c.T)
+        return mu, q / w[:, None]
 
 
 def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOperator1D:

@@ -143,7 +143,11 @@ def _derivative_scale(ops: TensorOps) -> float:
 
 
 def check_potential_conditions(ops: TensorOps, u) -> PotentialConditions:
-    u = ops.vector_data(u)
+    return _conditions(ops, ops.vector_data(u))
+
+
+def _conditions(ops: TensorOps, u: np.ndarray) -> PotentialConditions:
+    """``check_potential_conditions`` of checked vector data."""
     unorm = ops.norm(u)
     curl_norm = ops.norm(ops.curl(u))
     rel_curl = curl_norm / (_derivative_scale(ops) * unorm) if unorm > 0 else 0.0
@@ -174,7 +178,7 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     lower-left domain corner.
     """
     u = ops.vector_data(u)
-    cond = check_potential_conditions(ops, ops.field(u))
+    cond = _conditions(ops, u)
     failed = []
     if cond.curl_residual > tol:
         failed.append(f"curl residual {cond.curl_residual:.3e}")

@@ -244,29 +244,41 @@ class TensorOps:
         vol = float(np.sum(self.mass))
         return f - float(np.sum(self.mass * f)) / vol
 
-    # -- the Gram operator L = sum_i D_i^T M D_i ----------------------------
+    # -- the Gram operators of grad and curl ---------------------------------
 
     def gram_pinv(self, b) -> np.ndarray:
         """The M-mean-zero solution phi of ``L phi = b``, for b orthogonal
         to the constants.
 
-        L is the tensor sum of the 1D pencils (D^T M D, M), so it is
-        diagonalized by the per-axis eigenbases (fast diagonalization):
-        ``S^T`` along every axis, division by the summed eigenvalues, ``S``
-        along every axis.  The single zero mode, the constants, is set to 0.
+        ``L = sum_i D_i^T M D_i`` is the tensor sum of the 1D pencils
+        (D^T M D, M), so it is diagonalized by the per-axis ``eigenbasis``
+        (fast diagonalization, ``_fdm_pinv``).  Its single zero mode is the
+        constants.
         """
         b = self.field_data(b, "scalar")
-        pairs = [op.eigenbasis for op in self.axis_ops]
-        for i, (_, s) in enumerate(pairs):
-            b = _transform(s.T, b, i)
-        lam = _outer([ev for ev, _ in pairs], np.add)
-        zero_mode = (0,) * self.dim
-        lam[zero_mode] = 1.0
-        b = b / lam
-        b[zero_mode] = 0.0
-        for i, (_, s) in enumerate(pairs):
-            b = _transform(s, b, i)
-        return b
+        return _fdm_pinv([op.eigenbasis for op in self.axis_ops], b)
+
+    def curl_gram_pinv(self, b) -> np.ndarray:
+        """The least-M-norm solution v of ``curl^T M curl v = b`` (3D), for
+        b in the image of curl^T.
+
+        D_i and D_j^T act on different axes, so they commute, and
+        ``curl^T M curl + M grad M^-1 grad^T M`` is block diagonal: its
+        component c is the tensor sum of the pencil (M D M^-1 D^T M, M)
+        along axis c and (D^T M D, M) along the others.  The added term
+        vanishes on the coimage of curl, which is M-orthogonal to im grad,
+        and the sum keeps the coimage invariant (conjugated with M^1/2), so
+        its pseudo-inverse, one fast diagonalization per component with
+        ``dual_eigenbasis`` along axis c, returns the coimage solution.  The
+        zero mode of component c is ``osc_(c,) e_c``, which lies in ker curl.
+        """
+        if self.dim != 3:
+            raise WrongDimension("the curl Gram operator acts in 3D only")
+        b = self.field_data(b, "vector")
+        return np.stack([
+            _fdm_pinv([op.dual_eigenbasis if j == c else op.eigenbasis
+                       for j, op in enumerate(self.axis_ops)], b[c])
+            for c in range(3)])
 
     # -- boundary operator ----------------------------------------------------
 
@@ -314,6 +326,27 @@ def _outer(parts, ufunc=np.multiply) -> np.ndarray:
 def _transform(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
     """Apply the matrix ``mat`` along axis i of ``u``."""
     return np.moveaxis(np.tensordot(mat, u, axes=(1, i)), 0, i)
+
+
+def _fdm_pinv(pairs, b: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the tensor sum of 1D pencils (A_i, W_i), applied to
+    b by fast diagonalization (Lynch, Rice & Thomas 1964).
+
+    ``pairs`` holds one ``(eigenvalues, basis)`` per axis, the basis
+    W_i-orthonormal, with one zero eigenvalue first: ``basis^T`` along every
+    axis, division by the summed eigenvalues, ``basis`` along every axis.
+    The single zero mode, (0, ..., 0), is set to 0.
+    """
+    for i, (_, s) in enumerate(pairs):
+        b = _transform(s.T, b, i)
+    lam = _outer([ev for ev, _ in pairs], np.add)
+    zero_mode = (0,) * b.ndim
+    lam[zero_mode] = 1.0
+    b = b / lam
+    b[zero_mode] = 0.0
+    for i, (_, s) in enumerate(pairs):
+        b = _transform(s, b, i)
+    return b
 
 
 def build_tensor_ops(order: int, grids) -> TensorOps:

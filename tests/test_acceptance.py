@@ -242,6 +242,35 @@ def test_criterion_11_convergence_3d():
     assert report(11, ok, ", ".join(notes) + f", {elapsed:.0f}s")
 
 
+def test_criterion_11_convergence_3d_orders_6_8():
+    """Criterion 11's rule, ``EOC >= p + 0.6`` with ``p = order/2``, at the
+    higher orders, on the direct default path.
+
+    The sizes lie past the pre-asymptotic range: at order 6, n=17-41 gives a
+    ``u_sol`` EOC of 3.55, below the rule's 3.6 (pairwise 3.36/3.65/3.77).
+    On n=33-65 the order-6 pairwise ``u_sol`` EOCs are 3.77/3.84/3.88/3.90,
+    still rising slightly, for a least-squares 3.84; ``u_irr`` is 4.25.  At
+    order 8, n=25-49 gives ``u_sol`` 5.98 and ``u_irr`` 5.18.
+    """
+    t0 = time.perf_counter()
+    ok = True
+    notes = []
+    for order, sizes in ((6, (33, 41, 49, 57, 65)), (8, (25, 33, 41, 49))):
+        result = convergence_study(
+            ExperimentConfig(order=order, sizes=sizes, dim=3))
+        eoc = result["eoc_summary"]
+        p = order // 2
+        for q in ("u_irr", "u_sol"):
+            good = eoc[q] >= p + 0.6
+            ok &= good
+            notes.append(f"o{order}.{q}={eoc[q]:.2f}{'' if good else '!'}")
+        ok &= all(st["stop_reason"] == "direct"
+                  for stages in result["solver_stats"].values()
+                  for st in stages.values())
+    elapsed = time.perf_counter() - t0
+    assert report(11, ok, ", ".join(notes) + f", {elapsed:.0f}s")
+
+
 def test_criterion_12_mhd_wave_modes():
     """Faithful transcription of the stated thresholds.
 

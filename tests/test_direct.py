@@ -8,11 +8,17 @@ from sbphodge.errors import (
     DimensionMismatch,
     NonFiniteEncountered,
     UnknownSolver,
+    WrongDimension,
 )
+from sbphodge.experiments import ExperimentConfig, _curl_coimage_part
+from sbphodge.grid import Grid1D
 from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
 from sbphodge.krylov import LinearMap, lsmr
-from sbphodge.potentials import harmonic_neumann_potential
-from sbphodge.tensor import square_tensor_ops
+from sbphodge.potentials import (
+    harmonic_neumann_potential,
+    scalar_potential_integral,
+)
+from sbphodge.tensor import TensorOps, build_tensor_ops, square_tensor_ops
 
 KRYLOV = ("lsqr", "lsmr")
 TIGHT = dict(atol=1e-14, btol=1e-14)
@@ -39,11 +45,37 @@ def test_eigenbasis_diagonalizes_gram_pencil(op_1d):
     assert op_1d.eigenbasis is op_1d.eigenbasis
 
 
+def test_dual_eigenbasis_diagonalizes_dual_pencil(op_1d):
+    mu, r = op_1d.dual_eigenbasis
+    d, m = op_1d.dense(), op_1d.mass_weights
+    md = m[:, None] * d
+    pencil = md @ (md.T / m[:, None])  # M D M^-1 D^T M
+    assert np.allclose(r.T @ (m[:, None] * r), np.eye(op_1d.n_nodes),
+                       atol=1e-12)
+    scale = np.max(np.abs(mu))
+    assert np.max(np.abs(pencil @ r - (m[:, None] * r) * mu)) <= 1e-12 * scale
+    # one zero eigenvalue, whose eigenvector is the grid oscillation
+    assert abs(mu[0]) <= 1e-12 * scale and mu[1] > 1e-3
+    osc = op_1d.grid_oscillation
+    assert np.allclose(r[:, 0] * np.sign(r[0, 0]), osc, atol=1e-10)
+    assert op_1d.dual_eigenbasis is op_1d.dual_eigenbasis
+
+
 def test_setup_leaves_eigenbasis_unbuilt():
     ops = square_tensor_ops(6, 33, 2)
     assert all("eigenbasis" not in vars(op) for op in ops.axis_ops)
     project_im_grad(ops, np.ones((2, *ops.shape)))
     assert all("eigenbasis" in vars(op) for op in ops.axis_ops)
+
+
+def test_dual_eigenbasis_is_built_by_the_3d_curl_stage_only(rng):
+    ops = square_tensor_ops(6, 33, 2)
+    helmholtz(ops, rng.standard_normal((2, *ops.shape)))
+    assert all("dual_eigenbasis" not in vars(op) for op in ops.axis_ops)
+    ops3 = square_tensor_ops(2, 7, 3)
+    assert all("dual_eigenbasis" not in vars(op) for op in ops3.axis_ops)
+    project_im_curl(ops3, np.ones((3, *ops3.shape)))
+    assert all("dual_eigenbasis" in vars(op) for op in ops3.axis_ops)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 17), (3, 9)])
@@ -54,6 +86,18 @@ def test_gram_pinv_solves_gram_system(dim, n, rng):
     phi = ops.gram_pinv(b)
     assert rel(ops, phi, f) <= 1e-10
     assert abs(ops.inner(phi, np.ones(ops.shape))) <= 1e-12 * ops.norm(f)
+
+
+def test_curl_gram_pinv_solves_curl_gram_system(rng):
+    ops = build_tensor_ops(4, [Grid1D(-1, 1, 9), Grid1D(0, 2, 10),
+                               Grid1D(-1, 3, 11)])
+    w = rng.standard_normal((3, *ops.shape))
+    v = ops.curl_gram_pinv(ops.curl_transpose(ops.mass * ops.curl(w)))
+    assert rel(ops, ops.curl(v), ops.curl(w)) <= 1e-10
+    config = ExperimentConfig(order=4, sizes=(9,), dim=3)
+    assert rel(ops, v, _curl_coimage_part(ops, w, config)) <= 1e-10
+    with pytest.raises(WrongDimension):
+        square_tensor_ops(2, 7, 2).curl_gram_pinv(np.zeros((2, 7, 7)))
 
 
 # -- direct against Krylov ------------------------------------------------------
@@ -83,6 +127,54 @@ def test_direct_matches_krylov_3d_grad(order, solver, rng):
     phi_k, grad_phi_k, _ = project_im_grad(ops, u, solver=solver, **TIGHT)
     assert ops.norm(grad_phi.data - grad_phi_k.data) <= 1e-10 * ops.norm(u)
     assert rel(ops, phi.data, phi_k.data) <= 1e-10
+
+
+def _curl_case(case):
+    """3D operators of a curl-stage case: an order on a cube, or the
+    anisotropic grid."""
+    if case == "aniso":
+        return build_tensor_ops(4, [Grid1D(-1, 1, 11), Grid1D(0, 2, 13),
+                                    Grid1D(-1, 3, 15)])
+    return square_tensor_ops(case, {2: 9, 4: 9, 6: 13, 8: 17}[case], 3)
+
+
+CURL_CASES = [2, 4, 6, 8, "aniso"]
+
+
+@pytest.mark.parametrize("solver", KRYLOV)
+@pytest.mark.parametrize("case", CURL_CASES)
+def test_direct_matches_krylov_3d_curl(case, solver, rng):
+    ops = _curl_case(case)
+    u = rng.standard_normal((3, *ops.shape))
+    v, sol, stats = project_im_curl(ops, u)
+    v_k, sol_k, _ = project_im_curl(ops, u, solver=solver, **TIGHT)
+    assert stats.iterations == 0 and stats.stop_reason == "direct"
+    assert ops.norm(sol.data - sol_k.data) <= 1e-10 * ops.norm(u)
+    assert rel(ops, u - sol.data, u - sol_k.data) <= 1e-10
+    assert rel(ops, v.data, v_k.data) <= 1e-10
+    for order in ("grad-first", "curl-first"):
+        dec = helmholtz(ops, u, order=order)
+        ref = helmholtz(ops, u, order=order, solver=solver, **TIGHT)
+        for name in ("phi", "v", "grad_phi", "sol_part", "remainder"):
+            got, want = getattr(dec, name).data, getattr(ref, name).data
+            assert rel(ops, got, want) <= 1e-10, (order, name)
+
+
+@pytest.mark.parametrize("case", CURL_CASES)
+def test_direct_curl_potential_is_least_norm(case, rng):
+    ops = _curl_case(case)
+    order = ops.axis_ops[0].interior_order
+    config = ExperimentConfig(order=order, sizes=(ops.shape[0],), dim=3)
+    v, _, _ = project_im_curl(ops, rng.standard_normal((3, *ops.shape)))
+    v = v.data
+    vn = ops.norm(v)
+    for _ in range(3):
+        g = ops.grad(rng.standard_normal(ops.shape))
+        assert abs(ops.inner(v, g)) <= 1e-12 * vn * ops.norm(g)
+    for i in range(3):
+        assert abs(ops.inner(v[i], ops.oscillations[(i,)])) <= 1e-12 * vn
+    # the closed-form projection onto the coimage leaves v unchanged
+    assert rel(ops, _curl_coimage_part(ops, v, config), v) <= 1e-12
 
 
 def test_neumann_matches_lsmr_reference():
@@ -130,12 +222,37 @@ def test_solver_stats_name_the_engine(rng):
     dec = helmholtz(ops3, rng.standard_normal((3, *ops3.shape)),
                     order="curl-first")
     stats = dec.diagnostics["solver_stats"]
-    assert stats["grad"]["stop_reason"] == "direct"
-    assert stats["curl"]["stop_reason"] in ("residual_tol", "normal_tol")
-    assert stats["curl"]["iterations"] > 0
+    assert {k: (v["stop_reason"], v["iterations"]) for k, v in stats.items()} \
+        == {"grad": ("direct", 0), "curl": ("direct", 0)}
     dec = helmholtz(ops2, rng.standard_normal((2, *ops2.shape)), solver="lsqr")
     assert all(v["iterations"] > 0
                for v in dec.diagnostics["solver_stats"].values())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_each_call_checks_its_input_once(dim, monkeypatch, rng):
+    calls = []
+    check = TensorOps.vector_data
+
+    def counted(self, u):
+        calls.append(1)
+        return check(self, u)
+
+    monkeypatch.setattr(TensorOps, "vector_data", counted)
+    ops = square_tensor_ops(2, 7, dim)
+    u = rng.standard_normal((dim, *ops.shape))
+    for order in ("grad-first", "curl-first"):
+        for solver in (None,) + KRYLOV:
+            calls.clear()
+            helmholtz(ops, ops.field(u), order=order, solver=solver)
+            assert len(calls) == 1, (order, solver)
+    for stage in (project_im_grad, project_im_curl):
+        calls.clear()
+        stage(ops, u)
+        assert len(calls) == 1
+    calls.clear()
+    scalar_potential_integral(ops, ops.grad(ops.meshgrid()[0] ** 2))
+    assert len(calls) == 1
 
 
 # -- typed errors -----------------------------------------------------------------

@@ -24,7 +24,7 @@ from sbphodge.experiments import (
     verify_theorems,
 )
 from sbphodge.fieldio import read_field_csv
-from sbphodge.hodge import helmholtz, project_im_curl
+from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
 from sbphodge.tensor import square_tensor_ops
 
 
@@ -229,10 +229,11 @@ def test_convergence_study_minimal_3d():
                          "v_gauged"}
     assert errs["v_gauged"] <= errs["v_raw"] * (1 + 1e-9)
     assert result["eoc_summary"]["u_irr"] > 1.0
-    # the library default: a direct grad stage and an LSQR curl stage
+    # the library default: both stages direct
     for stats in result["solver_stats"].values():
-        assert stats["grad"]["stop_reason"] == "direct"
-        assert stats["curl"]["iterations"] > 0
+        for stage in ("grad", "curl"):
+            assert stats[stage]["stop_reason"] == "direct"
+            assert stats[stage]["iterations"] == 0
 
 
 @pytest.mark.parametrize("order,n,solver", [(2, 9, None), (4, 9, "lsqr"),
@@ -330,13 +331,17 @@ def test_cli_verify_theorems_exit_codes(tmp_path, monkeypatch):
 def test_warn_max_iter_names_stalled_stages(capsys):
     ops = square_tensor_ops(2, 7, 3)
     u = np.random.default_rng(5).standard_normal((3, *ops.shape))
-    dec = helmholtz(ops, u, order="curl-first", max_iter=3)
+    # only Krylov stages can stall; u M-orthogonal to im grad lets the LSQR
+    # grad stage converge at once while the LSQR curl stage stalls
+    u = u - project_im_grad(ops, u)[1].data
+    dec = helmholtz(ops, u, order="grad-first", solver="lsqr", max_iter=3)
     stats = dec.diagnostics["solver_stats"]
     assert stats["curl"]["stop_reason"] == "max_iter"
+    assert stats["grad"]["stop_reason"] != "max_iter"
     assert warn_max_iter("mhd", stats) == 1
     err = capsys.readouterr().err
     assert "mhd: curl stage stopped on max_iter after 3 iterations" in err
-    assert "grad stage" not in err  # the direct grad stage cannot stall
+    assert "grad stage" not in err
     done = helmholtz(ops, u, order="curl-first").diagnostics["solver_stats"]
     assert warn_max_iter("mhd", done) == 0
     assert capsys.readouterr().err == ""
