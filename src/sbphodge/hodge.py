@@ -2,10 +2,12 @@
 
 A vector field splits as ``u = grad(phi) + sol + r`` where ``sol`` is the
 rotation of a scalar potential in 2D or the curl of a vector potential in 3D,
-and the remainder ``r`` is M-orthogonal to both images but in general nonzero
-on collocated grids.  Each projection is a least-norm least-squares problem,
-and potentials are the minimum-M-norm representatives (mean-zero for
-scalars).
+and the remainder ``r`` is in general nonzero on collocated grids.  ``r`` is
+M-orthogonal to the image of the second projection only: the second stage
+projects what the first left over, and its part is not M-orthogonal to the
+first image, so ``r`` keeps a component in it.  Each projection is a
+least-norm least-squares problem, and potentials are the minimum-M-norm
+representatives (mean-zero for scalars).
 
 Every projection has a direct default path.  The grad projection, and in 2D
 the rot projection through ``rot = J grad``, reduce to the Gram operator
@@ -144,7 +146,14 @@ def project_im_grad(
     M-orthogonal to every gradient at the solver tolerance.  Any other name
     raises UnknownSolver.
     """
-    u = _vector_data(ops, u)
+    return _grad_projection(ops, _vector_data(ops, u), solver, atol, btol,
+                            max_iter)
+
+
+def _grad_projection(ops, u, solver, atol, btol, max_iter):
+    """``project_im_grad`` of checked vector data: the grad stage, and the
+    2D rot stage through ``rot = J grad``, so that each public stage
+    function runs once per stage."""
     if solver is None:
         phi = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
         grad_phi = ops.grad(phi)
@@ -174,16 +183,15 @@ def project_im_curl(
 
     In 2D, ``rot = J grad`` with the rotation ``J(a, b) = (b, -a)``, which
     commutes with M, so the projection is ``J P_grad J^T`` and ``v`` is the
-    grad potential of ``J^T u``, solved as ``project_im_grad`` solves it.
+    grad potential of ``J^T u``, solved by the grad stage's own core.
     In 3D, with ``solver=None``, ``v`` solves ``curl^T M curl v = curl^T M u``
     directly by ``TensorOps.curl_gram_pinv``, which returns the coimage
     solution; ``"lsqr"``/``"lsmr"`` run the Krylov reference instead.
     """
     u = _vector_data(ops, u)
     if ops.dim == 2:
-        v, grad_v, stats = project_im_grad(
-            ops, _Checked(np.stack([-u[1], u[0]])), solver, atol=atol,
-            btol=btol, max_iter=max_iter)
+        v, grad_v, stats = _grad_projection(
+            ops, np.stack([-u[1], u[0]]), solver, atol, btol, max_iter)
         g = grad_v.data
         return v, ops.field(np.stack([g[1], -g[0]])), stats  # J grad v = rot v
 
@@ -211,8 +219,11 @@ def helmholtz(
 
     The second projection acts on the running remainder of the first; the
     final remainder is obtained by subtraction, so additivity is exact.
-    Orthogonality of the remainder to both images holds at the solver
-    tolerance and is reported in the diagnostics rather than enforced.
+    The remainder is M-orthogonal to the second image, at the solver
+    tolerance, but not to the first: the second stage's part is not
+    M-orthogonal to the first image, so the remainder keeps a component
+    there.  The diagnostics report both inner products rather than enforce
+    either.
     ``solver=None`` solves every stage directly, and
     ``diagnostics["solver_stats"]`` records, per stage, whether it ran
     directly (``stop_reason == "direct"``) or how its Krylov solve ended.

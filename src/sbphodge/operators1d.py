@@ -8,12 +8,14 @@ product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
 construction: the identity residual, the polynomial accuracy of all rows and
 nullspace consistency are checked, so a corrupted coefficient cannot construct
 silently.  An operator holds only this defining data; what is derived from it
-(the band and corner parts of D^T, the grid oscillation and the eigenbases of
-the Gram pencil and its dual) is a ``cached_property``, built on first use,
-so a copy made by ``dataclasses.replace`` never carries stale derived state.  The grid
-oscillation (the kernel of D*) and the discrete integral are banded LU solves
-on the entries of D, O(n) in time and memory; ``dense()`` serves only the
-eigenbases and verification.
+(the stacked closure blocks, the band and corner parts of D^T, the grid
+oscillation and the eigenbases of the Gram pencil and its dual) is a
+``cached_property``, built on first use, so a copy made by
+``dataclasses.replace`` never carries stale derived state.  The sweeps
+``apply_d`` and ``apply_d_transpose`` take a numpy-style ``out=`` and
+accumulate their terms in place in it.  The grid oscillation (the kernel of
+D*) and the discrete integral are banded LU solves on the entries of D, O(n)
+in time and memory; ``dense()`` serves only the eigenbases and verification.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatch,
     GridTooSmall,
+    KindMismatch,
     NotInImage,
     NullspaceDimensionUnexpected,
 )
@@ -83,38 +86,69 @@ class SbpOperator1D:
                 f"expected leading axis {self.n_nodes}, got shape {u.shape}")
         return u
 
-    def apply_d(self, u: np.ndarray) -> np.ndarray:
-        """Apply D along the first axis of ``u``.
+    def _operands(self, u, out) -> tuple:
+        """``(u, out)`` for a sweep: u checked by ``_leading``, and ``out`` a
+        new array, or the given float64 array of u's shape (else
+        KindMismatch or DimensionMismatch).  A slot that overlaps u gets a
+        copy of u, so the sweep reads the input as numpy's ufuncs do."""
+        u = self._leading(u)
+        if out is None:
+            return u, np.empty_like(u)
+        if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+            raise KindMismatch("output slot is not a float64 array")
+        if out.shape != u.shape:
+            raise DimensionMismatch(
+                f"output of shape {out.shape} for input of shape {u.shape}")
+        return (u.copy() if np.may_share_memory(u, out) else u), out
 
-        Accumulates products in increasing column order, which reproduces a
-        naive dense row-by-row multiplication bit for bit.
+    def apply_d(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply D along the first axis of ``u``, into ``out`` if given.
+
+        Every row is accumulated in increasing column order (``_band`` for
+        the interior rows), which reproduces a naive dense row-by-row
+        multiplication bit for bit.
         """
-        u, n = self._leading(u), self.n_nodes
-        b = self.n_closure_rows
-        w = self.halfwidth
-        wt = self.boundary_block.shape[1]
-        out = np.empty_like(u)
-        trailing = (1,) * (u.ndim - 1)
-
-        s = self.interior_stencil
+        u, out = self._operands(u, out)
+        n, (b, wt) = self.n_nodes, self.boundary_block.shape
         if n > 2 * b:
-            core = s[0] * u[b - w : n - b - w]
-            for k in range(1, 2 * w + 1):
-                core = core + s[k] * u[b - w + k : n - b - w + k]
-            out[b : n - b] = core
-
-        top = self.boundary_block
-        acc = top[:, 0].reshape(-1, *trailing) * u[0]
+            self._band(self.interior_stencil, b, u, out)
+        # the top and bottom closure rows at once, written after the interior
+        # ones (see _band)
+        blocks = self._closure_blocks.reshape(2, b, wt, *(1,) * (u.ndim - 1))
+        ends = np.stack([u[:wt], u[n - wt :]])[:, None]
+        acc = blocks[:, :, 0] * ends[:, :, 0]
         for j in range(1, wt):
-            acc = acc + top[:, j].reshape(-1, *trailing) * u[j]
-        out[:b] = acc
-
-        bot = -top[::-1, ::-1]
-        acc = bot[:, 0].reshape(-1, *trailing) * u[n - wt]
-        for j in range(1, wt):
-            acc = acc + bot[:, j].reshape(-1, *trailing) * u[n - wt + j]
-        out[n - b :] = acc
+            acc = acc + blocks[:, :, j] * ends[:, :, j]
+        out[:b], out[n - b :] = acc
         return out
+
+    def _band(self, stencil, lo: int, u: np.ndarray, out: np.ndarray) -> None:
+        """``out[lo:n-lo] = sum_k stencil[k] * u[lo-w+k : n-lo-w+k]``.
+
+        The terms accumulate in place in ``out``, through one scratch
+        buffer, in increasing k; terms with a zero coefficient are skipped.
+        When axis 0 is the unit-stride axis of both arrays (F-contiguous),
+        the sweep runs along their memory as one line, in a few long passes
+        instead of one short pass per line.  The entries it writes between
+        two lines fall in rows below ``lo`` or from ``n - lo`` on, which the
+        caller writes afterwards.
+        """
+        if u.flags.f_contiguous and out.flags.f_contiguous:
+            u, out = u.ravel("F"), out.ravel("F")
+        m, w = len(u), self.halfwidth
+        core = out[lo : m - lo]
+        scratch = np.empty_like(core)
+        np.multiply(stencil[0], u[lo - w : m - lo - w], out=core)
+        for k in range(1, 2 * w + 1):
+            if stencil[k] != 0.0:
+                core += np.multiply(stencil[k], u[lo - w + k : m - lo - w + k],
+                                    out=scratch)
+
+    @cached_property
+    def _closure_blocks(self) -> np.ndarray:
+        """The top closure block and the bottom one (its 180-degree rotated
+        negation), stacked."""
+        return np.stack([self.boundary_block, -self.boundary_block[::-1, ::-1]])
 
     @cached_property
     def _transpose_parts(self) -> tuple:
@@ -124,23 +158,28 @@ class SbpOperator1D:
         band = np.where((k >= 0) & (k < len(s)), s[np.clip(k, 0, len(s) - 1)], 0.0)
         return s[::-1], self.boundary_block - band
 
-    def apply_d_transpose(self, u: np.ndarray) -> np.ndarray:
-        """Apply D^T along the first axis of ``u``."""
-        u, n = self._leading(u), self.n_nodes
+    def apply_d_transpose(self, u: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """Apply D^T along the first axis of ``u``, into ``out`` if given.
+
+        Row i sums its band terms in increasing k from zero (``_band`` for
+        the rows the whole band reaches), then adds its corner correction.
+        """
+        u, out = self._operands(u, out)
+        n, w = self.n_nodes, self.halfwidth
         band_rev, corr = self._transpose_parts
         b, wt = corr.shape
-        w = self.halfwidth
-        out = np.zeros_like(u)
-        # transposed interior band, truncated at both ends
-        for k in range(2 * w + 1):
-            m = k - w
-            c = band_rev[k]
-            if c == 0.0:
-                continue
-            if m >= 0:
-                out[: n - m] += c * u[m:]
-            else:
-                out[-m:] += c * u[: n + m]
+        self._band(band_rev, w, u, out)
+        # the first and last w rows, where the band is truncated: the band
+        # over the end slabs of u, padded with w zero rows, whose terms add
+        # zeros, as the missing terms would
+        slabs = np.zeros((2, 3 * w, *u.shape[1:]))
+        slabs[0, w:], slabs[1, : 2 * w] = u[: 2 * w], u[n - 2 * w :]
+        acc = np.zeros((2, w, *u.shape[1:]))
+        for k, c in enumerate(band_rev):
+            if c != 0.0:
+                acc += c * slabs[:, k : k + w]
+        out[:w], out[n - w :] = acc
         # corner corrections: closure rows minus what the full band put there
         out[:wt] += np.tensordot(corr, u[:b], axes=(0, 0))
         out[n - wt :] += np.tensordot(-corr[::-1, ::-1], u[n - b :], axes=(0, 0))

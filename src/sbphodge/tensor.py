@@ -4,18 +4,23 @@ The 1D operators act along one axis of a field stored in row-major order with
 the first coordinate outermost, matching the Kronecker convention
 ``D_1 = D_x (x) I_y (x) ...``.  An application of ``D_i`` is therefore a
 strided sweep of the 1D stencil along axis i; no tensor-product matrix is ever
-materialized.  The mass matrix is the tensor product of the 1D diagonal
-weights; vector fields use one copy of it per component.  ``TensorOps`` holds
-only its per-axis operators: the full mass diagonal and the oscillation
-fields are cached on first use.  Each transpose is its forward operator with
-``D_i^T`` in place of ``D_i``: ``grad^T`` is ``div``, and ``curl^T`` is
-``-curl`` in 3D and ``-rot`` in 2D.
+materialized.  The sweeps write in place: each one accumulates its terms in
+its row of a preallocated result, and along the unit-stride axis it runs
+along memory as one line.  The mass matrix is the tensor product of the 1D
+diagonal weights; vector fields use one copy of it per component, and inner
+products contract the weights axis by axis.  ``TensorOps`` holds only its
+per-axis operators: the full mass diagonal, the per-axis mode factors and
+the oscillation fields are cached on first use.  Every oscillation field is
+a tensor product of the per-axis factors, the unit constant and the unit
+oscillation, so the oscillation filter is one separable projection.  Each
+transpose is its forward operator with ``D_i^T`` in place of ``D_i``:
+``grad^T`` is ``div``, and ``curl^T`` is ``-curl`` in 3D and ``-rot`` in 2D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -90,18 +95,25 @@ class TensorOps:
         return _outer([op.mass_weights for op in self.axis_ops])
 
     @cached_property
+    def _mode_factors(self) -> tuple:
+        """Per axis, the (n, 2) factor of the two unit-M-norm 1D modes: the
+        constant and ``grid_oscillation``.  They are M-orthogonal, since
+        ``D x = 1`` puts the constants in im D, which is M-orthogonal to
+        ker D*; so their 2^d tensor products are M-orthonormal."""
+        return tuple(
+            np.column_stack([np.full(op.n_nodes, op.mass_weights.sum() ** -0.5),
+                             op.grid_oscillation])
+            for op in self.axis_ops)
+
+    @cached_property
     def oscillations(self) -> dict:
         """Index tuple -> unit-M-norm oscillation field: the 1D grid
-        oscillation along the indexed axes, constant along the others."""
+        oscillation along the indexed axes, constant along the others (the
+        tensor product of the ``_mode_factors`` columns)."""
         d = self.dim
-        out = {}
-        for r in range(1, d + 1):
-            for key in combinations(range(d), r):
-                field = _outer([op.grid_oscillation if j in key
-                                else np.ones(op.n_nodes)
-                                for j, op in enumerate(self.axis_ops)])
-                out[key] = field / np.sqrt(np.sum(self.mass * field * field))
-        return out
+        return {key: _outer([f[:, int(j in key)]
+                             for j, f in enumerate(self._mode_factors)])
+                for r in range(1, d + 1) for key in combinations(range(d), r)}
 
     @property
     def dim(self) -> int:
@@ -163,11 +175,21 @@ class TensorOps:
             raise NonFiniteEncountered("vector field contains NaN or Inf")
         return u
 
-    def _along(self, i: int, u: np.ndarray, name: str) -> np.ndarray:
+    def _along(self, i: int, u: np.ndarray, name: str,
+               out: np.ndarray | None = None) -> np.ndarray:
         """The 1D operator method ``name`` applied along axis i of a checked
-        scalar array (``apply_d`` for D_i, ``apply_d_transpose`` for D_i^T)."""
-        moved = np.moveaxis(u, i, 0)
-        return np.moveaxis(getattr(self.axis_ops[i], name)(moved), 0, i)
+        scalar array (``apply_d`` for D_i, ``apply_d_transpose`` for D_i^T),
+        written into the C-contiguous scalar slot ``out``, or a new array;
+        returns it.  Both arrays are seen as ``(N_i, before, after)``, which
+        is F-contiguous for the last axis, so its sweeps run along memory."""
+        out = np.empty(self.shape) if out is None else out
+        pre = int(np.prod(self.shape[:i]))
+
+        def lines(a):
+            return a.reshape(pre, self.shape[i], -1).transpose(1, 0, 2)
+
+        getattr(self.axis_ops[i], name)(lines(u), out=lines(out))
+        return out
 
     def apply_axis(self, i: int, u) -> np.ndarray:
         """D_i u for a scalar field (0-based axis index)."""
@@ -181,11 +203,16 @@ class TensorOps:
     # Each public method checks its field once; the private forms take
     # checked arrays and the 1D method name.  The transposes call them, not
     # the public forward methods, so a wrapper around a public method (a
-    # profiler's, say) sees only that method's own calls.
+    # profiler's, say) sees only that method's own calls.  Every sweep writes
+    # into its row of the preallocated result, or into one scratch field
+    # that is then added to it.
 
     def grad(self, f) -> np.ndarray:
         f = self.field_data(f, "scalar")
-        return np.stack([self._along(i, f, "apply_d") for i in range(self.dim)])
+        out = np.empty((self.dim, *self.shape))
+        for i in range(self.dim):
+            self._along(i, f, "apply_d", out[i])
+        return out
 
     def div(self, u) -> np.ndarray:
         return self._div(self.field_data(u, "vector"), "apply_d")
@@ -211,29 +238,49 @@ class TensorOps:
         return np.negative(out, out=out)
 
     def _div(self, u: np.ndarray, name: str) -> np.ndarray:
-        out = self._along(0, u[0], name)
+        out, term = self._along(0, u[0], name), np.empty(self.shape)
         for i in range(1, self.dim):
-            out = out + self._along(i, u[i], name)
+            out += self._along(i, u[i], name, term)
         return out
 
     def _curl(self, u: np.ndarray, name: str) -> np.ndarray:
-        d = partial(self._along, name=name)
-        if self.dim == 2:
-            return d(0, u[1]) - d(1, u[0])
-        return np.stack([d(1, u[2]) - d(2, u[1]),
-                         d(2, u[0]) - d(0, u[2]),
-                         d(0, u[1]) - d(1, u[0])])
+        """Component c is ``D_a u_b - D_b u_a`` with ``(a, b) = (c+1, c+2)``
+        mod 3; the 2D curl is the scalar component c = 2."""
+        planar = self.dim == 2
+        out = np.empty(self.shape if planar else (3, *self.shape))
+        term = np.empty(self.shape)
+        for c in (2,) if planar else range(3):
+            a, b = (c + 1) % 3, (c + 2) % 3
+            row = out if planar else out[c]
+            self._along(a, u[b], name, row)
+            row -= self._along(b, u[a], name, term)
+        return out
 
     def _rot(self, v: np.ndarray, name: str) -> np.ndarray:
-        return np.stack([self._along(1, v, name), -self._along(0, v, name)])
+        out = np.empty((2, *self.shape))
+        self._along(1, v, name, out[0])
+        np.negative(self._along(0, v, name, out[1]), out=out[1])
+        return out
 
     # -- inner products ------------------------------------------------------
 
     def inner(self, a, b) -> float:
-        """<a, b>_M of two fields of one kind."""
+        """<a, b>_M of two fields of one kind.
+
+        The separable weights are contracted axis by axis: one pass sums
+        ``a * b`` over the components and the last axis, weighted along it,
+        and the other axes' weights reduce the rest, so no full-size
+        product is formed.
+        """
         a = self.field_data(a)
         b = self.field_data(b, "scalar" if a.ndim == self.dim else "vector")
-        return float(np.vdot(self.mass * a, b))  # mass broadcasts over components
+        axes = "ijk"[: self.dim]
+        full = "c" * (a.ndim - self.dim) + axes
+        w = [op.mass_weights for op in self.axis_ops]
+        out = np.einsum(f"{full},{full},{axes[-1]}->{axes[:-1]}", a, b, w[-1])
+        for wj in reversed(w[:-1]):
+            out = out @ wj
+        return float(out)
 
     def norm(self, a) -> float:
         return float(np.sqrt(self.inner(a, a)))
@@ -304,16 +351,33 @@ class TensorOps:
 
     def filter_vector(self, u, extended: bool = False) -> np.ndarray:
         """``filter_scalar`` on every component."""
-        return np.stack([self._filter(c, extended)
-                         for c in self.field_data(u, "vector")])
+        return self._filter(self.field_data(u, "vector"), extended)
 
     def _filter(self, u: np.ndarray, extended: bool) -> np.ndarray:
-        out = u
-        for key, osc in self.oscillations.items():
-            if not extended and len(key) != 1:
-                continue
-            out = out - self.inner(osc, out) * osc
-        return out
+        """u minus its M-orthogonal projection onto the oscillation modes;
+        leading axes of u beyond the grid's are a batch.
+
+        The modes are M-orthonormal tensor products of ``_mode_factors``, so
+        the projection is one separable pass: contract u with the M-weighted
+        factors axis by axis, last axis first, for all 2^d overlaps at once;
+        zero the constant mode, and the modes of several axes unless
+        ``extended``; expand back with the factors, first axis first, so
+        that the last product writes a C-contiguous field; subtract it.
+        """
+        d, shape, factors = self.dim, self.shape, self._mode_factors
+        batch = u.shape[: u.ndim - d]
+        weighted = [op.mass_weights[:, None] * f
+                    for op, f in zip(self.axis_ops, factors)]
+        c = u.reshape(-1, shape[-1]) @ weighted[-1]
+        for j in reversed(range(d - 1)):
+            c = weighted[j].T @ c.reshape(*batch, *shape[: j + 1], -1)
+        # mode m oscillates along the axes of the set bits of m, axis 0 highest
+        count = np.array([bin(m).count("1") for m in range(2**d)])
+        c = c.reshape(*batch, 2**d) * ((count >= 1) if extended else (count == 1))
+        for j in range(d - 1):
+            c = factors[j] @ c.reshape(*batch, *shape[:j], 2, -1)
+        p = (c.reshape(-1, 2) @ factors[-1].T).reshape(u.shape)
+        return np.subtract(u, p, out=p)
 
 
 def _outer(parts, ufunc=np.multiply) -> np.ndarray:

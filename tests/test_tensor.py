@@ -11,6 +11,7 @@ from sbphodge.errors import (
     WrongDimension,
 )
 from sbphodge.grid import Grid1D
+from sbphodge.operators1d import build_operator_1d
 from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
 from sbphodge.potentials import (
     check_potential_conditions,
@@ -455,3 +456,188 @@ def test_misuse_raises_its_typed_error(name):
     call, error = MISUSE[name]
     with pytest.raises(error):
         call()
+
+
+# -- the in-place sweeps against their temporary-per-term formulas -----------
+
+
+def _sweep_d(op, u):
+    """D along axis 0 with a fresh temporary per term, zero terms included:
+    the reference order of the in-place sweep."""
+    n, b, w = op.n_nodes, op.n_closure_rows, op.halfwidth
+    wt = op.boundary_block.shape[1]
+    trailing = (1,) * (u.ndim - 1)
+    out = np.empty_like(u)
+    s = op.interior_stencil
+    core = s[0] * u[b - w : n - b - w]
+    for k in range(1, 2 * w + 1):
+        core = core + s[k] * u[b - w + k : n - b - w + k]
+    out[b : n - b] = core
+    for rows, block, first in ((slice(0, b), op.boundary_block, 0),
+                               (slice(n - b, n), -op.boundary_block[::-1, ::-1],
+                                n - wt)):
+        acc = block[:, 0].reshape(-1, *trailing) * u[first]
+        for j in range(1, wt):
+            acc = acc + block[:, j].reshape(-1, *trailing) * u[first + j]
+        out[rows] = acc
+    return out
+
+
+def _sweep_d_transpose(op, u):
+    """D^T along axis 0: the truncated band summed into zeros, term by
+    term with a fresh temporary, then the corner corrections."""
+    n, w = op.n_nodes, op.halfwidth
+    band_rev, corr = op._transpose_parts
+    b, wt = corr.shape
+    out = np.zeros_like(u)
+    for k in range(2 * w + 1):
+        m, c = k - w, band_rev[k]
+        if c == 0.0:
+            continue
+        if m >= 0:
+            out[: n - m] += c * u[m:]
+        else:
+            out[-m:] += c * u[: n + m]
+    out[:wt] += np.tensordot(corr, u[:b], axes=(0, 0))
+    out[n - wt :] += np.tensordot(-corr[::-1, ::-1], u[n - b :], axes=(0, 0))
+    return out
+
+
+SWEEP_GRIDS = {
+    "2d": (6, [Grid1D(-1.0, 1.0, 23), Grid1D(0.0, 2.0, 19)]),
+    "3d": (4, [Grid1D(-1.0, 1.0, 11), Grid1D(0.0, 1.0, 13),
+               Grid1D(0.0, 3.0, 9)]),
+    "3d-order2-min": (2, [Grid1D(0.0, 1.0, 2), Grid1D(0.0, 1.0, 3),
+                          Grid1D(0.0, 1.0, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_GRIDS)
+def test_axis_sweeps_bit_identical_to_reference_formulas(name, rng):
+    """Along every axis, ``apply_axis``/``apply_axis_transpose`` and the 1D
+    sweeps with and without ``out=`` (a contiguous, a strided and an
+    aliased slot) reproduce the reference formulas bit for bit."""
+    order, grids = SWEEP_GRIDS[name]
+    ops = build_tensor_ops(order, grids)
+    u = random_scalar(ops, rng)
+    for i, op in enumerate(ops.axis_ops):
+        moved = np.moveaxis(u, i, 0)
+        for method, axis_method, reference in (
+                ("apply_d", ops.apply_axis, _sweep_d),
+                ("apply_d_transpose", ops.apply_axis_transpose,
+                 _sweep_d_transpose)):
+            want = reference(op, moved)
+            sweep = getattr(op, method)
+            assert np.array_equal(np.moveaxis(axis_method(i, u), i, 0), want)
+            assert np.array_equal(sweep(moved), want)
+            slots = [np.empty(moved.shape),
+                     np.empty((*moved.shape, 2))[..., 1],
+                     np.moveaxis(np.empty((*moved.shape[1:], moved.shape[0])),
+                                 -1, 0)]
+            for slot in slots:
+                assert sweep(moved, out=slot) is slot
+                assert np.array_equal(slot, want)
+            alias = moved.copy()
+            assert np.array_equal(sweep(alias, out=alias), want)
+
+
+def test_sweep_output_slot_is_checked():
+    op = build_operator_1d(4, Grid1D(0.0, 1.0, 12))
+    u = np.ones((12, 3))
+    with pytest.raises(DimensionMismatch):
+        op.apply_d(u, out=np.empty((12, 4)))
+    with pytest.raises(KindMismatch):
+        op.apply_d_transpose(u, out=np.empty((12, 3), dtype=np.float32))
+    with pytest.raises(KindMismatch):
+        op.apply_d(u, out=[[0.0] * 3] * 12)
+
+
+@pytest.mark.parametrize("name", SWEEP_GRIDS)
+def test_calculus_bit_identical_to_reference_compositions(name, rng):
+    """grad, div, curl, rot and the transposes, written row by row into
+    their results, equal the compositions of the reference sweeps."""
+    order, grids = SWEEP_GRIDS[name]
+    ops = build_tensor_ops(order, grids)
+    f, u = random_scalar(ops, rng), random_vector(ops, rng)
+
+    def d(i, a, reference=_sweep_d):
+        return np.moveaxis(reference(ops.axis_ops[i], np.moveaxis(a, i, 0)), 0, i)
+
+    def dt(i, a):
+        return d(i, a, _sweep_d_transpose)
+
+    assert np.array_equal(ops.grad(f), np.stack([d(i, f) for i in range(ops.dim)]))
+    for div, dd in ((ops.div, d), (ops.grad_transpose, dt)):
+        want = dd(0, u[0])
+        for i in range(1, ops.dim):
+            want = want + dd(i, u[i])
+        assert np.array_equal(div(u), want)
+    if ops.dim == 2:
+        assert np.array_equal(ops.rot(f), np.stack([d(1, f), -d(0, f)]))
+        assert np.array_equal(ops.curl(u), d(0, u[1]) - d(1, u[0]))
+        assert np.array_equal(ops.curl_transpose(f),
+                              -np.stack([dt(1, f), -dt(0, f)]))
+        return
+    for curl_, dd, sign in ((ops.curl, d, 1.0), (ops.curl_transpose, dt, -1.0)):
+        want = np.stack([dd(1, u[2]) - dd(2, u[1]), dd(2, u[0]) - dd(0, u[2]),
+                         dd(0, u[1]) - dd(1, u[0])])
+        assert np.array_equal(curl_(u), sign * want)
+
+
+# -- the separable oscillation filter and the weighted inner product ----------
+
+
+FILTER_GRIDS = {
+    "2d": (6, [Grid1D(-1.0, 1.0, 33)] * 2),
+    "3d": (4, [Grid1D(-1.0, 1.0, 13)] * 3),
+    "2d-anisotropic": (4, [Grid1D(-1.0, 1.0, 17), Grid1D(0.0, 3.0, 24)]),
+    "3d-anisotropic": (2, [Grid1D(0.0, 1.0, 7), Grid1D(-2.0, 1.0, 9),
+                           Grid1D(0.0, 0.5, 6)]),
+}
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("name", FILTER_GRIDS)
+def test_separable_filter_matches_sequential_gram_schmidt(name, extended, rng):
+    """The one-pass projection equals removing the modes of ``oscillations``
+    one after another, for scalars and vectors."""
+    ops = build_tensor_ops(*FILTER_GRIDS[name])
+    u = random_vector(ops, rng)
+
+    def sequential(a):
+        for key, osc in ops.oscillations.items():
+            if extended or len(key) == 1:
+                a = a - ops.inner(osc, a) * osc
+        return a
+
+    want = np.stack([sequential(c) for c in u])
+    got = ops.filter_vector(u, extended)
+    assert got.flags.c_contiguous
+    assert ops.norm(got - want) <= 1e-13 * ops.norm(u)
+    scalar = ops.filter_scalar(u[0], extended)
+    assert ops.norm(scalar - want[0]) <= 1e-13 * ops.norm(u[0])
+
+
+@pytest.mark.parametrize("name", FILTER_GRIDS)
+def test_mode_factors_are_m_orthonormal(name):
+    """Per axis the constant and the oscillation are M-orthonormal, and so
+    are all 2^d tensor-product modes, the constant one included."""
+    ops = build_tensor_ops(*FILTER_GRIDS[name])
+    for op, factor in zip(ops.axis_ops, ops._mode_factors):
+        gram = factor.T @ (op.mass_weights[:, None] * factor)
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
+    modes = [ops.oscillations[k] for k in ops.oscillations]
+    modes.append(np.ones(ops.shape) / np.sqrt(np.sum(ops.mass)))
+    gram = np.array([[ops.inner(a, b) for b in modes] for a in modes])
+    assert np.max(np.abs(gram - np.eye(len(modes)))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", FILTER_GRIDS)
+def test_inner_matches_full_mass_product(name, rng):
+    ops = build_tensor_ops(*FILTER_GRIDS[name])
+    for a, b in ((random_scalar(ops, rng), random_scalar(ops, rng)),
+                 (random_vector(ops, rng), random_vector(ops, rng))):
+        for x, y in ((a, b), (a, a + 0.5 * b)):
+            want = np.vdot(ops.mass * x, y)
+            scale = np.sqrt(np.vdot(ops.mass * x, x) * np.vdot(ops.mass * y, y))
+            assert abs(ops.inner(x, y) - want) <= 1e-14 * scale
