@@ -126,7 +126,8 @@ class SbpOperator1D:
         """``out[lo:n-lo] = sum_k stencil[k] * u[lo-w+k : n-lo-w+k]``.
 
         The terms accumulate in place in ``out``, through one scratch
-        buffer, in increasing k; terms with a zero coefficient are skipped.
+        buffer, in increasing k; later terms with a zero coefficient are
+        skipped (the first, the band's edge, is never zero).
         When axis 0 is the unit-stride axis of both arrays (F-contiguous),
         the sweep runs along their memory as one line, in a few long passes
         instead of one short pass per line.  The entries it writes between
