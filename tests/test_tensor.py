@@ -584,6 +584,25 @@ def test_calculus_bit_identical_to_reference_compositions(name, rng):
         assert np.array_equal(curl_(u), sign * want)
 
 
+def test_calculus_is_independent_of_the_input_layout(rng):
+    """A sweep runs along memory as one line only for some layouts; fields
+    stored in Fortran order, as strided views or as transposed views give
+    the results of their C-ordered copies bit for bit (``inner``, whose
+    summation follows the memory order, to roundoff)."""
+    ops = build_tensor_ops(4, [Grid1D(0.0, 1.0, 11), Grid1D(0.0, 2.0, 13),
+                               Grid1D(-1.0, 1.0, 9)])
+    u = random_vector(ops, rng)
+    wide = np.zeros((3, 22, 13, 9))
+    wide[:, ::2] = u
+    reversed_axes = np.ascontiguousarray(u.transpose(3, 2, 1, 0)).transpose(3, 2, 1, 0)
+    calls = (ops.div, ops.curl, ops.curl_transpose, ops.grad_transpose,
+             lambda a: ops.grad(a[0]), lambda a: ops.filter_vector(a, True))
+    for view in (np.asfortranarray(u), wide[:, ::2], reversed_axes):
+        for call in calls:
+            assert np.array_equal(call(view), call(u))
+        assert abs(ops.inner(view, view) - ops.inner(u, u)) <= 1e-14 * ops.inner(u, u)
+
+
 # -- the separable oscillation filter and the weighted inner product ----------
 
 
