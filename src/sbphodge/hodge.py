@@ -238,23 +238,27 @@ def helmholtz(
     stages = (("grad", "curl") if order is ProjectionOrder.GRAD_FIRST
               else ("curl", "grad"))
     # each stage projects what the stages before it left over
-    remainder, results, orthogonality = u_arr, {}, []
+    remainder, results = u_arr, {}
     for name in stages:
         results[name] = project[name](ops, _Checked(remainder), **kwargs)
         part = results[name][1].data
         remainder = remainder - part
-        orthogonality.append(ops.inner(remainder, part))
+        if name == stages[0]:
+            first_orthogonality = ops.inner(remainder, part)
     (phi, grad_phi, _), (v, sol, _) = results["grad"], results["curl"]
+    # the second stage's orthogonality is the final remainder against its part
+    remainder_inner = {name: ops.inner(remainder, results[name][1].data)
+                       for name in stages}
 
     diagnostics = {
         "norm_u": ops.norm(u_arr),
         "norm_grad_phi": ops.norm(grad_phi.data),
         "norm_sol_part": ops.norm(sol.data),
         "norm_remainder": ops.norm(remainder),
-        "first_stage_orthogonality": orthogonality[0],
-        "second_stage_orthogonality": orthogonality[1],
-        "remainder_inner_grad_phi": ops.inner(remainder, grad_phi.data),
-        "remainder_inner_sol_part": ops.inner(remainder, sol.data),
+        "first_stage_orthogonality": first_orthogonality,
+        "second_stage_orthogonality": remainder_inner[stages[1]],
+        "remainder_inner_grad_phi": remainder_inner["grad"],
+        "remainder_inner_sol_part": remainder_inner["curl"],
         "solver_stats": {
             name: result[2].as_dict() for name, result in results.items()
         },

@@ -317,3 +317,32 @@ def test_each_stage_function_runs_once_per_2d_helmholtz(monkeypatch, ops_2d, rng
         for solver in (None, "lsqr"):
             helmholtz(ops_2d, u, order=order, solver=solver)
     assert calls == {"project_im_grad": 4, "project_im_curl": 4}
+
+
+@pytest.mark.parametrize("order", ["grad-first", "curl-first"])
+def test_diagnostics_are_their_defining_inner_products(order, ops_2d, ops_3d, rng):
+    """Each diagnostic equals its defining norm or inner product bit for
+    bit.  The second stage's orthogonality is the final remainder against
+    that stage's part, so it is the matching ``remainder_inner_*`` key."""
+    same = {"grad-first": "remainder_inner_sol_part",
+            "curl-first": "remainder_inner_grad_phi"}[order]
+    for ops in (ops_2d, ops_3d):
+        u = rng.standard_normal((ops.dim, *ops.shape))
+        dec = helmholtz(ops, u, order=order)
+        g, s, r = dec.grad_phi.data, dec.sol_part.data, dec.remainder.data
+        first, second = (g, s) if order == "grad-first" else (s, g)
+        want = {
+            "norm_u": ops.norm(u),
+            "norm_grad_phi": ops.norm(g),
+            "norm_sol_part": ops.norm(s),
+            "norm_remainder": ops.norm(r),
+            "first_stage_orthogonality": ops.inner(u - first, first),
+            "second_stage_orthogonality": ops.inner(r, second),
+            "remainder_inner_grad_phi": ops.inner(r, g),
+            "remainder_inner_sol_part": ops.inner(r, s),
+        }
+        diagnostics = dict(dec.diagnostics)
+        del diagnostics["solver_stats"]
+        assert diagnostics == want
+        assert (dec.diagnostics["second_stage_orthogonality"]
+                == dec.diagnostics[same])

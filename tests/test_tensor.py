@@ -10,6 +10,7 @@ from sbphodge.errors import (
     KindMismatch,
     WrongDimension,
 )
+import sbphodge.operators1d as operators1d
 from sbphodge.grid import Grid1D
 from sbphodge.operators1d import build_operator_1d
 from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
@@ -660,3 +661,110 @@ def test_inner_matches_full_mass_product(name, rng):
             want = np.vdot(ops.mass * x, y)
             scale = np.sqrt(np.vdot(ops.mass * x, x) * np.vdot(ops.mass * y, y))
             assert abs(ops.inner(x, y) - want) <= 1e-14 * scale
+
+
+# -- the cache-blocked band sweep ---------------------------------------------
+
+
+def _assert_sweeps_match_reference(ops, u):
+    """Along every axis, both 1D sweeps without ``out=`` and into a
+    contiguous, a strided and an aliased slot equal the reference formulas
+    bit for bit."""
+    for i, op in enumerate(ops.axis_ops):
+        moved = np.moveaxis(u, i, 0)
+        for method, reference in (("apply_d", _sweep_d),
+                                  ("apply_d_transpose", _sweep_d_transpose)):
+            want, sweep = reference(op, moved), getattr(op, method)
+            assert np.array_equal(sweep(moved), want)
+            for slot in (np.empty(moved.shape),
+                         np.empty((*moved.shape, 2))[..., 1]):
+                assert sweep(moved, out=slot) is slot
+                assert np.array_equal(slot, want)
+            alias = moved.copy()
+            assert np.array_equal(sweep(alias, out=alias), want)
+
+
+def test_blocked_sweeps_bit_identical_across_block_boundaries(rng):
+    """A 300 x 200 order-6 scalar field (469 KiB) is swept in two blocks
+    along each axis, the last one ragged.  A 9 x 11 x 5000 field is swept
+    one row per block along axis 0 and in 16 blocks along its last axis;
+    its middle axis runs whole."""
+    ops = build_tensor_ops(6, [Grid1D(-1.0, 1.0, 300), Grid1D(0.0, 2.0, 200)])
+    u = random_scalar(ops, rng)
+    assert u.nbytes > 1.5 * operators1d._BLOCK_BYTES
+    _assert_sweeps_match_reference(ops, u)
+    ops3 = build_tensor_ops(4, [Grid1D(0.0, 1.0, 9), Grid1D(0.0, 1.0, 11),
+                                Grid1D(0.0, 1.0, 5000)])
+    _assert_sweeps_match_reference(ops3, random_scalar(ops3, rng))
+
+
+@pytest.mark.parametrize("budget", [1, 8, 200])
+@pytest.mark.parametrize("name", SWEEP_GRIDS)
+def test_sweeps_bit_identical_at_any_block_budget(monkeypatch, name, budget, rng):
+    """With a budget of one row per block or below one row (a line's row is
+    8 bytes, a 2D axis-0 row 152), every sweep and calculus operator still
+    equals the reference."""
+    monkeypatch.setattr(operators1d, "_BLOCK_BYTES", budget)
+    order, grids = SWEEP_GRIDS[name]
+    ops = build_tensor_ops(order, grids)
+    u, v = random_scalar(ops, rng), random_vector(ops, rng)
+    _assert_sweeps_match_reference(ops, u)
+    for i in range(ops.dim):
+        moved = np.moveaxis(u, i, 0)
+        assert np.array_equal(np.moveaxis(ops.apply_axis(i, u), i, 0),
+                              _sweep_d(ops.axis_ops[i], moved))
+        assert np.array_equal(np.moveaxis(ops.apply_axis_transpose(i, u), i, 0),
+                              _sweep_d_transpose(ops.axis_ops[i], moved))
+    monkeypatch.undo()
+    want = (ops.grad(u), ops.div(v), ops.curl(v), ops.grad_transpose(v))
+    monkeypatch.setattr(operators1d, "_BLOCK_BYTES", budget)
+    got = (ops.grad(u), ops.div(v), ops.curl(v), ops.grad_transpose(v))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_only_contiguous_rows_are_blocked(monkeypatch, rng):
+    """At a one-row budget the first and last axes of a C-ordered 3D field
+    are swept in many blocks; the middle axis, a strided view, in one: one
+    multiply per nonzero band term."""
+    monkeypatch.setattr(operators1d, "_BLOCK_BYTES", 8)
+    ops = build_tensor_ops(4, [Grid1D(0.0, 1.0, 11), Grid1D(0.0, 1.0, 13),
+                               Grid1D(0.0, 1.0, 9)])
+    u, calls = random_scalar(ops, rng), []
+
+    class CountingNumpy:  # numpy as the sweeps see it, counting multiplies
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+        def multiply(self, *args, **kwargs):
+            calls.append(1)
+            return np.multiply(*args, **kwargs)
+
+    monkeypatch.setattr(operators1d, "np", CountingNumpy())
+    for i, op in enumerate(ops.axis_ops):
+        terms = np.count_nonzero(op.interior_stencil)
+        for name in ("apply_axis", "apply_axis_transpose"):
+            calls.clear()
+            getattr(ops, name)(i, u)
+            assert (len(calls) == terms) == (i == 1)
+
+
+@pytest.mark.parametrize("method", ["apply_d", "apply_d_transpose"])
+def test_sweep_scratch_is_bounded(method, rng):
+    """A sweep into an ``out=`` slot allocates only block-sized scratch: the
+    traced peak stays under 1 MiB on an 8 MiB 1025 x 1025 field, along
+    either axis."""
+    import tracemalloc
+
+    op = build_operator_1d(6, Grid1D(0.0, 1.0, 1025))
+    u, out = rng.standard_normal((1025, 1025)), np.empty((1025, 1025))
+    for i in (0, 1):
+        sweep = getattr(op, method)
+        a, slot = np.moveaxis(u, i, 0), np.moveaxis(out, i, 0)
+        sweep(a, out=slot)  # builds the cached closure parts
+        tracemalloc.start()
+        try:
+            sweep(a, out=slot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (i, peak)
