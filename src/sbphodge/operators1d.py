@@ -8,19 +8,21 @@ product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
 construction: the identity residual, the polynomial accuracy of all rows and
 nullspace consistency are checked, so a corrupted coefficient cannot construct
 silently.  An operator holds only this defining data; what is derived from it
-(the stacked closure blocks, the band and corner parts of D^T, the grid
-oscillation and the eigenbases of the Gram pencil and its dual) is a
-``cached_property``, built on first use, so a copy made by
-``dataclasses.replace`` never carries stale derived state.  The sweeps
-``apply_d`` and ``apply_d_transpose`` take a numpy-style ``out=`` and
+(the entry list of D, the stacked closure blocks, the band and corner parts of
+D^T, the grid oscillation, the integral's LU factors and the eigenbases of the
+Gram pencil and its dual) is a ``cached_property``, built on first use, so a
+copy made by ``dataclasses.replace`` never carries stale derived state.  The
+sweeps ``apply_d`` and ``apply_d_transpose`` take a numpy-style ``out=`` and
 accumulate their terms in place in it.  When each row of both arrays is one
 contiguous run of memory, the band rows are swept in blocks of rows that fit
 in ``_BLOCK_BYTES`` (256 KiB) per operand, every term on one block before the
 next, through one block of scratch laid out as the output; a strided view
 runs as one block.  Each entry gets the same operations in the same order
 whatever the blocks.  The grid oscillation (the kernel of D*) and the
-discrete integral are banded LU solves on the entries of D, O(n) in time and
-memory; ``dense()`` serves only the eigenbases and verification.
+discrete integral are LAPACK banded LU solves (``dgbtrf`` then ``dgbtrs``, as
+``DGBSV`` does) on the entries of D, O(n) in time and memory.  The integral's
+factors are built on the first integral and reused by every later one;
+``dense()`` serves only the eigenbases and verification.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
     DimensionMismatch,
     GridTooSmall,
     KindMismatch,
+    NonFiniteEncountered,
     NotInImage,
     NullspaceDimensionUnexpected,
 )
@@ -224,8 +227,10 @@ class SbpOperator1D:
         """Materialize D as a dense matrix (verification scale only)."""
         return self.apply_d(np.eye(self.n_nodes))
 
+    @cached_property
     def _entries(self) -> tuple:
-        """``(rows, cols, values)`` of the stored entries of D, row by row."""
+        """``(rows, cols, values)`` of the stored entries of D, row by row,
+        as read-only arrays."""
         n, b = self.n_nodes, self.n_closure_rows
         w, wt = self.halfwidth, self.boundary_block.shape[1]
         top_r, top_c = np.divmod(np.arange(b * wt), wt)
@@ -236,11 +241,13 @@ class SbpOperator1D:
         )
         top = self.boundary_block.ravel()
         vals = np.concatenate([top, np.tile(self.interior_stencil, len(mid)), -top])
+        for a in (rows, cols, vals):
+            a.flags.writeable = False
         return rows, cols, vals
 
     def sbp_residual(self) -> float:
         """Max-abs entry of M D + D^T M - E, from the entries of D in O(n)."""
-        rows, cols, vals = self._entries()
+        rows, cols, vals = self._entries
         md = self.mass_weights[rows] * vals
         k = np.max(np.abs(cols - rows))
         r = np.zeros((2 * k + 1, self.n_nodes))  # entry (i, j) at r[k + j - i, i]
@@ -258,15 +265,19 @@ class SbpOperator1D:
         """Discrete integral: the unique v with v[0] = 0 and D v = u.
 
         ``u`` may carry trailing axes; the inversion acts along the first one.
-        Raises NotInImage when u has an oscillation component larger than
-        ``tol`` times max(its own M-norm, ``norm_floor``).  Otherwise solves
-        rows 1..n-1 of ``D v = u`` for ``v[1:]`` by banded LU: row 0 is a
-        combination of the others (the kernel vector of D^T has a nonzero
-        first entry), so it holds once the oscillation component is gone.
+        Raises NonFiniteEncountered when u holds a NaN or Inf, and NotInImage
+        when u has an oscillation component larger than ``tol`` times
+        max(its own M-norm, ``norm_floor``).  Otherwise solves rows 1..n-1
+        of ``D v = u`` for ``v[1:]`` with the banded LU factors of those
+        rows and columns of D (``_integral_lu``): row 0 is a combination of
+        the others (the kernel vector of D^T has a nonzero first entry), so
+        it holds once the oscillation component is gone.
         """
         u, n = self._leading(u), self.n_nodes
-        osc = self.grid_oscillation
         flat = u.reshape(n, -1)
+        if not np.all(np.isfinite(flat)):
+            raise NonFiniteEncountered("discrete integral of NaN or Inf")
+        osc = self.grid_oscillation
         overlap = np.abs((self.mass_weights * osc) @ flat)
         norms = np.sqrt(self.mass_weights @ flat**2)
         if np.any(overlap > tol * np.maximum(norms, norm_floor) + 1e2 * _EPS):
@@ -274,10 +285,16 @@ class SbpOperator1D:
                 "right-hand side has an oscillation component of relative size "
                 f"{float(np.max(overlap / np.maximum(norms, 1e-300))):.3e}"
             )
-        rows, cols, vals = self._entries()
         out = np.zeros_like(flat)
-        out[1:] = _banded_solve(rows - 1, cols - 1, vals, flat[1:])
+        out[1:] = _banded_lu_solve(self._integral_lu, flat[1:])
         return out.reshape(u.shape)
+
+    @cached_property
+    def _integral_lu(self) -> tuple:
+        """``_banded_lu`` of rows and columns 1..n-1 of D, the system of the
+        discrete integral; built on the first integral."""
+        rows, cols, vals = self._entries
+        return _banded_lu(rows - 1, cols - 1, vals, self.n_nodes - 1)
 
     # -- nullspace of the adjoint ----------------------------------------
 
@@ -359,21 +376,36 @@ def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOpe
     return op
 
 
-def _banded_solve(rows, cols, vals, rhs) -> np.ndarray:
-    """Solve ``A x = rhs`` by banded LU, where A holds those of the entries
-    ``A[rows, cols] = vals`` that fall inside its square."""
-    n = len(rhs)
+def _banded_lu(rows, cols, vals, n: int) -> tuple:
+    """LAPACK banded LU factors ``(lu, piv, lower, upper)`` of the n x n
+    matrix A that holds those of the entries ``A[rows, cols] = vals`` that
+    fall inside its square, in ``DGBSV``'s band layout.  Raises
+    NullspaceDimensionUnexpected when A is singular: the bands factored
+    here are nonsingular whenever D is nullspace consistent (see
+    ``grid_oscillation_1d``)."""
     keep = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     offset = rows - cols
     lower, upper = max(offset.max(), 0), max(-offset.min(), 0)
-    ab = np.zeros((lower + upper + 1, n))
-    ab[upper + offset, cols] = vals
-    return scipy.linalg.solve_banded((lower, upper), ab, rhs, check_finite=False)
+    ab = np.zeros((2 * lower + upper + 1, n), order="F")
+    ab[lower + upper + offset, cols] = vals
+    lu, piv, info = dgbtrf(ab, lower, upper, overwrite_ab=True)
+    if info > 0:
+        raise NullspaceDimensionUnexpected(
+            f"singular band: pivot {info - 1} of {n} is zero")
+    lu.flags.writeable = piv.flags.writeable = False
+    return lu, piv, lower, upper
+
+
+def _banded_lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A x = rhs``, a vector or one system per column, with the
+    ``_banded_lu`` factors of A."""
+    lu, piv, lower, upper = factors
+    return dgbtrs(lu, lower, upper, rhs, piv)[0]
 
 
 def _validate_operator(op: SbpOperator1D) -> None:
-    rows, _, vals = op._entries()
+    rows, _, vals = op._entries
     scale = np.max(np.abs(op.mass_weights[rows] * vals))
     res = op.sbp_residual()
     if res > 1e-13 * max(scale, 1.0):
@@ -428,13 +460,11 @@ def grid_oscillation_1d(op: SbpOperator1D) -> np.ndarray:
     nullspace consistent (ker D = constants, ker D^T one dimensional).
     """
     n = op.n_nodes
-    rows, cols, vals = op._entries()
+    rows, cols, vals = op._entries
     row0 = np.bincount(cols, weights=vals * (rows == 0), minlength=n)
     z = np.ones(n)
-    try:
-        z[1:] = _banded_solve(cols, rows - 1, vals, -row0[:-1])
-    except np.linalg.LinAlgError as exc:
-        raise NullspaceDimensionUnexpected(f"kernel of D^T not found: {exc}")
+    z[1:] = _banded_lu_solve(_banded_lu(cols, rows - 1, vals, n - 1),
+                             -row0[:-1])
     dtz = np.bincount(cols, weights=vals * z[rows], minlength=n)
     d1 = np.bincount(rows, weights=vals, minlength=n)
     residual = max(np.max(np.abs(dtz)) / np.max(np.abs(z)), np.max(np.abs(d1)))

@@ -12,6 +12,7 @@ from sbphodge.errors import (
     NotInImage,
     NullspaceDimensionUnexpected,
 )
+import sbphodge.operators1d as operators1d
 from sbphodge.grid import Grid1D
 from sbphodge.operators1d import (
     SbpOperator1D,
@@ -19,7 +20,8 @@ from sbphodge.operators1d import (
     corrupt_operator,
     grid_oscillation_1d,
 )
-from sbphodge.tensor import build_tensor_ops
+from sbphodge.potentials import scalar_potential_integral
+from sbphodge.tensor import build_tensor_ops, square_tensor_ops
 
 from conftest import MIN_NODES
 
@@ -336,3 +338,95 @@ def test_invert_rejects_oscillation(op_1d):
     osc = op_1d.grid_oscillation
     with pytest.raises(NotInImage):
         op_1d.invert_on_v0(osc)
+
+
+def _solve_banded_integral(op, u):
+    """The discrete integral by ``scipy.linalg.solve_banded`` on the band of
+    rows and columns 1..n-1 of D, laid out from the entries of D."""
+    rows, cols, vals = op._entries
+    keep = (rows > 0) & (cols > 0)
+    rows, cols, vals = rows[keep] - 1, cols[keep] - 1, vals[keep]
+    offset = rows - cols
+    lower, upper = offset.max(), -offset.min()
+    ab = np.zeros((lower + upper + 1, op.n_nodes - 1))
+    ab[upper + offset, cols] = vals
+    out = np.zeros_like(u)
+    out[1:] = scipy.linalg.solve_banded((lower, upper), ab, u[1:])
+    return out
+
+
+def test_invert_bit_equal_to_solve_banded(order, rng):
+    # DGBSV is DGBTRF then DGBTRS on the same band; at order 2 the band is
+    # tridiagonal, where solve_banded runs DGTSV instead
+    for n in (MIN_NODES[order] + 3, 48, 97):
+        op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
+        for shape in ((n,), (n, 7)):
+            u = op.apply_d(rng.standard_normal(shape))
+            ref = _solve_banded_integral(op, u)
+            v = op.invert_on_v0(u)
+            if order == 2:
+                assert np.max(np.abs(v - ref)) <= 1e-15 * np.max(np.abs(ref))
+            else:
+                assert np.array_equal(v, ref)
+
+
+@pytest.fixture
+def band_factorizations(monkeypatch):
+    """The sizes of the bands ``_banded_lu`` factors, in call order."""
+    sizes = []
+    factor = operators1d._banded_lu
+
+    def counted(rows, cols, vals, n):
+        sizes.append(n)
+        return factor(rows, cols, vals, n)
+
+    monkeypatch.setattr(operators1d, "_banded_lu", counted)
+    return sizes
+
+
+def test_integral_factored_once_per_operator(order, rng, band_factorizations):
+    ops = square_tensor_ops(order, 17, 2)
+    op = ops.axis_ops[0]
+    # construction factors the oscillation's band only
+    assert band_factorizations == [16]
+    assert "_integral_lu" not in op.__dict__
+    for shape in ((17,), (17, 3), (17, 2, 5)):
+        op.invert_on_v0(op.apply_d(rng.standard_normal(shape)))
+    for _ in range(2):
+        scalar_potential_integral(ops, ops.grad(rng.standard_normal(ops.shape)))
+    assert band_factorizations == [16, 16]
+
+
+def test_copy_after_integral_factors_its_own_band(order, rng,
+                                                  band_factorizations):
+    op = build_operator_1d(order, Grid1D(0.0, 1.0, 32))
+    u = op.apply_d(rng.standard_normal(32))
+    v = op.invert_on_v0(u)
+    bad = corrupt_operator(op)
+    x = rng.standard_normal(31)
+    solved = operators1d._banded_lu_solve(bad._integral_lu, x)
+    assert np.allclose(bad.dense()[1:, 1:] @ solved, x, rtol=0, atol=1e-9)
+    # the oscillation at construction, the integral of op, then bad's own
+    assert len(band_factorizations) == 3
+    # a copy with D doubled integrates to half
+    doubled = dataclasses.replace(op, interior_stencil=2 * op.interior_stencil,
+                                  boundary_block=2 * op.boundary_block)
+    assert np.allclose(doubled.invert_on_v0(u), v / 2, rtol=0,
+                       atol=1e-13 * np.max(np.abs(v)))
+
+
+def test_entries_are_cached_and_read_only(op_1d):
+    entries = op_1d._entries
+    assert op_1d._entries is entries
+    for a in entries:
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_singular_band_raises_nullspace_error(op_1d):
+    zero = dataclasses.replace(op_1d, interior_stencil=0 * op_1d.interior_stencil,
+                               boundary_block=0 * op_1d.boundary_block)
+    with pytest.raises(NullspaceDimensionUnexpected):
+        grid_oscillation_1d(zero)
+    with pytest.raises(NullspaceDimensionUnexpected):
+        zero._integral_lu

@@ -7,6 +7,7 @@ from sbphodge.errors import (
     NotDivCurlFree,
     TooLarge,
 )
+from sbphodge.grid import Grid1D
 from sbphodge.potentials import (
     check_potential_conditions,
     dense_curl,
@@ -17,7 +18,7 @@ from sbphodge.potentials import (
     kernel_dimension,
     scalar_potential_integral,
 )
-from sbphodge.tensor import square_tensor_ops
+from sbphodge.tensor import build_tensor_ops, square_tensor_ops
 
 
 def place(ops, arr, slot):
@@ -120,6 +121,18 @@ def test_integral_potential_roundtrip_3d(rng):
     u = ops.grad(f)
     phi = scalar_potential_integral(ops, ops.field(u)).data
     assert ops.norm(ops.grad(phi) - u) <= 1e-9 * ops.norm(u)
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+def test_integral_potential_roundtrip_3d_high_order(order, rng):
+    # unequal axes, so each integrates with its own operator's factors
+    ops = build_tensor_ops(order, [Grid1D(0.0, 1.0, 17), Grid1D(-1.0, 1.0, 19),
+                                   Grid1D(0.0, 2.0, 21)])
+    f = rng.standard_normal(ops.shape)
+    u = ops.grad(f)
+    phi = scalar_potential_integral(ops, ops.field(u)).data
+    assert ops.norm(ops.grad(phi) - u) <= 1e-9 * ops.norm(u)
+    assert all("_integral_lu" in op.__dict__ for op in ops.axis_ops)
 
 
 def test_integral_potential_matches_up_to_constant(ops_2d, rng):

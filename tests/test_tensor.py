@@ -8,6 +8,7 @@ from sbphodge.errors import (
     DimensionMismatch,
     GridTooSmall,
     KindMismatch,
+    NonFiniteEncountered,
     WrongDimension,
 )
 import sbphodge.operators1d as operators1d
@@ -447,6 +448,13 @@ MISUSE = {
     "field with a one-node axis":
         (lambda: GridField(np.zeros((1, 3)), ((0.0, 1.0), (0.0, 1.0))),
          GridTooSmall),
+    "discrete integral of a line with a nan":
+        (lambda: _ops2().axis_ops[0].invert_on_v0(np.r_[0.0, np.nan, [0.0] * 7]),
+         NonFiniteEncountered),
+    "discrete integral of lines with an inf":
+        (lambda: _ops2().axis_ops[0].invert_on_v0(
+            np.c_[np.zeros(9), np.r_[[0.0] * 8, np.inf]]),
+         NonFiniteEncountered),
 }
 
 
