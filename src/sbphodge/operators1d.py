@@ -8,27 +8,39 @@ product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
 construction: the identity residual, the polynomial accuracy of all rows and
 nullspace consistency are checked, so a corrupted coefficient cannot construct
 silently.  An operator holds only this defining data; what is derived from it
-(the entry list of D, the stacked closure blocks, the band and corner parts of
-D^T, the grid oscillation, the integral's LU factors and the eigenbases of the
-Gram pencil and its dual) is a ``cached_property``, built on first use, so a
-copy made by ``dataclasses.replace`` never carries stale derived state.  The
-sweeps ``apply_d`` and ``apply_d_transpose`` take a numpy-style ``out=`` and
-accumulate their terms in place in it.  When each row of both arrays is one
-contiguous run of memory, the band rows are swept in blocks of rows that fit
-in ``_BLOCK_BYTES`` (256 KiB) per operand, every term on one block before the
-next, through one block of scratch laid out as the output; a strided view
-runs as one block.  Each entry gets the same operations in the same order
-whatever the blocks.  The grid oscillation (the kernel of D*) and the
-discrete integral are LAPACK banded LU solves (``dgbtrf`` then ``dgbtrs``, as
-``DGBSV`` does) on the entries of D, O(n) in time and memory.  The integral's
-factors are built on the first integral and reused by every later one;
-``dense()`` serves only the eigenbases and verification.
+(the entry list of D, the closure coefficients and the rows they read, the
+band, edge and corner parts of D^T, the grid oscillation, the integral's LU
+factors and the eigenbases of the Gram pencil and its dual) is a
+``cached_property``, built on first use, so a copy made by
+``dataclasses.replace`` never carries stale derived state; the float
+coefficients of each order are converted from the exact rationals once.
+The sweeps ``apply_d`` and ``apply_d_transpose`` take a numpy-style ``out=``
+and accumulate their terms in place in it.  When each row of both arrays is
+one contiguous run of memory, the band rows are swept in blocks of rows
+that fit in ``_BLOCK_BYTES`` (256 KiB) per operand, every term on one block
+before the next, through one block of scratch laid out as the output; a
+strided view runs as one block.  The rows the band does not cover are
+written from gathered end rows of u, both ends at once: ``apply_d``
+gathers the 2 wt rows its closures read and forms the products of all
+their terms in one broadcast multiply, then sums them in place; the edge
+rows of ``apply_d_transpose`` sum their truncated band terms in place over
+the gathered end rows, padded with zeros, and its corner corrections call
+``np.dot`` on the operands ``np.tensordot`` would form.  That scratch is
+split along the trailing axes, and the closure products by terms, so that
+each operand fits in ``_BLOCK_BYTES``.  Each entry gets the same operations
+in the same order whatever the blocks.  ``accuracy_check`` differentiates
+every monomial in one sweep.  The grid oscillation (the kernel of D*) and
+the discrete integral are LAPACK banded LU solves (``dgbtrf`` then
+``dgbtrs``, as ``DGBSV`` does) on the entries of D, O(n) in time and
+memory.  The integral's factors are built on the first integral and reused
+by every later one; ``dense()`` serves only the eigenbases and
+verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -122,18 +134,39 @@ class SbpOperator1D:
         multiplication bit for bit.
         """
         u, out = self._operands(u, out)
-        n, (b, wt) = self.n_nodes, self.boundary_block.shape
+        n, b = self.n_nodes, self.n_closure_rows
         if n > 2 * b:
             self._band(self.interior_stencil, b, u, out)
-        # the top and bottom closure rows at once, written after the interior
-        # ones (see _band)
-        blocks = self._closure_blocks.reshape(2, b, wt, *(1,) * (u.ndim - 1))
-        ends = np.stack([u[:wt], u[n - wt :]])[:, None]
-        acc = blocks[:, :, 0] * ends[:, :, 0]
-        for j in range(1, wt):
-            acc = acc + blocks[:, :, j] * ends[:, :, j]
-        out[:b], out[n - b :] = acc
+        # both closures, written after the interior rows (see _band)
+        self._closures(u, out)
         return out
+
+    def _closures(self, u: np.ndarray, out: np.ndarray) -> None:
+        """``out[:b]`` and ``out[n-b:]``, the top and bottom closure rows.
+
+        Row i of end e is ``sum_j coef[j, e, i] * u[rows[j, e]]`` summed in
+        increasing j (``_closure_parts``).  The 2 wt end rows of u are
+        gathered into one block; the products of all terms, or of a chunk
+        of them, are formed in one broadcast multiply and summed in place.
+        Every operand takes at most ``_BLOCK_BYTES``: the trailing axes are
+        split into blocks (``_trailing_blocks``) whose gathered rows fit,
+        and a block's terms into chunks whose products fit.
+        """
+        coef, rows = self._closure_parts
+        n, (wt, _, b) = self.n_nodes, coef.shape
+        coef = coef.reshape(coef.shape + (1,) * (u.ndim - 1))
+        for cols in _trailing_blocks(u.shape[1:], _BLOCK_BYTES // (16 * max(wt, b))):
+            cols = (slice(None), *cols)
+            ends = u[cols][rows]
+            chunk = max(1, _BLOCK_BYTES // (16 * b * ends[0, 0, 0].size))
+            acc = None
+            for j in range(0, wt, chunk):
+                prod = np.multiply(coef[j : j + chunk], ends[j : j + chunk])
+                if acc is None:
+                    acc, prod = prod[0], prod[1:]
+                for p in prod:
+                    acc += p
+            out[cols][:b], out[cols][n - b :] = acc
 
     def _band(self, stencil, lo: int, u: np.ndarray, out: np.ndarray) -> None:
         """``out[lo:m-lo] = sum_k stencil[k] * u[lo-w+k : m-lo-w+k]``.
@@ -174,10 +207,15 @@ class SbpOperator1D:
                         stencil[k], u[start - w + k : stop - w + k], out=tmp)
 
     @cached_property
-    def _closure_blocks(self) -> np.ndarray:
-        """The top closure block and the bottom one (its 180-degree rotated
-        negation), stacked."""
-        return np.stack([self.boundary_block, -self.boundary_block[::-1, ::-1]])
+    def _closure_parts(self) -> tuple:
+        """``coef[j, e, i]``, column j of closure row i of end e: of the top
+        block (e = 0) and of the bottom one (its 180-degree rotated
+        negation); and ``rows[j, e, 0]``, the row of u it multiplies, row j
+        of the first or of the last wt rows."""
+        n, (b, wt) = self.n_nodes, self.boundary_block.shape
+        blocks = np.stack([self.boundary_block, -self.boundary_block[::-1, ::-1]])
+        rows = np.arange(wt)[:, None, None] + np.array([0, n - wt])[:, None]
+        return _read_only(blocks.transpose(2, 0, 1).copy(), rows)
 
     @cached_property
     def _transpose_parts(self) -> tuple:
@@ -186,6 +224,22 @@ class SbpOperator1D:
         k = np.arange(wt) - np.arange(b)[:, None] + self.halfwidth  # band index
         band = np.where((k >= 0) & (k < len(s)), s[np.clip(k, 0, len(s) - 1)], 0.0)
         return s[::-1], self.boundary_block - band
+
+    @cached_property
+    def _edge_parts(self) -> tuple:
+        """For the first and last w rows of D^T, where the band is
+        truncated: the rows of u their terms read, the first and last 2w
+        rows padded with w rows outside the grid on either side (clipped
+        into it, with a mask of the outside ones); the nonzero band terms
+        ``(k, band_rev[k])``; and the left operands of the corner
+        corrections, as ``np.tensordot`` forms them."""
+        n, w = self.n_nodes, self.halfwidth
+        band_rev, corr = self._transpose_parts
+        rows = np.arange(-w, 2 * w) + np.array([0, n - w])[:, None]
+        outside = (rows < 0) | (rows >= n)
+        terms = tuple((int(k), band_rev[k]) for k in np.flatnonzero(band_rev))
+        return (*_read_only(np.clip(rows, 0, n - 1), outside), terms,
+                *_read_only(corr.T, (-corr[::-1, ::-1]).T))
 
     def apply_d_transpose(self, u: np.ndarray,
                           out: np.ndarray | None = None) -> np.ndarray:
@@ -196,22 +250,27 @@ class SbpOperator1D:
         """
         u, out = self._operands(u, out)
         n, w = self.n_nodes, self.halfwidth
-        band_rev, corr = self._transpose_parts
-        b, wt = corr.shape
-        self._band(band_rev, w, u, out)
+        rows, outside, terms, top, bottom = self._edge_parts
+        b, wt = self.boundary_block.shape
+        self._band(self._transpose_parts[0], w, u, out)
         # the first and last w rows, where the band is truncated: the band
-        # over the end slabs of u, padded with w zero rows, whose terms add
-        # zeros, as the missing terms would
-        slabs = np.zeros((2, 3 * w, *u.shape[1:]))
-        slabs[0, w:], slabs[1, : 2 * w] = u[: 2 * w], u[n - 2 * w :]
-        acc = np.zeros((2, w, *u.shape[1:]))
-        for k, c in enumerate(band_rev):
-            if c != 0.0:
-                acc += c * slabs[:, k : k + w]
-        out[:w], out[n - w :] = acc
-        # corner corrections: closure rows minus what the full band put there
-        out[:wt] += np.tensordot(corr, u[:b], axes=(0, 0))
-        out[n - wt :] += np.tensordot(-corr[::-1, ::-1], u[n - b :], axes=(0, 0))
+        # over the gathered end rows of u, padded with zero rows, whose
+        # terms add zeros, as the missing terms would; accumulated in place
+        for cols in _trailing_blocks(u.shape[1:], _BLOCK_BYTES // (16 * 3 * w)):
+            cols = (slice(None), *cols)
+            slabs = u[cols][rows]
+            slabs[outside] = 0.0
+            acc = np.zeros_like(slabs[:, :w])
+            tmp = np.empty_like(acc)
+            for k, c in terms:
+                acc += np.multiply(c, slabs[:, k : k + w], out=tmp)
+            out[cols][:w], out[cols][n - w :] = acc
+        # corner corrections: closure rows minus what the full band put
+        # there, with np.dot on the operands np.tensordot(corr, u[:b], 1)
+        # would form
+        shape, cols = (wt, *u.shape[1:]), u[0].size
+        out[:wt] += np.dot(top, u[:b].reshape(b, cols)).reshape(shape)
+        out[n - wt :] += np.dot(bottom, u[n - b :].reshape(b, cols)).reshape(shape)
         return out
 
     def apply_d_star(self, u: np.ndarray) -> np.ndarray:
@@ -353,27 +412,35 @@ def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOpe
             f"order {order} needs at least {table.min_nodes} nodes, "
             f"got {grid.n_nodes}"
         )
-    dx = grid.dx
-    full = [-c for c in reversed(table.interior)] + [0] + list(table.interior)
-    interior = np.array([float(c) for c in full]) / dx
-    closure = np.array([[float(c) for c in row] for row in table.closure]) / dx
-    n = grid.n_nodes
+    dx, n = grid.dx, grid.n_nodes
+    stencil, block, weights = _float_coefficients(order)
     mass = np.full(n, dx)
-    lead = np.array([float(wgt) for wgt in table.boundary_weights]) * dx
-    b = table.n_closure_rows
-    mass[:b] = lead
-    mass[n - b :] = lead[::-1]
+    lead = weights * dx
+    mass[: len(lead)] = lead
+    mass[n - len(lead) :] = lead[::-1]
 
     op = SbpOperator1D(
         grid=grid,
         interior_order=order,
-        interior_stencil=interior,
-        boundary_block=closure,
+        interior_stencil=stencil / dx,
+        boundary_block=block / dx,
         mass_weights=mass,
     )
     if validate:
         _validate_operator(op)
     return op
+
+
+@lru_cache(maxsize=None)
+def _float_coefficients(order: int) -> tuple:
+    """The full interior stencil row, the closure block and the leading
+    mass weights of ``order`` in units of 1/dx and dx, as read-only float
+    arrays: converted from the exact rationals once per order."""
+    table = coefficient_table(order)
+    full = [-c for c in reversed(table.interior)] + [0] + list(table.interior)
+    return _read_only(np.array([float(c) for c in full]),
+                      np.array([[float(c) for c in row] for row in table.closure]),
+                      np.array([float(wgt) for wgt in table.boundary_weights]))
 
 
 def _banded_lu(rows, cols, vals, n: int) -> tuple:
@@ -404,6 +471,29 @@ def _banded_lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     return dgbtrs(lu, lower, upper, rhs, piv)[0]
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _trailing_blocks(shape: tuple, cap: int) -> list:
+    """Tuples of slices that split an array of ``shape`` into consecutive
+    blocks of at most ``cap`` entries (at least one): the axes from the
+    last one back that fit whole, the axis before them in runs, and each
+    earlier axis one index at a time."""
+    size, a = 1, len(shape)
+    while a and size * shape[a - 1] <= cap:
+        a -= 1
+        size *= shape[a]
+    if a == 0:
+        return [()]
+    step = max(1, cap // size)
+    return [(*(slice(i, i + 1) for i in lead), slice(s, s + step))
+            for lead in np.ndindex(*shape[: a - 1])
+            for s in range(0, shape[a - 1], step)]
+
+
 def _validate_operator(op: SbpOperator1D) -> None:
     rows, _, vals = op._entries
     scale = np.max(np.abs(op.mass_weights[rows] * vals))
@@ -419,15 +509,23 @@ def _validate_operator(op: SbpOperator1D) -> None:
 
 def accuracy_check(op: SbpOperator1D, tol: float = 1e-12) -> None:
     """D must differentiate x^k exactly: k <= 2p at interior rows, k <= p at
-    closure rows.  Tolerance is relative to the size of the row data."""
+    closure rows.  Tolerance is relative to the size of the row data.  All
+    degrees are differentiated in one sweep, then checked in increasing
+    order."""
     x = op.grid.nodes()
     n, b = op.n_nodes, op.n_closure_rows
     p = op.boundary_order
-    for deg in range(0, op.interior_order + 1):
-        monomial = x**deg
-        exact = deg * x ** (deg - 1) if deg >= 1 else np.zeros(n)
-        err = np.abs(op.apply_d(monomial) - exact)
-        scale = max(np.max(np.abs(monomial)) / op.grid.dx, 1.0)
+    degrees = range(0, op.interior_order + 1)
+    monomials = np.empty((n, len(degrees)))
+    exact = np.zeros((n, len(degrees)))
+    for deg in degrees:
+        monomials[:, deg] = x**deg
+        if deg >= 1:
+            exact[:, deg] = deg * x ** (deg - 1)
+    errors = np.abs(op.apply_d(monomials) - exact)
+    for deg in degrees:
+        err = errors[:, deg]
+        scale = max(np.max(np.abs(monomials[:, deg])) / op.grid.dx, 1.0)
         check = err if deg <= p else err[b : n - b]
         if check.size and np.max(check) > tol * scale:
             raise AssertionError(

@@ -19,6 +19,7 @@ transpose is its forward operator with ``D_i^T`` in place of ``D_i``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -285,11 +286,15 @@ class TensorOps:
     def norm(self, a) -> float:
         return float(np.sqrt(self.inner(a, a)))
 
+    @cached_property
+    def _volume(self) -> float:
+        """<1, 1>_M, the measure of the domain."""
+        return float(np.sum(self.mass))
+
     def mean_zero(self, f) -> np.ndarray:
         """Shift a scalar field so that <f, 1>_M = 0."""
         f = self.field_data(f, "scalar")
-        vol = float(np.sum(self.mass))
-        return f - float(np.sum(self.mass * f)) / vol
+        return f - float(np.sum(self.mass * f)) / self._volume
 
     # -- the Gram operators of grad and curl ---------------------------------
 
@@ -388,8 +393,12 @@ def _outer(parts, ufunc=np.multiply) -> np.ndarray:
 
 
 def _transform(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
-    """Apply the matrix ``mat`` along axis i of ``u``."""
-    return np.moveaxis(np.tensordot(mat, u, axes=(1, i)), 0, i)
+    """Apply the matrix ``mat`` along axis i of ``u``: ``np.dot`` on the
+    operands ``np.tensordot(mat, u, axes=(1, i))`` forms, without its
+    argument handling."""
+    rest = u.shape[:i] + u.shape[i + 1 :]
+    lines = np.moveaxis(u, i, 0).reshape(u.shape[i], math.prod(rest))
+    return np.moveaxis(np.dot(mat, lines).reshape(len(mat), *rest), 0, i)
 
 
 def _fdm_pinv(pairs, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -183,6 +184,77 @@ def test_corrupted_operator_detected(order):
     op = build_operator_1d(order, Grid1D(0.0, 1.0, 32))
     bad = corrupt_operator(op, delta=1e-3)
     assert bad.sbp_residual() >= 1e-4
+
+
+# -- polynomial accuracy check ------------------------------------------------
+
+
+def _per_degree_accuracy_failure(op, tol=1e-12):
+    """The first failing degree of the accuracy rule and its message, or
+    None: one ``apply_d`` per monomial, the reference loop of
+    ``accuracy_check``."""
+    x = op.grid.nodes()
+    n, b, p = op.n_nodes, op.n_closure_rows, op.boundary_order
+    for deg in range(0, op.interior_order + 1):
+        monomial = x**deg
+        exact = deg * x ** (deg - 1) if deg >= 1 else np.zeros(n)
+        err = np.abs(op.apply_d(monomial) - exact)
+        scale = max(np.max(np.abs(monomial)) / op.grid.dx, 1.0)
+        check = err if deg <= p else err[b : n - b]
+        if check.size and np.max(check) > tol * scale:
+            return deg, (f"row accuracy failure at degree {deg}: "
+                         f"max error {np.max(check):.3e} (scale {scale:.3e})")
+    return None
+
+
+def _accuracy_check_message(op):
+    try:
+        operators1d.accuracy_check(op)
+    except AssertionError as err:
+        return str(err)
+    return None
+
+
+def test_batched_accuracy_check_names_the_per_degree_failure(order):
+    """The one-sweep check names the degree and error the per-degree loop
+    names.  A closure coefficient fails at a degree <= p.  A single
+    interior coefficient would fail at degree 0, so the interior stencil is
+    perturbed along the (p+1)-th difference, which is exact to degree p:
+    it fails at a degree > p, on interior rows only."""
+    p = order // 2
+    diff = np.zeros(2 * p + 1)
+    for j in range(p + 2):  # (-1)^(p+1-j) binom(p+1, j) at offsets -p + j
+        diff[j] = (-1) ** (p + 1 - j) * math.comb(p + 1, j)
+    for n in (MIN_NODES[order], MIN_NODES[order] + 5, 40):
+        op = build_operator_1d(order, Grid1D(-1.0, 1.0, n), validate=False)
+        assert _per_degree_accuracy_failure(op) is None
+        assert _accuracy_check_message(op) is None
+        interior = dataclasses.replace(
+            op, interior_stencil=op.interior_stencil + 1e-3 / op.grid.dx * diff)
+        closure = corrupt_operator(op)
+        for bad, failing in ((interior, lambda deg: deg > p),
+                             (closure, lambda deg: deg <= p)):
+            found = _per_degree_accuracy_failure(bad)
+            if bad is interior and n == MIN_NODES[order]:
+                assert found is None  # no interior rows to fail
+                assert _accuracy_check_message(bad) is None
+                continue
+            deg, message = found
+            assert failing(deg), (n, deg)
+            assert _accuracy_check_message(bad) == message
+        # the interior perturbation leaves the closure rows unchanged
+        x = np.vander(op.grid.nodes(), order + 1, increasing=True)
+        b = op.n_closure_rows
+        for ends in (slice(0, b), slice(n - b, n)):
+            assert np.array_equal(interior.apply_d(x)[ends], op.apply_d(x)[ends])
+
+
+def test_every_valid_size_constructs(order):
+    """Valid operators construct at every n from the order's minimum to
+    minimum + 29, and the per-degree loop finds no failure either."""
+    for n in range(MIN_NODES[order], MIN_NODES[order] + 30):
+        op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
+        assert _per_degree_accuracy_failure(op) is None
 
 
 # -- oscillation vector ------------------------------------------------------

@@ -38,6 +38,8 @@ from sbphodge.tensor import (
     square_tensor_ops,
 )
 
+from conftest import MIN_NODES
+
 
 def random_scalar(ops, rng):
     return rng.standard_normal(ops.shape)
@@ -706,6 +708,44 @@ def test_blocked_sweeps_bit_identical_across_block_boundaries(rng):
     _assert_sweeps_match_reference(ops3, random_scalar(ops3, rng))
 
 
+# the views the benchmark workloads sweep: 2D n=49 (neumann2d) and n=129
+# (hodge2d_rough), 3D n=25 (hodge3d_rough), all at order 6
+BENCHMARK_GRIDS = {"2d-n49": (6, 49, 2), "2d-n129": (6, 129, 2),
+                   "3d-n25": (6, 25, 3)}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_GRIDS)
+def test_sweeps_bit_identical_on_the_benchmark_views(name, rng):
+    """Along every axis of the benchmark grids, the 1D sweeps (without
+    ``out=`` and into a contiguous, a strided and an aliased slot) and
+    ``apply_axis``/``apply_axis_transpose`` equal the reference formulas."""
+    ops = square_tensor_ops(*BENCHMARK_GRIDS[name])
+    u = random_scalar(ops, rng)
+    _assert_sweeps_match_reference(ops, u)
+    for i, op in enumerate(ops.axis_ops):
+        moved = np.moveaxis(u, i, 0)
+        assert np.array_equal(np.moveaxis(ops.apply_axis(i, u), i, 0),
+                              _sweep_d(op, moved))
+        assert np.array_equal(np.moveaxis(ops.apply_axis_transpose(i, u), i, 0),
+                              _sweep_d_transpose(op, moved))
+
+
+def test_sweeps_bit_identical_on_vectors_and_batches(order, rng):
+    """1D vectors and (n, 7) batches, C- and F-ordered, at the smallest
+    grid, a few rows more and n=49, equal the reference formulas."""
+    for n in (MIN_NODES[order], MIN_NODES[order] + 3, 49):
+        op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
+        batch = rng.standard_normal((n, 7))
+        for u in (rng.standard_normal(n), batch, np.asfortranarray(batch)):
+            for method, reference in (("apply_d", _sweep_d),
+                                      ("apply_d_transpose", _sweep_d_transpose)):
+                want, sweep = reference(op, u), getattr(op, method)
+                assert np.array_equal(sweep(u), want)
+                slot = np.empty_like(u)
+                assert sweep(u, out=slot) is slot
+                assert np.array_equal(slot, want)
+
+
 @pytest.mark.parametrize("budget", [1, 8, 200])
 @pytest.mark.parametrize("name", SWEEP_GRIDS)
 def test_sweeps_bit_identical_at_any_block_budget(monkeypatch, name, budget, rng):
@@ -733,27 +773,40 @@ def test_sweeps_bit_identical_at_any_block_budget(monkeypatch, name, budget, rng
 def test_only_contiguous_rows_are_blocked(monkeypatch, rng):
     """At a one-row budget the first and last axes of a C-ordered 3D field
     are swept in many blocks; the middle axis, a strided view, in one: one
-    multiply per nonzero band term."""
+    band multiply per nonzero band term.  Only the multiplies of the band
+    sweep (``_band``) are counted, not those of the closure and edge rows."""
     monkeypatch.setattr(operators1d, "_BLOCK_BYTES", 8)
     ops = build_tensor_ops(4, [Grid1D(0.0, 1.0, 11), Grid1D(0.0, 1.0, 13),
                                Grid1D(0.0, 1.0, 9)])
-    u, calls = random_scalar(ops, rng), []
+    u, calls, in_band = random_scalar(ops, rng), [], []
+    band = operators1d.SbpOperator1D._band
 
-    class CountingNumpy:  # numpy as the sweeps see it, counting multiplies
+    def counting_band(self, *args):
+        in_band.append(True)
+        try:
+            return band(self, *args)
+        finally:
+            in_band.pop()
+
+    class CountingNumpy:  # numpy as the sweeps see it, counting band multiplies
         def __getattr__(self, attr):
             return getattr(np, attr)
 
         def multiply(self, *args, **kwargs):
-            calls.append(1)
+            if in_band:
+                calls.append(1)
             return np.multiply(*args, **kwargs)
 
     monkeypatch.setattr(operators1d, "np", CountingNumpy())
+    monkeypatch.setattr(operators1d.SbpOperator1D, "_band", counting_band)
     for i, op in enumerate(ops.axis_ops):
         terms = np.count_nonzero(op.interior_stencil)
         for name in ("apply_axis", "apply_axis_transpose"):
             calls.clear()
             getattr(ops, name)(i, u)
-            assert (len(calls) == terms) == (i == 1)
+            blocks, rest = divmod(len(calls), terms)
+            assert rest == 0 and (blocks == 1 if i == 1 else blocks > 1), (
+                i, name, len(calls))
 
 
 @pytest.mark.parametrize("method", ["apply_d", "apply_d_transpose"])
