@@ -731,12 +731,14 @@ def test_sweeps_bit_identical_on_the_benchmark_views(name, rng):
 
 
 def test_sweeps_bit_identical_on_vectors_and_batches(order, rng):
-    """1D vectors and (n, 7) batches, C- and F-ordered, at the smallest
-    grid, a few rows more and n=49, equal the reference formulas."""
+    """1D vectors and (n, 7) batches, C- and F-ordered, and an empty
+    batch, at the smallest grid, a few rows more and n=49, equal the
+    reference formulas."""
     for n in (MIN_NODES[order], MIN_NODES[order] + 3, 49):
         op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
         batch = rng.standard_normal((n, 7))
-        for u in (rng.standard_normal(n), batch, np.asfortranarray(batch)):
+        for u in (rng.standard_normal(n), batch, np.asfortranarray(batch),
+                  np.empty((n, 0))):
             for method, reference in (("apply_d", _sweep_d),
                                       ("apply_d_transpose", _sweep_d_transpose)):
                 want, sweep = reference(op, u), getattr(op, method)
