@@ -65,12 +65,14 @@ def main(argv=None):
                         help=f"a square grid; repeatable (default {' '.join(GRIDS)})")
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--baseline", metavar="DIR",
-                        help="src directory of another checkout to time beside this one")
+                        help="src directory of another checkout to time beside")
     args = parser.parse_args(argv)
     grids = [tuple(int(x) for x in g.split(":")) for g in (args.grid or GRIDS)]
 
     from sbphodge import tensor
-    trees = [tensor] if args.baseline is None else [load_tensor_module(args.baseline), tensor]
+    trees = [tensor]
+    if args.baseline is not None:
+        trees.insert(0, load_tensor_module(args.baseline))
     rng = np.random.default_rng(0)
     sweeps, setups = {}, {}  # case -> one list of round times per tree
     cases = []
@@ -81,10 +83,10 @@ def main(argv=None):
         for i in range(dim):
             u, slot = sweep_view(f, shape, i), sweep_view(out, shape, i)
             for method in ("apply_d", "apply_d_transpose"):
-                calls = [getattr(t.square_tensor_ops(args.order, n, dim).axis_ops[i], method)
-                         for t in trees]
-                cases.append((sweeps, (dim, n, i, method), number,
-                              [lambda c=c, u=u, slot=slot: c(u, out=slot) for c in calls]))
+                ops = [t.square_tensor_ops(args.order, n, dim) for t in trees]
+                calls = [lambda c=getattr(o.axis_ops[i], method), u=u, slot=slot:
+                         c(u, out=slot) for o in ops]
+                cases.append((sweeps, (dim, n, i, method), number, calls))
         cases.append((setups, (dim, n), 20,
                       [lambda t=t, n=n, dim=dim: t.square_tensor_ops(args.order, n, dim)
                        for t in trees]))
@@ -107,11 +109,12 @@ def main(argv=None):
         row = []
         for i in range(dim):
             both = [sweeps[(dim, n, i, m)] for m in ("apply_d", "apply_d_transpose")]
-            row.append(cell([[(a + b) / 2 for a, b in zip(*pair)] for pair in zip(*both)],
-                            1e9 / nodes, 1))
+            means = [[(a + b) / 2 for a, b in zip(*pair)] for pair in zip(*both)]
+            row.append(cell(means, 1e9 / nodes, 1))
         size = nodes * 8 / 1024
         field = f"{size / 1024:.0f} MiB" if size >= 1024 else f"{size:.0f} KiB"
-        print(f"| {dim}D n={n} | {field} | " + " | ".join(row + [""] * (3 - dim)) + " |")
+        cells = " | ".join(row + [""] * (3 - dim))
+        print(f"| {dim}D n={n} | {field} | {cells} |")
     print(f"\nOrder {args.order}: square_tensor_ops set-up, ms, "
           f"median of {args.repeats} interleaved rounds\n")
     print("| grid | set-up |")

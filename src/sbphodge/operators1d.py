@@ -300,9 +300,7 @@ class SbpOperator1D:
         )
         top = self.boundary_block.ravel()
         vals = np.concatenate([top, np.tile(self.interior_stencil, len(mid)), -top])
-        for a in (rows, cols, vals):
-            a.flags.writeable = False
-        return rows, cols, vals
+        return _read_only(rows, cols, vals)
 
     def sbp_residual(self) -> float:
         """Max-abs entry of M D + D^T M - E, from the entries of D in O(n)."""
@@ -460,8 +458,7 @@ def _banded_lu(rows, cols, vals, n: int) -> tuple:
     if info > 0:
         raise NullspaceDimensionUnexpected(
             f"singular band: pivot {info - 1} of {n} is zero")
-    lu.flags.writeable = piv.flags.writeable = False
-    return lu, piv, lower, upper
+    return (*_read_only(lu, piv), lower, upper)
 
 
 def _banded_lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -472,6 +469,7 @@ def _banded_lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
 
 
 def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only."""
     for a in arrays:
         a.flags.writeable = False
     return arrays

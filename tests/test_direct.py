@@ -4,6 +4,7 @@ reference, its reported stats, and its input checks."""
 import numpy as np
 import pytest
 
+from sbphodge import tensor
 from sbphodge.errors import (
     DimensionMismatch,
     NonFiniteEncountered,
@@ -98,6 +99,26 @@ def test_curl_gram_pinv_solves_curl_gram_system(rng):
     assert rel(ops, v, _curl_coimage_part(ops, w, config)) <= 1e-10
     with pytest.raises(WrongDimension):
         square_tensor_ops(2, 7, 2).curl_gram_pinv(np.zeros((2, 7, 7)))
+
+
+def test_transform_equals_tensordot_bit_for_bit(rng):
+    """The FDM transform is np.tensordot along one axis, without its
+    argument handling: equal bit for bit on every axis of C-ordered,
+    F-ordered and strided 3D fields, for both bases and their transposes;
+    ``mean_zero`` equals its defining shift."""
+    ops = build_tensor_ops(6, [Grid1D(-1, 1, 13), Grid1D(0, 2, 14),
+                               Grid1D(-1, 3, 15)])
+    u = rng.standard_normal((2, *ops.shape))[0]
+    for field in (u, np.asfortranarray(u), np.zeros((26, 14, 15))[::2]):
+        field[...] = u
+        for i, op in enumerate(ops.axis_ops):
+            for s in (op.eigenbasis[1], op.dual_eigenbasis[1]):
+                for mat in (s, s.T):
+                    want = np.moveaxis(np.tensordot(mat, field, axes=(1, i)), 0, i)
+                    assert np.array_equal(tensor._transform(mat, field, i), want)
+        volume = float(np.sum(ops.mass))
+        assert np.array_equal(ops.mean_zero(field),
+                              field - float(np.sum(ops.mass * field)) / volume)
 
 
 # -- direct against Krylov ------------------------------------------------------

@@ -731,21 +731,22 @@ def test_sweeps_bit_identical_on_the_benchmark_views(name, rng):
 
 
 def test_sweeps_bit_identical_on_vectors_and_batches(order, rng):
-    """1D vectors and (n, 7) batches, C- and F-ordered, and an empty
-    batch, at the smallest grid, a few rows more and n=49, equal the
-    reference formulas."""
+    """1D vectors and (n, 7) batches, C- and F-ordered, an empty batch and
+    negative zeros, at the smallest grid, a few rows more and n=49, equal
+    the reference formulas, signs of zero included."""
     for n in (MIN_NODES[order], MIN_NODES[order] + 3, 49):
         op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
         batch = rng.standard_normal((n, 7))
         for u in (rng.standard_normal(n), batch, np.asfortranarray(batch),
-                  np.empty((n, 0))):
+                  np.empty((n, 0)), -np.zeros((n, 3))):
             for method, reference in (("apply_d", _sweep_d),
                                       ("apply_d_transpose", _sweep_d_transpose)):
                 want, sweep = reference(op, u), getattr(op, method)
-                assert np.array_equal(sweep(u), want)
                 slot = np.empty_like(u)
                 assert sweep(u, out=slot) is slot
-                assert np.array_equal(slot, want)
+                for got in (sweep(u), slot):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("budget", [1, 8, 200])
