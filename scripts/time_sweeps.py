@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+ORDER = 6
 GRIDS = ["2:49", "2:129", "2:257", "2:513", "2:1025", "3:25", "3:49", "3:97"]
 
 
@@ -60,7 +61,6 @@ def seconds(call, number):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--order", type=int, default=6)
     parser.add_argument("--grid", action="append", metavar="DIM:N",
                         help=f"a square grid; repeatable (default {' '.join(GRIDS)})")
     parser.add_argument("--repeats", type=int, default=9)
@@ -83,12 +83,12 @@ def main(argv=None):
         for i in range(dim):
             u, slot = sweep_view(f, shape, i), sweep_view(out, shape, i)
             for method in ("apply_d", "apply_d_transpose"):
-                ops = [t.square_tensor_ops(args.order, n, dim) for t in trees]
+                ops = [t.square_tensor_ops(ORDER, n, dim) for t in trees]
                 calls = [lambda c=getattr(o.axis_ops[i], method), u=u, slot=slot:
                          c(u, out=slot) for o in ops]
                 cases.append((sweeps, (dim, n, i, method), number, calls))
         cases.append((setups, (dim, n), 20,
-                      [lambda t=t, n=n, dim=dim: t.square_tensor_ops(args.order, n, dim)
+                      [lambda t=t, n=n, dim=dim: t.square_tensor_ops(ORDER, n, dim)
                        for t in trees]))
     for r in range(args.repeats):
         for table, key, number, calls in cases:
@@ -100,7 +100,7 @@ def main(argv=None):
     def cell(times, scale, digits):
         return " → ".join(f"{scale * statistics.median(t):.{digits}f}" for t in times)
 
-    print(f"Order {args.order}: mean of apply_d and apply_d_transpose, ns per node, "
+    print(f"Order {ORDER}: mean of apply_d and apply_d_transpose, ns per node, "
           f"median of {args.repeats} interleaved rounds\n")
     print("| grid | field | axis 0 | axis 1 | axis 2 |")
     print("|------|------:|-------:|-------:|-------:|")
@@ -115,7 +115,7 @@ def main(argv=None):
         field = f"{size / 1024:.0f} MiB" if size >= 1024 else f"{size:.0f} KiB"
         cells = " | ".join(row + [""] * (3 - dim))
         print(f"| {dim}D n={n} | {field} | {cells} |")
-    print(f"\nOrder {args.order}: square_tensor_ops set-up, ms, "
+    print(f"\nOrder {ORDER}: square_tensor_ops set-up, ms, "
           f"median of {args.repeats} interleaved rounds\n")
     print("| grid | set-up |")
     print("|------|-------:|")

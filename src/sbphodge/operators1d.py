@@ -19,22 +19,21 @@ and accumulate their terms in place in it.  When each row of both arrays is
 one contiguous run of memory, the band rows are swept in blocks of rows
 that fit in ``_BLOCK_BYTES`` (256 KiB) per operand, every term on one block
 before the next, through one block of scratch laid out as the output; a
-strided view runs as one block.  The rows the band does not cover are
+strided view runs as one block.  Each entry gets the same operations in
+the same order whatever the blocks.  The rows the band does not cover are
 written from gathered end rows of u, both ends at once: ``apply_d``
-gathers the 2 wt rows its closures read and forms the products of all
-their terms in one broadcast multiply, then sums them in place; the edge
-rows of ``apply_d_transpose`` sum their truncated band terms in place over
-the gathered end rows, padded with zeros, and its corner corrections call
-``np.dot`` on the operands ``np.tensordot`` would form.  That scratch is
-split along the trailing axes, and the closure products by terms, so that
-each operand fits in ``_BLOCK_BYTES``.  Each entry gets the same operations
-in the same order whatever the blocks.  ``accuracy_check`` differentiates
-every monomial in one sweep.  The grid oscillation (the kernel of D*) and
-the discrete integral are LAPACK banded LU solves (``dgbtrf`` then
-``dgbtrs``, as ``DGBSV`` does) on the entries of D, O(n) in time and
-memory.  The integral's factors are built on the first integral and reused
-by every later one; ``dense()`` serves only the eigenbases and
-verification.
+gathers the 2 wt rows its closures read and forms the products of as
+many of its terms at once as fit in ``_BLOCK_BYTES``, for both ends in one
+multiply, then sums them in place; the edge rows of
+``apply_d_transpose`` sum their truncated band terms in place over the
+gathered end rows, padded with zeros, and its corner corrections call
+``np.dot`` on the operands ``np.tensordot`` would form.
+``accuracy_check`` differentiates every monomial in one sweep.  The grid
+oscillation (the kernel of D*) and the discrete integral are LAPACK banded
+LU solves (``dgbtrf`` then ``dgbtrs``, as ``DGBSV`` does) on the entries
+of D, O(n) in time and memory.  The integral's factors are built on the
+first integral and reused by every later one; ``dense()`` serves only the
+eigenbases and verification.
 """
 
 from __future__ import annotations
@@ -146,27 +145,23 @@ class SbpOperator1D:
 
         Row i of end e is ``sum_j coef[j, e, i] * u[rows[j, e]]`` summed in
         increasing j (``_closure_parts``).  The 2 wt end rows of u are
-        gathered into one block; the products of all terms, or of a chunk
-        of them, are formed in one broadcast multiply and summed in place.
-        Every operand takes at most ``_BLOCK_BYTES``: the trailing axes are
-        split into blocks (``_trailing_blocks``) whose gathered rows fit,
-        and a block's terms into chunks whose products fit.
+        gathered into one block.  The sum starts from the first term's
+        products; the later terms' products, for both ends, are formed as
+        many terms at once as fit in ``_BLOCK_BYTES`` (at least one), in
+        one multiply into a reused buffer, and added in place.
         """
         coef, rows = self._closure_parts
         n, (wt, _, b) = self.n_nodes, coef.shape
         coef = coef.reshape(coef.shape + (1,) * (u.ndim - 1))
-        for cols in _trailing_blocks(u.shape[1:], _BLOCK_BYTES // (16 * max(wt, b))):
-            cols = (slice(None), *cols)
-            ends = u[cols][rows]
-            chunk = max(1, _BLOCK_BYTES // (16 * b * max(1, ends[0, 0, 0].size)))
-            acc = None
-            for j in range(0, wt, chunk):
-                prod = np.multiply(coef[j : j + chunk], ends[j : j + chunk])
-                if acc is None:
-                    acc, prod = prod[0], prod[1:]
-                for p in prod:
-                    acc += p
-            out[cols][:b], out[cols][n - b :] = acc
+        ends = u[rows]
+        acc = np.multiply(coef[0], ends[0])
+        chunk = max(1, min(wt - 1, _BLOCK_BYTES // max(1, acc.nbytes)))
+        prod = np.empty((chunk, *acc.shape))
+        for j in range(1, wt, chunk):
+            k = min(chunk, wt - j)
+            for p in np.multiply(coef[j : j + k], ends[j : j + k], out=prod[:k]):
+                acc += p
+        out[:b], out[n - b :] = acc
 
     def _band(self, stencil, lo: int, u: np.ndarray, out: np.ndarray) -> None:
         """``out[lo:m-lo] = sum_k stencil[k] * u[lo-w+k : m-lo-w+k]``.
@@ -256,15 +251,13 @@ class SbpOperator1D:
         # the first and last w rows, where the band is truncated: the band
         # over the gathered end rows of u, padded with zero rows, whose
         # terms add zeros, as the missing terms would; accumulated in place
-        for cols in _trailing_blocks(u.shape[1:], _BLOCK_BYTES // (16 * 3 * w)):
-            cols = (slice(None), *cols)
-            slabs = u[cols][rows]
-            slabs[outside] = 0.0
-            acc = np.zeros_like(slabs[:, :w])
-            tmp = np.empty_like(acc)
-            for k, c in terms:
-                acc += np.multiply(c, slabs[:, k : k + w], out=tmp)
-            out[cols][:w], out[cols][n - w :] = acc
+        slabs = u[rows]
+        slabs[outside] = 0.0
+        acc = np.zeros_like(slabs[:, :w])
+        tmp = np.empty_like(acc)
+        for k, c in terms:
+            acc += np.multiply(c, slabs[:, k : k + w], out=tmp)
+        out[:w], out[n - w :] = acc
         # corner corrections: closure rows minus what the full band put
         # there, with np.dot on the operands np.tensordot(corr, u[:b], 1)
         # would form
@@ -473,23 +466,6 @@ def _read_only(*arrays) -> tuple:
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def _trailing_blocks(shape: tuple, cap: int) -> list:
-    """Tuples of slices that split an array of ``shape`` into consecutive
-    blocks of at most ``cap`` entries (at least one): the axes from the
-    last one back that fit whole, the axis before them in runs, and each
-    earlier axis one index at a time."""
-    size, a = 1, len(shape)
-    while a and size * shape[a - 1] <= cap:
-        a -= 1
-        size *= shape[a]
-    if a == 0:
-        return [()]
-    step = max(1, cap // size)
-    return [(*(slice(i, i + 1) for i in lead), slice(s, s + step))
-            for lead in np.ndindex(*shape[: a - 1])
-            for s in range(0, shape[a - 1], step)]
 
 
 def _validate_operator(op: SbpOperator1D) -> None:
