@@ -22,9 +22,8 @@ before the next, through one block of scratch laid out as the output; a
 strided view runs as one block.  Each entry gets the same operations in
 the same order whatever the blocks.  The rows the band does not cover are
 written from gathered end rows of u, both ends at once: ``apply_d``
-gathers the 2 wt rows its closures read and forms the products of as
-many of its terms at once as fit in ``_BLOCK_BYTES``, for both ends in one
-multiply, then sums them in place; the edge rows of
+gathers the 2 wt rows its closures read and sums the products of its
+terms in place, one multiply per term for both ends; the edge rows of
 ``apply_d_transpose`` sum their truncated band terms in place over the
 gathered end rows, padded with zeros, and its corner corrections call
 ``np.dot`` on the operands ``np.tensordot`` would form.
@@ -145,22 +144,17 @@ class SbpOperator1D:
 
         Row i of end e is ``sum_j coef[j, e, i] * u[rows[j, e]]`` summed in
         increasing j (``_closure_parts``).  The 2 wt end rows of u are
-        gathered into one block.  The sum starts from the first term's
-        products; the later terms' products, for both ends, are formed as
-        many terms at once as fit in ``_BLOCK_BYTES`` (at least one), in
-        one multiply into a reused buffer, and added in place.
+        gathered into one block, and each term's products for both ends are
+        formed in one multiply into one reused buffer and added in place.
         """
         coef, rows = self._closure_parts
         n, (wt, _, b) = self.n_nodes, coef.shape
         coef = coef.reshape(coef.shape + (1,) * (u.ndim - 1))
         ends = u[rows]
         acc = np.multiply(coef[0], ends[0])
-        chunk = max(1, min(wt - 1, _BLOCK_BYTES // max(1, acc.nbytes)))
-        prod = np.empty((chunk, *acc.shape))
-        for j in range(1, wt, chunk):
-            k = min(chunk, wt - j)
-            for p in np.multiply(coef[j : j + k], ends[j : j + k], out=prod[:k]):
-                acc += p
+        tmp = np.empty_like(acc)
+        for j in range(1, wt):
+            acc += np.multiply(coef[j], ends[j], out=tmp)
         out[:b], out[n - b :] = acc
 
     def _band(self, stencil, lo: int, u: np.ndarray, out: np.ndarray) -> None:
