@@ -1,13 +1,15 @@
-"""Matrix-free least-norm least-squares solvers (LSQR and LSMR).
+"""Minimum-norm least-squares solvers (LSQR and LSMR) over a ``LinearMap``.
 
-Both solvers run Golub-Kahan bidiagonalization from a zero initial guess, so
-on rank-deficient consistent or inconsistent systems they converge to the
-minimum-Euclidean-norm least-squares solution.  Stopping follows the standard
-dual criteria: the residual test ``|r| <= btol |b| + atol |A| |x|`` for
-compatible systems and the normal-equation test ``|A^T r| <= atol |A| |r|``
-otherwise, with machine-precision floors so that ``atol = btol = 0`` still
-terminates.  No preconditioning and no reorthogonalization are applied;
-ill-conditioned problems are expected to arrive in scaled form.
+The iterations are SciPy's ``scipy.sparse.linalg.lsqr`` (Paige & Saunders,
+1982) and ``lsmr`` (Fong & Saunders, 2011); this module adapts them to the
+package's ``LinearMap``, ``SolveStats`` and typed errors.  From a zero initial
+guess both converge to the minimum-Euclidean-norm least-squares solution.
+They stop on the residual test ``|r| <= btol |b| + atol |A| |x|`` or the
+normal-equation test ``|A^T r| <= atol |A| |r|``, with machine-precision
+floors so that ``atol = btol = 0`` still terminates; SciPy's condition limit
+is off (``conlim=0``).  No preconditioning is applied.  A solve, not this
+module, imports ``scipy.sparse.linalg``, so the default direct decomposition
+never loads it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteEncountered
-
-_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,26 +50,17 @@ class LinearMap:
                 )
             lhs = float(np.dot(ax, y))
             rhs = float(np.dot(x, aty))
-            scale = (
-                np.linalg.norm(ax) * np.linalg.norm(y)
-                + np.linalg.norm(x) * np.linalg.norm(aty)
-                + 1.0
-            )
+            scale = (np.linalg.norm(ax) * np.linalg.norm(y)
+                     + np.linalg.norm(x) * np.linalg.norm(aty) + 1.0)
             if abs(lhs - rhs) > tol * scale:
-                raise ValueError(
-                    f"adjoint inconsistency {abs(lhs - rhs):.3e} "
-                    f"exceeds {tol:.1e} * {scale:.3e}"
-                )
+                raise ValueError(f"adjoint inconsistency {abs(lhs - rhs):.3e} "
+                                 f"exceeds {tol:.1e} * {scale:.3e}")
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "LinearMap":
         a = np.asarray(a, dtype=np.float64)
-        return cls(
-            rows=a.shape[0],
-            cols=a.shape[1],
-            forward=lambda x: a @ x,
-            adjoint=lambda y: a.T @ y,
-        )
+        return cls(rows=a.shape[0], cols=a.shape[1],
+                   forward=lambda x: a @ x, adjoint=lambda y: a.T @ y)
 
 
 @dataclass
@@ -85,15 +76,35 @@ class SolveStats:
     iterates: Optional[list] = None
 
     def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_residual_norm": self.final_residual_norm,
-            "final_normal_residual_norm": self.final_normal_residual_norm,
-            "stop_reason": self.stop_reason,
-        }
+        return {"iterations": self.iterations,
+                "final_residual_norm": self.final_residual_norm,
+                "final_normal_residual_norm": self.final_normal_residual_norm,
+                "stop_reason": self.stop_reason}
 
 
-def _prepare(op: LinearMap, b: np.ndarray, max_iter, self_test):
+def _finite(apply):
+    """``apply`` with its output checked: SciPy carries a NaN or Inf on to
+    the iteration limit instead of stopping."""
+
+    def checked(x):
+        y = apply(x)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteEncountered("operator returned NaN or Inf")
+        return y
+
+    return checked
+
+
+# SciPy's istop: 1 and 4 pass the residual test, 2 and 5 the normal-equation
+# test.  7 is the iteration limit; 3 and 6, a condition estimate beyond
+# 1/eps, also stop short of atol/btol and read as max_iter.
+_STOPS = {1: "residual_tol", 4: "residual_tol", 2: "normal_tol",
+          5: "normal_tol"}
+
+
+def _solve(name, op, b, atol, btol, max_iter, self_test, keep_iterates):
+    from scipy.sparse import linalg  # lazily: not on the default path
+
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (op.rows,):
         raise DimensionMismatch(f"rhs shape {b.shape} != ({op.rows},)")
@@ -103,237 +114,56 @@ def _prepare(op: LinearMap, b: np.ndarray, max_iter, self_test):
         op.self_test()
     if max_iter is None:
         max_iter = 4 * max(op.rows, op.cols)
-    return b, max_iter
+    a = linalg.LinearOperator((op.rows, op.cols), dtype=np.float64,
+                              matvec=_finite(op.forward),
+                              rmatvec=_finite(op.adjoint))
 
+    def run(limit):
+        """``(x, istop, itn, |r|, |A^T r|)`` of a run capped at ``limit``."""
+        if name == "lsqr":
+            out = linalg.lsqr(a, b, atol=atol, btol=btol, conlim=0,
+                              iter_lim=limit)
+            return out[:4] + out[7:8]
+        return linalg.lsmr(a, b, atol=atol, btol=btol, conlim=0,
+                           maxiter=limit)[:5]
 
-def _check_finite(*values):
-    for v in values:
-        if not np.isfinite(v):
-            raise NonFiniteEncountered("non-finite value during iteration")
-
-
-def lsqr(
-    op: LinearMap,
-    b: np.ndarray,
-    atol: float = 1e-10,
-    btol: float = 1e-10,
-    max_iter: Optional[int] = None,
-    self_test: bool = True,
-    keep_iterates: bool = False,
-):
-    """Minimum-norm least-squares solve of ``op x = b`` via LSQR.
-
-    Returns ``(x, SolveStats)``.  The residual norm is non-increasing across
-    iterations.  Hitting ``max_iter`` is not an error: the best iterate and
-    its stats are returned with ``stop_reason = "max_iter"``.
-    """
-    b, max_iter = _prepare(op, b, max_iter, self_test)
-    x = np.zeros(op.cols)
-    stats = SolveStats(0, 0.0, 0.0, "residual_tol")
+    x, istop, itn, rnorm, arnorm = run(max_iter)
+    if not (np.isfinite(rnorm) and np.isfinite(arnorm)):
+        raise NonFiniteEncountered("non-finite value during iteration")
+    if istop == 0:  # x = 0 returned before the first iteration
+        istop = 1 if rnorm == 0 else 2 if arnorm == 0 else 7
+    stats = SolveStats(itn, float(rnorm), float(arnorm),
+                       _STOPS.get(istop, "max_iter"))
     if keep_iterates:
-        stats.iterates = [x.copy()]
-
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x, stats
-    u = b / bnorm
-    beta = bnorm
-    v = op.adjoint(u)
-    alpha = float(np.linalg.norm(v))
-    if alpha == 0.0:
-        stats.final_residual_norm = bnorm
-        stats.stop_reason = "normal_tol"
-        return x, stats
-    v = v / alpha
-    w = v.copy()
-    phibar = beta
-    rhobar = alpha
-    anorm2 = alpha**2
-    rnorm = bnorm
-    arnorm = alpha * beta
-
-    stop = "max_iter"
-    itn = 0
-    while itn < max_iter:
-        itn += 1
-        u = op.forward(v) - alpha * u
-        beta = float(np.linalg.norm(u))
-        if beta > 0.0:
-            u = u / beta
-            v = op.adjoint(u) - beta * v
-            alpha = float(np.linalg.norm(v))
-            if alpha > 0.0:
-                v = v / alpha
-        anorm2 += beta**2
-
-        rho = float(np.hypot(rhobar, beta))
-        c = rhobar / rho
-        s = beta / rho
-        theta = s * alpha
-        rhobar = -c * alpha
-        phi = c * phibar
-        phibar = s * phibar
-        tau = s * phi
-
-        x = x + (phi / rho) * w
-        w = v - (theta / rho) * w
-
-        anorm = float(np.sqrt(anorm2))
-        anorm2 += alpha**2
-        rnorm = phibar
-        arnorm = alpha * abs(tau)
-        _check_finite(rnorm, arnorm)
-        if keep_iterates:
-            stats.iterates.append(x.copy())
-
-        xnorm = float(np.linalg.norm(x))
-        test1 = rnorm / bnorm
-        test2 = arnorm / (anorm * rnorm + _EPS)
-        t1 = test1 / (1.0 + anorm * xnorm / bnorm)
-        rtol = btol + atol * anorm * xnorm / bnorm
-        if 1.0 + test2 <= 1.0 or test2 <= atol:
-            stop = "normal_tol"
-            break
-        if 1.0 + t1 <= 1.0 or test1 <= rtol:
-            stop = "residual_tol"
-            break
-
-    stats.iterations = itn
-    stats.final_residual_norm = rnorm
-    stats.final_normal_residual_norm = arnorm
-    stats.stop_reason = stop
+        # from a zero start, a run capped at k returns iterate k exactly
+        stats.iterates = ([np.zeros(op.cols)]
+                          + [run(k)[0] for k in range(1, itn)] + [x])
     return x, stats
 
 
-def lsmr(
-    op: LinearMap,
-    b: np.ndarray,
-    atol: float = 1e-10,
-    btol: float = 1e-10,
-    max_iter: Optional[int] = None,
-    self_test: bool = True,
-    keep_iterates: bool = False,
-):
+def lsqr(op: LinearMap, b: np.ndarray, atol: float = 1e-10,
+         btol: float = 1e-10, max_iter: Optional[int] = None,
+         self_test: bool = True, keep_iterates: bool = False):
+    """Minimum-norm least-squares solve of ``op x = b`` via LSQR.
+
+    Returns ``(x, SolveStats)``.  The residual norm is non-increasing across
+    iterations.  Hitting ``max_iter`` is not an error: the last iterate and
+    its stats are returned with ``stop_reason = "max_iter"``.
+    """
+    return _solve("lsqr", op, b, atol, btol, max_iter, self_test,
+                  keep_iterates)
+
+
+def lsmr(op: LinearMap, b: np.ndarray, atol: float = 1e-10,
+         btol: float = 1e-10, max_iter: Optional[int] = None,
+         self_test: bool = True, keep_iterates: bool = False):
     """Minimum-norm least-squares solve of ``op x = b`` via LSMR.
 
     Returns ``(x, SolveStats)``.  The normal-equation residual ``|A^T r|`` is
     non-increasing across iterations.
     """
-    b, max_iter = _prepare(op, b, max_iter, self_test)
-    x = np.zeros(op.cols)
-    stats = SolveStats(0, 0.0, 0.0, "residual_tol")
-    if keep_iterates:
-        stats.iterates = [x.copy()]
-
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x, stats
-    u = b / bnorm
-    beta = bnorm
-    v = op.adjoint(u)
-    alpha = float(np.linalg.norm(v))
-    if alpha == 0.0:
-        stats.final_residual_norm = bnorm
-        stats.stop_reason = "normal_tol"
-        return x, stats
-    v = v / alpha
-
-    zetabar = alpha * beta
-    alphabar = alpha
-    rho = 1.0
-    rhobar = 1.0
-    cbar = 1.0
-    sbar = 0.0
-    h = v.copy()
-    hbar = np.zeros(op.cols)
-
-    # quantities for the |r| recurrence
-    betadd = beta
-    betad = 0.0
-    rhodold = 1.0
-    tautildeold = 0.0
-    thetatilde = 0.0
-    zeta = 0.0
-
-    anorm2 = alpha**2
-    rnorm = bnorm
-    arnorm = zetabar
-
-    stop = "max_iter"
-    itn = 0
-    while itn < max_iter:
-        itn += 1
-        u = op.forward(v) - alpha * u
-        beta = float(np.linalg.norm(u))
-        if beta > 0.0:
-            u = u / beta
-            v = op.adjoint(u) - beta * v
-            alpha = float(np.linalg.norm(v))
-            if alpha > 0.0:
-                v = v / alpha
-
-        # rotation turning the bidiagonal B_k into upper triangular R_k
-        rhoold = rho
-        rho = float(np.hypot(alphabar, beta))
-        c = alphabar / rho
-        s = beta / rho
-        thetanew = s * alpha
-        alphabar = c * alpha
-
-        # second rotation for the normal-equation factorization
-        rhobarold = rhobar
-        zetaold = zeta
-        thetabar = sbar * rho
-        rhobar = float(np.hypot(cbar * rho, thetanew))
-        cbar_new = cbar * rho / rhobar
-        sbar = thetanew / rhobar
-        cbar = cbar_new
-        zeta = cbar * zetabar
-        zetabar = -sbar * zetabar
-
-        hbar = h - (thetabar * rho / (rhoold * rhobarold)) * hbar
-        x = x + (zeta / (rho * rhobar)) * hbar
-        h = v - (thetanew / rho) * h
-
-        # residual-norm recurrence
-        betahat = c * betadd
-        betadd = -s * betadd
-        thetatildeold = thetatilde
-        rhotildeold = float(np.hypot(rhodold, thetabar))
-        ctildeold = rhodold / rhotildeold
-        stildeold = thetabar / rhotildeold
-        thetatilde = stildeold * rhobar
-        rhodold = ctildeold * rhobar
-        betad = -stildeold * betad + ctildeold * betahat
-        tautildeold = (zetaold - thetatildeold * tautildeold) / rhotildeold
-        taud = (zeta - thetatilde * tautildeold) / rhodold
-        rnorm = float(np.sqrt((betad - taud) ** 2 + betadd**2))
-
-        anorm2 += beta**2
-        anorm = float(np.sqrt(anorm2))
-        anorm2 += alpha**2
-        arnorm = abs(zetabar)
-        _check_finite(rnorm, arnorm)
-        if keep_iterates:
-            stats.iterates.append(x.copy())
-
-        xnorm = float(np.linalg.norm(x))
-        test1 = rnorm / bnorm
-        test2 = arnorm / (anorm * rnorm + _EPS)
-        t1 = test1 / (1.0 + anorm * xnorm / bnorm)
-        rtol = btol + atol * anorm * xnorm / bnorm
-        if 1.0 + test2 <= 1.0 or test2 <= atol:
-            stop = "normal_tol"
-            break
-        if 1.0 + t1 <= 1.0 or test1 <= rtol:
-            stop = "residual_tol"
-            break
-
-    stats.iterations = itn
-    stats.final_residual_norm = rnorm
-    stats.final_normal_residual_norm = arnorm
-    stats.stop_reason = stop
-    return x, stats
+    return _solve("lsmr", op, b, atol, btol, max_iter, self_test,
+                  keep_iterates)
 
 
 SOLVERS = {"lsqr": lsqr, "lsmr": lsmr}

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbphodge
 from sbphodge.errors import DimensionMismatch, NonFiniteEncountered
 from sbphodge.krylov import LinearMap, lsmr, lsqr
 
@@ -98,6 +105,7 @@ def test_zero_rhs(solver):
     x, stats = solver(LinearMap.from_dense(a), np.zeros(5))
     assert np.array_equal(x, np.zeros(5))
     assert stats.iterations == 0
+    assert stats.stop_reason == "residual_tol"
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -149,3 +157,69 @@ def test_stats_iterations_bounded(rng):
         _, stats = solver(LinearMap.from_dense(a), b, max_iter=50)
         assert stats.iterations <= 50
         assert stats.stop_reason in ("residual_tol", "normal_tol", "max_iter")
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("max_iter", [4, 12])
+def test_final_norms_match_explicit_residuals(solver, max_iter, rng):
+    # inconsistent system stopped short of convergence, so both norms are far
+    # above roundoff and each one pins its own quantity
+    a = rng.standard_normal((30, 18))
+    b = rng.standard_normal(30)
+    x, stats = solver(LinearMap.from_dense(a), b, atol=0.0, btol=0.0,
+                      max_iter=max_iter)
+    r = b - a @ x
+    assert stats.iterations == max_iter
+    assert np.isclose(stats.final_residual_norm, np.linalg.norm(r),
+                      rtol=1e-8, atol=0.0)
+    assert np.isclose(stats.final_normal_residual_norm,
+                      np.linalg.norm(a.T @ r), rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_non_finite_operator_output_raises(solver, rng):
+    a = rng.standard_normal((20, 15))
+    calls = []
+
+    def forward(x):
+        calls.append(None)
+        y = a @ x
+        if len(calls) > 3:
+            y[2] = np.nan
+        return y
+
+    op = LinearMap(rows=20, cols=15, forward=forward, adjoint=lambda y: a.T @ y)
+    with pytest.raises(NonFiniteEncountered):
+        solver(op, rng.standard_normal(20), atol=0.0, btol=0.0,
+               self_test=False)
+    assert len(calls) == 4  # stopped at the first bad output
+
+
+def test_only_a_named_solver_loads_scipy_sparse():
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import sbphodge
+        from sbphodge.hodge import helmholtz
+        from sbphodge.potentials import harmonic_neumann_potential
+        from sbphodge.tensor import square_tensor_ops
+
+        def sparse():
+            return sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+
+        assert sparse() == [], sparse()
+        for dim in (2, 3):
+            ops = square_tensor_ops(6, 13, dim)
+            helmholtz(ops, np.ones((dim, *ops.shape)))
+        ops = square_tensor_ops(6, 13, 2)
+        x, y = ops.meshgrid()
+        harmonic_neumann_potential(ops, ops.field(ops.grad(x**3 - 3 * x * y * y)))
+        assert sparse() == [], sparse()
+        helmholtz(ops, np.ones((2, *ops.shape)), solver="lsqr")
+        assert "scipy.sparse.linalg" in sys.modules
+    """)
+    src = str(Path(sbphodge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
