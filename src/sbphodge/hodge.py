@@ -15,7 +15,11 @@ the rot projection through ``rot = J grad``, reduce to the Gram operator
 (``TensorOps.gram_pinv``).  The 3D curl projection reduces on the coimage of
 curl to one tensor sum of 1D pencils per component, solved the same way
 (``TensorOps.curl_gram_pinv``); its solution is already the least-norm
-potential.  When a Krylov solver is named, every stage runs LSQR/LSMR on
+potential.  That stage runs wholly in the eigenbasis
+(``TensorOps.curl_projection``): its right-hand side ``curl^T M u`` and its
+part ``curl v`` are dense per-axis transforms, not sweeps.  Every direct
+stage reports its normal residual, computed with the sweeps of the
+transpose.  When a Krylov solver is named, every stage runs LSQR/LSMR on
 the operator conjugated with the square root of the diagonal mass matrix,
 which turns the Euclidean guarantees of the solvers into M-norm guarantees;
 the zero initial guess fixes the gauge.
@@ -185,8 +189,10 @@ def project_im_curl(
     commutes with M, so the projection is ``J P_grad J^T`` and ``v`` is the
     grad potential of ``J^T u``, solved by the grad stage's own core.
     In 3D, with ``solver=None``, ``v`` solves ``curl^T M curl v = curl^T M u``
-    directly by ``TensorOps.curl_gram_pinv``, which returns the coimage
-    solution; ``"lsqr"``/``"lsmr"`` run the Krylov reference instead.
+    directly by the solve of ``TensorOps.curl_gram_pinv``, which returns
+    the coimage solution: ``TensorOps.curl_projection`` forms the
+    right-hand side, v and ``curl v`` in its eigenbasis, with no sweep.
+    ``"lsqr"``/``"lsmr"`` run the Krylov reference instead.
     """
     u = _vector_data(ops, u)
     if ops.dim == 2:
@@ -196,8 +202,7 @@ def project_im_curl(
         return v, ops.field(np.stack([g[1], -g[0]])), stats  # J grad v = rot v
 
     if solver is None:
-        v = ops.curl_gram_pinv(ops.curl_transpose(ops.mass * u))
-        sol = ops.curl(v)
+        v, sol = ops.curl_projection(u)
         return (ops.field(v), ops.field(sol),
                 _direct_stats(ops, u - sol, ops.curl_transpose))
 

@@ -8,9 +8,10 @@ product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
 construction: the identity residual, the polynomial accuracy of all rows and
 nullspace consistency are checked, so a corrupted coefficient cannot construct
 silently.  An operator holds only this defining data; what is derived from it
-(the entry list of D, the closure coefficients and the rows they read, the
-band, edge and corner parts of D^T, the grid oscillation, the integral's LU
-factors and the eigenbases of the Gram pencil and its dual) is a
+(the entry lists of D and of M D, the closure coefficients and the rows they
+read, the band, edge and corner parts of D^T, the grid oscillation, the
+integral's LU factors, the eigenbases of the Gram pencil and its dual, and
+the 3D curl stage's transforms built from them) is a
 ``cached_property``, built on first use, so a copy made by
 ``dataclasses.replace`` never carries stale derived state; the float
 coefficients of each order are converted from the exact rationals once.
@@ -289,10 +290,17 @@ class SbpOperator1D:
         vals = np.concatenate([top, np.tile(self.interior_stencil, len(mid)), -top])
         return _read_only(rows, cols, vals)
 
+    @cached_property
+    def _mass_entries(self) -> np.ndarray:
+        """The entries of M D at the ``_entries`` positions, read-only: the
+        values of D times the mass weights of their rows."""
+        rows, _, vals = self._entries
+        return _read_only(self.mass_weights[rows] * vals)[0]
+
     def sbp_residual(self) -> float:
         """Max-abs entry of M D + D^T M - E, from the entries of D in O(n)."""
-        rows, cols, vals = self._entries
-        md = self.mass_weights[rows] * vals
+        rows, cols, _ = self._entries
+        md = self._mass_entries
         k = np.max(np.abs(cols - rows))
         r = np.zeros((2 * k + 1, self.n_nodes))  # entry (i, j) at r[k + j - i, i]
         r[k + cols - rows, rows] = md
@@ -382,6 +390,18 @@ class SbpOperator1D:
         mu, q = np.linalg.eigh(c @ c.T)
         return mu, q / w[:, None]
 
+    @cached_property
+    def curl_transforms(self) -> tuple:
+        """``(S^T M, (D S)^T M, R^T M, D S)`` with S of ``eigenbasis`` and R
+        of ``dual_eigenbasis``: the matrices with which the 3D curl stage
+        takes a field along this axis into the eigenbasis of its Gram
+        operator, through ``curl^T M``, and brings a potential's
+        coefficients back out, as the potential (S, R) and its curl (D S).
+        Built on first use, by the first 3D curl projection."""
+        s, r, m = self.eigenbasis[1], self.dual_eigenbasis[1], self.mass_weights
+        ds = self.apply_d(s)
+        return _read_only(s.T * m, ds.T * m, r.T * m, ds)
+
 
 def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOperator1D:
     """Construct the diagonal-norm SBP operator of interior order 2p.
@@ -463,8 +483,7 @@ def _read_only(*arrays) -> tuple:
 
 
 def _validate_operator(op: SbpOperator1D) -> None:
-    rows, _, vals = op._entries
-    scale = np.max(np.abs(op.mass_weights[rows] * vals))
+    scale = np.max(np.abs(op._mass_entries))
     res = op.sbp_residual()
     if res > 1e-13 * max(scale, 1.0):
         raise AssertionError(

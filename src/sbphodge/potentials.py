@@ -126,7 +126,9 @@ class PotentialConditions:
 
     ``curl_residual`` is the M-norm of the discrete curl relative to the
     derivative scale of the field; ``oscillation_components`` hold the
-    relative M-overlap of each component with its axis oscillation.
+    M-overlap of each component with its axis oscillation, relative to the
+    M-norm of the whole field, so a component made only of roundoff reads
+    a roundoff overlap.
     """
 
     curl_residual: float
@@ -151,21 +153,21 @@ def _conditions(ops: TensorOps, u: np.ndarray) -> PotentialConditions:
     unorm = ops.norm(u)
     curl_norm = ops.norm(ops.curl(u))
     rel_curl = curl_norm / (_derivative_scale(ops) * unorm) if unorm > 0 else 0.0
-    norms = [ops.norm(c) for c in u]
-    overlaps = tuple(abs(ops.inner(u[i], ops.oscillations[(i,)])) / norms[i]
-                     if norms[i] > 0 else 0.0 for i in range(ops.dim))
+    overlaps = tuple(abs(ops.inner(u[i], ops.oscillations[(i,)])) / unorm
+                     if unorm > 0 else 0.0 for i in range(ops.dim))
     return PotentialConditions(rel_curl, overlaps)
 
 
 # -- integral construction -------------------------------------------------------
 
 
-def _invert_along(op, axis: int, comp: np.ndarray, tol: float) -> np.ndarray:
-    """Batched discrete integral of one component along one axis."""
+def _invert_along(op, axis: int, comp: np.ndarray, tol: float,
+                  floor: float) -> np.ndarray:
+    """Batched discrete integral of one component along one axis, each
+    line's oscillation overlap measured against ``floor`` at least."""
     moved = np.moveaxis(comp, axis, 0)
-    flat = moved.reshape(op.n_nodes, -1)
-    line_norms = np.sqrt(op.mass_weights @ flat**2)
-    out = op.invert_on_v0(flat, tol=tol, norm_floor=float(line_norms.max()))
+    out = op.invert_on_v0(moved.reshape(op.n_nodes, -1), tol=tol,
+                          norm_floor=floor)
     return np.moveaxis(out.reshape(moved.shape), 0, axis)
 
 
@@ -175,7 +177,9 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     Mimics the corner-anchored line integral: invert the first axis
     derivative along the edge where all later coordinates sit at their left
     boundary, then sweep the remaining axes.  The potential vanishes at the
-    lower-left domain corner.
+    lower-left domain corner.  Every oscillation overlap, of a component
+    and of each line integrated, is measured against the M-norm of the
+    whole field.
     """
     u = ops.vector_data(u)
     cond = _conditions(ops, u)
@@ -189,14 +193,14 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
         raise ConditionsViolated(failed)
 
     op_x, op_y = ops.axis_ops[0], ops.axis_ops[1]
-    floor = ops.norm(u[0])
+    floor = ops.norm(u)
     if ops.dim == 2:
         edge = op_x.invert_on_v0(u[0][:, 0], tol=tol, norm_floor=floor)
-        phi = edge[:, None] + _invert_along(op_y, 1, u[1], tol)
+        phi = edge[:, None] + _invert_along(op_y, 1, u[1], tol, floor)
     else:
         edge = op_x.invert_on_v0(u[0][:, 0, 0], tol=tol, norm_floor=floor)
-        plane = _invert_along(op_y, 1, u[1][:, :, 0], tol)
-        t3 = _invert_along(ops.axis_ops[2], 2, u[2], tol)
+        plane = _invert_along(op_y, 1, u[1][:, :, 0], tol, floor)
+        t3 = _invert_along(ops.axis_ops[2], 2, u[2], tol, floor)
         phi = edge[:, None, None] + plane[:, :, None] + t3
     return ops.field(phi)
 

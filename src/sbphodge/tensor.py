@@ -321,16 +321,70 @@ class TensorOps:
         vanishes on the coimage of curl, which is M-orthogonal to im grad,
         and the sum keeps the coimage invariant (conjugated with M^1/2), so
         its pseudo-inverse, one fast diagonalization per component with
-        ``dual_eigenbasis`` along axis c, returns the coimage solution.  The
-        zero mode of component c is ``osc_(c,) e_c``, which lies in ker curl.
+        ``dual_eigenbasis`` R along axis c and ``eigenbasis`` S along the
+        others, returns the coimage solution.  The zero mode of component
+        c is ``osc_(c,) e_c``, which lies in ker curl.  The coefficients of
+        b[c] are R^T along c and S^T along the others; ``_curl_potential``
+        solves for them, the one solve it shares with ``curl_projection``
+        (which also reads the curl it forms, discarded here).
         """
         if self.dim != 3:
             raise WrongDimension("the curl Gram operator acts in 3D only")
         b = self.field_data(b, "vector")
-        return np.stack([
-            _fdm_pinv([op.dual_eigenbasis if j == c else op.eigenbasis
-                       for j, op in enumerate(self.axis_ops)], b[c])
-            for c in range(3)])
+        coef = np.array(b)
+        for c in range(3):
+            for i, op in enumerate(self.axis_ops):
+                basis = (op.dual_eigenbasis if i == c else op.eigenbasis)[1]
+                coef[c] = _matrix_along(basis.T, coef[c], i)
+        return self._curl_potential(coef)[0]
+
+    def curl_projection(self, u) -> tuple:
+        """``(v, curl v)`` with ``v = curl_gram_pinv(curl_transpose(M u))``
+        (3D): the direct 3D curl stage, in the eigenbasis of
+        ``curl_gram_pinv``, with no sweep.
+
+        Component c of ``curl^T M u`` is ``D_b^T M u_a - D_a^T M u_b`` with
+        ``(a, b) = (c+1, c+2)`` mod 3, and M is a tensor product, so its
+        coefficients (R^T along c, S^T along the others) are products of
+        per-axis transforms of u itself (``curl_transforms``): ``S^T M``
+        along the axis of the component of u, ``(D S)^T M`` along the
+        derivative's axis, ``R^T M`` along c.  The two terms that read u_k
+        share its ``S^T M`` transform: 15 transforms in all.
+        """
+        if self.dim != 3:
+            raise WrongDimension("the curl Gram operator acts in 3D only")
+        u = self.field_data(u, "vector")
+        st_m, dst_m, rt_m, _ = zip(*(op.curl_transforms for op in self.axis_ops))
+        coef = np.zeros_like(u)
+        for k in range(3):
+            a, b = (k + 1) % 3, (k + 2) % 3
+            t = _matrix_along(st_m[k], u[k], k)
+            coef[b] += _matrix_along(rt_m[b], _matrix_along(dst_m[a], t, a), b)
+            coef[a] -= _matrix_along(rt_m[a], _matrix_along(dst_m[b], t, b), a)
+        return self._curl_potential(coef)
+
+    def _curl_potential(self, coef: np.ndarray) -> tuple:
+        """``(v, curl v)`` from the coefficients of ``curl^T M curl v`` in
+        the basis of each component: divided by the eigenvalue sums, then
+        v_k is R along k and S along the others, and it adds its two curl
+        terms, ``D_b v_k`` to component a and ``-D_a v_k`` to component b
+        with ``(a, b) = (k+1, k+2)`` mod 3, by D S in place of S along the
+        derivative's axis.  The three share their leading transforms: 18
+        transforms in all."""
+        lam, s = zip(*(op.eigenbasis for op in self.axis_ops))
+        mu, r = zip(*(op.dual_eigenbasis for op in self.axis_ops))
+        ds = [op.curl_transforms[3] for op in self.axis_ops]
+        v, sol = np.empty_like(coef), np.zeros_like(coef)
+        for k in range(3):
+            a, b = (k + 1) % 3, (k + 2) % 3
+            g = _fdm_divide([mu[j] if j == k else lam[j] for j in range(3)],
+                            coef[k])
+            g = _matrix_along(r[k], g, k)
+            p = _matrix_along(s[a], g, a)
+            v[k] = _matrix_along(s[b], p, b)
+            sol[a] += _matrix_along(ds[b], p, b)
+            sol[b] -= _matrix_along(s[b], _matrix_along(ds[a], g, a), b)
+        return v, sol
 
     # -- boundary operator ----------------------------------------------------
 
@@ -401,6 +455,19 @@ def _transform(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
     return np.moveaxis(np.dot(mat, lines).reshape(len(mat), *rest), 0, i)
 
 
+def _matrix_along(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
+    """Apply the matrix ``mat`` along axis i of ``u`` into a new C-ordered
+    array: one ``matmul`` of mat with u seen as ``(before, N_i, after)``,
+    or of u's rows with mat^T along the last axis, so a C-ordered u is
+    read in place.  Equal to ``_transform`` up to roundoff."""
+    shape, n = u.shape, u.shape[i]
+    out = (*shape[:i], len(mat), *shape[i + 1 :])
+    if i == u.ndim - 1:
+        return (u.reshape(-1, n) @ mat.T).reshape(out)
+    lines = u.reshape(math.prod(shape[:i]), n, math.prod(shape[i + 1 :]))
+    return np.matmul(mat, lines).reshape(out)
+
+
 def _fdm_pinv(pairs, b: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of the tensor sum of 1D pencils (A_i, W_i), applied to
     b by fast diagonalization (Lynch, Rice & Thomas 1964).
@@ -412,13 +479,20 @@ def _fdm_pinv(pairs, b: np.ndarray) -> np.ndarray:
     """
     for i, (_, s) in enumerate(pairs):
         b = _transform(s.T, b, i)
-    lam = _outer([ev for ev, _ in pairs], np.add)
-    zero_mode = (0,) * b.ndim
-    lam[zero_mode] = 1.0
-    b = b / lam
-    b[zero_mode] = 0.0
+    b = _fdm_divide([ev for ev, _ in pairs], b)
     for i, (_, s) in enumerate(pairs):
         b = _transform(s, b, i)
+    return np.ascontiguousarray(b)
+
+
+def _fdm_divide(eigenvalues, b: np.ndarray) -> np.ndarray:
+    """Eigenbasis coefficients b divided by the sums of the per-axis
+    ``eigenvalues``, the single zero mode, (0, ..., 0), set to 0."""
+    lam = _outer(eigenvalues, np.add)
+    zero_mode = (0,) * b.ndim
+    lam[zero_mode] = 1.0
+    b = np.divide(b, lam, out=lam)
+    b[zero_mode] = 0.0
     return b
 
 

@@ -15,6 +15,7 @@ from sbphodge.experiments import ExperimentConfig, _curl_coimage_part
 from sbphodge.grid import Grid1D
 from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
 from sbphodge.krylov import LinearMap, lsmr
+from sbphodge.operators1d import SbpOperator1D
 from sbphodge.potentials import (
     harmonic_neumann_potential,
     scalar_potential_integral,
@@ -72,11 +73,14 @@ def test_setup_leaves_eigenbasis_unbuilt():
 def test_dual_eigenbasis_is_built_by_the_3d_curl_stage_only(rng):
     ops = square_tensor_ops(6, 33, 2)
     helmholtz(ops, rng.standard_normal((2, *ops.shape)))
-    assert all("dual_eigenbasis" not in vars(op) for op in ops.axis_ops)
+    for name in ("dual_eigenbasis", "curl_transforms"):
+        assert all(name not in vars(op) for op in ops.axis_ops)
     ops3 = square_tensor_ops(2, 7, 3)
-    assert all("dual_eigenbasis" not in vars(op) for op in ops3.axis_ops)
+    for name in ("dual_eigenbasis", "curl_transforms"):
+        assert all(name not in vars(op) for op in ops3.axis_ops)
     project_im_curl(ops3, np.ones((3, *ops3.shape)))
-    assert all("dual_eigenbasis" in vars(op) for op in ops3.axis_ops)
+    for name in ("dual_eigenbasis", "curl_transforms"):
+        assert all(name in vars(op) for op in ops3.axis_ops)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 17), (3, 9)])
@@ -99,6 +103,40 @@ def test_curl_gram_pinv_solves_curl_gram_system(rng):
     assert rel(ops, v, _curl_coimage_part(ops, w, config)) <= 1e-10
     with pytest.raises(WrongDimension):
         square_tensor_ops(2, 7, 2).curl_gram_pinv(np.zeros((2, 7, 7)))
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_eigenbasis_curl_stage_equals_the_sweep_formulation(order, rng):
+    """The default 3D curl stage, which forms ``curl^T M u`` and ``curl v``
+    in the eigenbasis, gives the potential and part of the sweeps:
+    ``curl_gram_pinv(curl_transpose(M u))`` and its ``curl``."""
+    ops = build_tensor_ops(order, [Grid1D(-1, 1, 17), Grid1D(0, 2, 19),
+                                   Grid1D(-1, 3, 21)])
+    u = rng.standard_normal((3, *ops.shape))
+    v, sol, _ = project_im_curl(ops, u)
+    v_ref = ops.curl_gram_pinv(ops.curl_transpose(ops.mass * u))
+    assert rel(ops, v.data, v_ref) <= 1e-13
+    assert rel(ops, sol.data, ops.curl(v_ref)) <= 1e-13
+
+
+def test_eigenbasis_curl_stage_sweeps_only_for_its_stats(monkeypatch, rng):
+    """A warm default 3D curl stage runs no D sweep, and the six D^T sweeps
+    of its normal residual (``_direct_stats``), its independent check."""
+    ops = square_tensor_ops(4, 11, 3)
+    u = rng.standard_normal((3, *ops.shape))
+    project_im_curl(ops, u)  # builds the bases and the curl transforms
+    calls = []
+    for name in ("apply_d", "apply_d_transpose"):
+        method = getattr(SbpOperator1D, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(SbpOperator1D, name, counted)
+    project_im_curl(ops, u)
+    assert calls.count("apply_d") == 0
+    assert calls.count("apply_d_transpose") == 6
 
 
 def test_transform_equals_tensordot_bit_for_bit(rng):

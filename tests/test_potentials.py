@@ -150,6 +150,26 @@ def test_integral_potential_rejects_oscillation(ops_2d):
     assert any("axis 1" in item for item in err.value.failed)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_integral_potential_of_gradients_with_a_roundoff_component(dim, order, rng):
+    """Exact discrete gradients whose y- or z-component is only roundoff
+    (of x^2, and of x^2 + y^3 in 3D) have a potential: each overlap is
+    measured against the whole field.  Adding an axis oscillation of
+    relative size 1e-3 to any component is still refused."""
+    ops = square_tensor_ops(order, 33 if dim == 2 else 17, dim)
+    x, y = ops.meshgrid()[:2]
+    for f in (x**2, x**2 + y**3, rng.standard_normal(ops.shape)):
+        u = ops.grad(f)
+        phi = scalar_potential_integral(ops, u).data
+        assert ops.norm(ops.grad(phi) - u) <= 1e-10 * ops.norm(u)
+        for i in range(dim):
+            bad = u + 1e-3 * ops.norm(u) * place(ops, ops.oscillations[(i,)], i)
+            with pytest.raises(ConditionsViolated) as err:
+                scalar_potential_integral(ops, bad)
+            assert any(f"axis {i + 1}" in item for item in err.value.failed)
+    assert np.max(np.abs(ops.grad(x**2)[-1])) <= 1e-10  # a roundoff component
+
+
 def test_integral_potential_rejects_rotational_field(ops_2d, rng):
     u = ops_2d.rot(rng.standard_normal(ops_2d.shape))
     with pytest.raises(ConditionsViolated):

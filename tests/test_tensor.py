@@ -434,6 +434,11 @@ MISUSE = {
         (lambda: _ops3().curl_transpose(np.ones((4, 5, 5, 5))), DimensionMismatch),
     "3d curl of 2 components":
         (lambda: _ops3().curl(np.ones((2, 5, 5, 5))), DimensionMismatch),
+    "3d curl_projection of 2 components":
+        (lambda: _ops3().curl_projection(np.ones((2, 5, 5, 5))),
+         DimensionMismatch),
+    "2d curl_projection":
+        (lambda: _ops2().curl_projection(np.ones((2, 9, 9))), WrongDimension),
     "2d m_norm of 3 components":
         (lambda: m_norm(_ops2(), np.ones((3, 9, 9))), DimensionMismatch),
     "helmholtz of complex data":
@@ -612,6 +617,37 @@ def test_calculus_is_independent_of_the_input_layout(rng):
         for call in calls:
             assert np.array_equal(call(view), call(u))
         assert abs(ops.inner(view, view) - ops.inner(u, u)) <= 1e-14 * ops.inner(u, u)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_returned_field_is_c_contiguous(dim, rng):
+    """The tensor layer and both decompositions return C-ordered fields, so
+    the sweeps of a later call run on contiguous rows."""
+    grids = [Grid1D(0.0, 1.0, 11), Grid1D(0.0, 2.0, 13), Grid1D(-1.0, 1.0, 9)]
+    ops = build_tensor_ops(4, grids[:dim])
+    f, u = random_scalar(ops, rng), random_vector(ops, rng)
+    w = f if dim == 2 else u
+    fields = {
+        "grad": ops.grad(f), "div": ops.div(u), "curl": ops.curl(u),
+        "grad_transpose": ops.grad_transpose(u),
+        "curl_transpose": ops.curl_transpose(w),
+        "gram_pinv": ops.gram_pinv(ops.mean_zero(f)),
+        "mean_zero": ops.mean_zero(f),
+        "filter_scalar": ops.filter_scalar(f, True),
+        "filter_vector": ops.filter_vector(u, True),
+    }
+    if dim == 2:
+        fields["rot"] = ops.rot(f)
+    else:
+        fields["curl_gram_pinv"] = ops.curl_gram_pinv(ops.curl_transpose(u))
+        fields["curl_projection_v"], fields["curl_projection_sol"] = (
+            ops.curl_projection(u))
+    for order in ("grad-first", "curl-first"):
+        dec = helmholtz(ops, u, order=order)
+        for name in ("phi", "v", "grad_phi", "sol_part", "remainder"):
+            fields[f"{order} {name}"] = getattr(dec, name).data
+    for name, a in fields.items():
+        assert a.flags.c_contiguous, name
 
 
 # -- the separable oscillation filter and the weighted inner product ----------
