@@ -15,14 +15,20 @@ the rot projection through ``rot = J grad``, reduce to the Gram operator
 (``TensorOps.gram_pinv``).  The 3D curl projection reduces on the coimage of
 curl to one tensor sum of 1D pencils per component, solved the same way
 (``TensorOps.curl_gram_pinv``); its solution is already the least-norm
-potential.  That stage runs wholly in the eigenbasis
-(``TensorOps.curl_projection``): its right-hand side ``curl^T M u`` and its
-part ``curl v`` are dense per-axis transforms, not sweeps.  Every direct
-stage reports its normal residual, computed with the sweeps of the
-transpose.  When a Krylov solver is named, every stage runs LSQR/LSMR on
-the operator conjugated with the square root of the diagonal mass matrix,
-which turns the Euclidean guarantees of the solvers into M-norm guarantees;
-the zero initial guess fixes the gauge.
+potential.  Both 3D stages run wholly in the eigenbasis
+(``TensorOps.grad_projection`` and ``TensorOps.curl_projection``): the
+right-hand side, ``grad^T M u`` or ``curl^T M u``, and the part, ``grad phi``
+or ``curl v``, are dense per-axis transforms, not sweeps; the 2D stages
+sweep.  Every direct stage reports its normal residual
+``||A^T M r||_{M^-1}``.  In 3D it is ``||A* r||_M``, with the M-adjoint
+``A*`` applied by the dense ``D* = M^-1 D^T M`` of each axis
+(``TensorOps.grad_star`` and ``TensorOps.curl_star``), which reads no
+eigenbasis, so the check stays independent of the solve; in 2D it is
+computed with the sweeps of the transpose.  So a warm default 3D
+decomposition runs no sweep.  When a Krylov solver is named, every stage
+runs LSQR/LSMR on the operator conjugated with the square root of the
+diagonal mass matrix, which turns the Euclidean guarantees of the solvers
+into M-norm guarantees; the zero initial guess fixes the gauge.
 
 The two projections do not commute, so the order is part of the result.
 """
@@ -124,10 +130,10 @@ def _vector_data(ops, u) -> np.ndarray:
     return u.data if isinstance(u, _Checked) else ops.vector_data(u)
 
 
-def _direct_stats(ops, r, transpose) -> SolveStats:
+def _direct_stats(ops, r, normal) -> SolveStats:
     """Stats of a direct stage with residual r, in a Krylov solve's terms:
-    ``||r||_M`` and the normal residual ``||A^T M r||_{M^-1}``."""
-    normal = transpose(ops.mass * r) / ops.mass
+    ``||r||_M`` and the normal residual ``||A^T M r||_{M^-1}``, which is
+    ``||A* r||_M`` with ``normal = A* r = M^-1 A^T M r``."""
     return SolveStats(iterations=0, final_residual_norm=ops.norm(r),
                       final_normal_residual_norm=ops.norm(normal),
                       stop_reason="direct")
@@ -145,10 +151,13 @@ def project_im_grad(
 
     Returns ``(phi, grad_phi, stats)`` with ``phi`` shifted to M-mean zero.
     With ``solver=None`` the normal equations ``L phi = grad^T M u`` are
-    solved directly by ``TensorOps.gram_pinv``; ``"lsqr"``/``"lsmr"`` run
-    the Krylov reference instead, and the residual ``u - grad_phi`` is then
-    M-orthogonal to every gradient at the solver tolerance.  Any other name
-    raises UnknownSolver.
+    solved directly by the fast diagonalization of ``TensorOps.gram_pinv``:
+    in 2D from the sweeps of ``grad^T``, with ``grad phi`` swept after; in
+    3D wholly in its eigenbasis (``TensorOps.grad_projection``), which
+    forms the right-hand side, phi and ``grad phi`` with no sweep.
+    ``"lsqr"``/``"lsmr"`` run the Krylov reference instead, and the
+    residual ``u - grad_phi`` is then M-orthogonal to every gradient at the
+    solver tolerance.  Any other name raises UnknownSolver.
     """
     return _grad_projection(ops, _vector_data(ops, u), solver, atol, btol,
                             max_iter)
@@ -159,10 +168,17 @@ def _grad_projection(ops, u, solver, atol, btol, max_iter):
     2D rot stage through ``rot = J grad``, so that each public stage
     function runs once per stage."""
     if solver is None:
-        phi = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
-        grad_phi = ops.grad(phi)
-        stats = _direct_stats(ops, u - grad_phi, ops.grad_transpose)
-        return ops.field(phi), ops.field(grad_phi), stats
+        if ops.dim == 3:
+            phi, grad_phi = ops.grad_projection(u)
+            phi = ops.mean_zero(phi)
+            r = u - grad_phi
+            normal = ops.grad_star(r)
+        else:
+            phi = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
+            grad_phi = ops.grad(phi)
+            r = u - grad_phi
+            normal = ops.grad_transpose(ops.mass * r) / ops.mass
+        return ops.field(phi), ops.field(grad_phi), _direct_stats(ops, r, normal)
 
     phi, stats = _krylov(ops, ops.grad, ops.grad_transpose, ops.shape, u,
                          solver, atol, btol, max_iter)
@@ -203,8 +219,9 @@ def project_im_curl(
 
     if solver is None:
         v, sol = ops.curl_projection(u)
+        r = u - sol
         return (ops.field(v), ops.field(sol),
-                _direct_stats(ops, u - sol, ops.curl_transpose))
+                _direct_stats(ops, r, ops.curl_star(r)))
 
     v, stats = _krylov(ops, ops.curl, ops.curl_transpose, u.shape, u,
                        solver, atol, btol, max_iter)

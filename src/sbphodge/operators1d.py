@@ -10,8 +10,8 @@ nullspace consistency are checked, so a corrupted coefficient cannot construct
 silently.  An operator holds only this defining data; what is derived from it
 (the entry lists of D and of M D, the closure coefficients and the rows they
 read, the band, edge and corner parts of D^T, the grid oscillation, the
-integral's LU factors, the eigenbases of the Gram pencil and its dual, and
-the 3D curl stage's transforms built from them) is a
+integral's LU factors, the eigenbases of the Gram pencil and its dual, the
+3D stages' transforms built from them, and the dense D*) is a
 ``cached_property``, built on first use, so a copy made by
 ``dataclasses.replace`` never carries stale derived state; the float
 coefficients of each order are converted from the exact rationals once.
@@ -33,7 +33,7 @@ oscillation (the kernel of D*) and the discrete integral are LAPACK banded
 LU solves (``dgbtrf`` then ``dgbtrs``, as ``DGBSV`` does) on the entries
 of D, O(n) in time and memory.  The integral's factors are built on the
 first integral and reused by every later one; ``dense()`` serves only the
-eigenbases and verification.
+eigenbases, the dense D* of the 3D stages' checks, and verification.
 """
 
 from __future__ import annotations
@@ -391,17 +391,32 @@ class SbpOperator1D:
         return mu, q / w[:, None]
 
     @cached_property
-    def curl_transforms(self) -> tuple:
-        """``(S^T M, (D S)^T M, R^T M, D S)`` with S of ``eigenbasis`` and R
-        of ``dual_eigenbasis``: the matrices with which the 3D curl stage
-        takes a field along this axis into the eigenbasis of its Gram
-        operator, through ``curl^T M``, and brings a potential's
-        coefficients back out, as the potential (S, R) and its curl (D S).
-        Built on first use, by the first 3D curl projection."""
-        s, r, m = self.eigenbasis[1], self.dual_eigenbasis[1], self.mass_weights
+    def gram_transforms(self) -> tuple:
+        """``(S^T M, (D S)^T M, D S)`` with S of ``eigenbasis``: the
+        matrices with which a 3D stage takes a field along this axis into
+        the eigenbasis of its Gram operator, through ``grad^T M`` or
+        ``curl^T M``, and brings a potential's coefficients back out as
+        its derivative (D S).  Built on first use, by the first 3D
+        projection; they read S only."""
+        s, m = self.eigenbasis[1], self.mass_weights
         ds = self.apply_d(s)
-        return _read_only(s.T * m, ds.T * m, r.T * m, ds)
+        return _read_only(s.T * m, ds.T * m, ds)
 
+    @cached_property
+    def dual_transform(self) -> np.ndarray:
+        """``R^T M`` with R of ``dual_eigenbasis``: the 3D curl stage's
+        transform along the axis of a component into the dual basis.
+        Built on first use, by the first 3D curl projection."""
+        return _read_only(self.dual_eigenbasis[1].T * self.mass_weights)[0]
+
+    @cached_property
+    def d_star(self) -> np.ndarray:
+        """D* = M^-1 D^T M as a dense n x n matrix, from ``dense()``: the
+        3D stages' normal-residual checks apply it as a dense transform.
+        It reads neither eigenbasis, so a check built on it stays
+        independent of the solve it checks.  Built on first use."""
+        d, m = self.dense(), self.mass_weights
+        return _read_only(d.T * m / m[:, None])[0]
 
 def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOperator1D:
     """Construct the diagonal-norm SBP operator of interior order 2p.

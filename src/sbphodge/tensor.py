@@ -15,6 +15,9 @@ a tensor product of the per-axis factors, the unit constant and the unit
 oscillation, so the oscillation filter is one separable projection.  Each
 transpose is its forward operator with ``D_i^T`` in place of ``D_i``:
 ``grad^T`` is ``div``, and ``curl^T`` is ``-curl`` in 3D and ``-rot`` in 2D.
+The direct 3D stages and their checks run no sweep: they apply dense
+per-axis matrices (the eigenbases, and ``D* = M^-1 D^T M`` for the
+M-adjoints ``grad_star`` and ``curl_star``) as dense 1D transforms.
 """
 
 from __future__ import annotations
@@ -338,6 +341,39 @@ class TensorOps:
                 coef[c] = _matrix_along(basis.T, coef[c], i)
         return self._curl_potential(coef)[0]
 
+    def grad_projection(self, u) -> tuple:
+        """``(phi, grad phi)`` with ``phi = gram_pinv(grad_transpose(M u))``
+        (3D): the direct 3D grad stage, in the eigenbasis of ``gram_pinv``,
+        with no sweep.
+
+        Component i of u enters ``grad^T M u`` as ``D_i^T M u_i``, and M is
+        a tensor product, so the coefficients (S^T along every axis) are
+        per-axis transforms of u itself (``gram_transforms``): ``(D S)^T M``
+        along i and ``S^T M`` along the others; u_1 and u_2 share their
+        ``S^T M`` along axis 0: 8 transforms.  Divided by the eigenvalue
+        sums, they come back as phi by S along every axis, and as
+        ``D_i phi`` by D S in place of S along i; the four share their
+        leading transforms: 9 transforms.
+        """
+        if self.dim != 3:
+            raise WrongDimension("the eigenbasis grad stage acts in 3D only")
+        u = self.field_data(u, "vector")
+        st_m, dst_m, ds = zip(*(op.gram_transforms for op in self.axis_ops))
+        lam, s = zip(*(op.eigenbasis for op in self.axis_ops))
+        t0 = _matrix_along(st_m[1], _matrix_along(st_m[2], u[0], 2), 1)
+        t12 = _matrix_along(dst_m[1], _matrix_along(st_m[2], u[1], 2), 1)
+        t12 += _matrix_along(st_m[1], _matrix_along(dst_m[2], u[2], 2), 1)
+        coef = _matrix_along(dst_m[0], t0, 0)
+        coef += _matrix_along(st_m[0], t12, 0)
+        g = _fdm_divide(lam, coef)
+        p, dp = _matrix_along(s[0], g, 0), _matrix_along(ds[0], g, 0)
+        q = _matrix_along(s[1], p, 1)
+        grad = np.empty_like(u)
+        grad[0] = _matrix_along(s[2], _matrix_along(s[1], dp, 1), 2)
+        grad[1] = _matrix_along(s[2], _matrix_along(ds[1], p, 1), 2)
+        grad[2] = _matrix_along(ds[2], q, 2)
+        return _matrix_along(s[2], q, 2), grad
+
     def curl_projection(self, u) -> tuple:
         """``(v, curl v)`` with ``v = curl_gram_pinv(curl_transpose(M u))``
         (3D): the direct 3D curl stage, in the eigenbasis of
@@ -346,15 +382,17 @@ class TensorOps:
         Component c of ``curl^T M u`` is ``D_b^T M u_a - D_a^T M u_b`` with
         ``(a, b) = (c+1, c+2)`` mod 3, and M is a tensor product, so its
         coefficients (R^T along c, S^T along the others) are products of
-        per-axis transforms of u itself (``curl_transforms``): ``S^T M``
-        along the axis of the component of u, ``(D S)^T M`` along the
-        derivative's axis, ``R^T M`` along c.  The two terms that read u_k
-        share its ``S^T M`` transform: 15 transforms in all.
+        per-axis transforms of u itself: ``S^T M`` along the axis of the
+        component of u, ``(D S)^T M`` along the derivative's axis
+        (``gram_transforms``), ``R^T M`` along c (``dual_transform``).  The
+        two terms that read u_k share its ``S^T M`` transform: 15
+        transforms in all.
         """
         if self.dim != 3:
             raise WrongDimension("the curl Gram operator acts in 3D only")
         u = self.field_data(u, "vector")
-        st_m, dst_m, rt_m, _ = zip(*(op.curl_transforms for op in self.axis_ops))
+        st_m, dst_m, _ = zip(*(op.gram_transforms for op in self.axis_ops))
+        rt_m = [op.dual_transform for op in self.axis_ops]
         coef = np.zeros_like(u)
         for k in range(3):
             a, b = (k + 1) % 3, (k + 2) % 3
@@ -373,7 +411,7 @@ class TensorOps:
         transforms in all."""
         lam, s = zip(*(op.eigenbasis for op in self.axis_ops))
         mu, r = zip(*(op.dual_eigenbasis for op in self.axis_ops))
-        ds = [op.curl_transforms[3] for op in self.axis_ops]
+        ds = [op.gram_transforms[2] for op in self.axis_ops]
         v, sol = np.empty_like(coef), np.zeros_like(coef)
         for k in range(3):
             a, b = (k + 1) % 3, (k + 2) % 3
@@ -385,6 +423,33 @@ class TensorOps:
             sol[a] += _matrix_along(ds[b], p, b)
             sol[b] -= _matrix_along(s[b], _matrix_along(ds[a], g, a), b)
         return v, sol
+
+    # -- the M-adjoints, by dense per-axis transforms -------------------------
+    # D_i* = M^-1 D_i^T M acts along axis i alone, since M is a tensor
+    # product of 1D diagonals whose weights off axis i cancel; each is one
+    # dense transform by the axis's ``d_star``, which reads no eigenbasis.
+
+    def grad_star(self, w) -> np.ndarray:
+        """grad* = M^-1 grad^T M of a vector field: ``sum_i D_i* w_i``."""
+        w = self.field_data(w, "vector")
+        out = _matrix_along(self.axis_ops[0].d_star, w[0], 0)
+        for i in range(1, self.dim):
+            out += _matrix_along(self.axis_ops[i].d_star, w[i], i)
+        return out
+
+    def curl_star(self, w) -> np.ndarray:
+        """curl* = M^-1 curl^T M of a 3D vector field: component c is
+        ``D_b* w_a - D_a* w_b`` with ``(a, b) = (c+1, c+2)`` mod 3."""
+        if self.dim != 3:
+            raise WrongDimension("curl* maps 3-vectors to 3-vectors in 3D only")
+        w = self.field_data(w, "vector")
+        d_star = [op.d_star for op in self.axis_ops]
+        out = np.empty_like(w)
+        for c in range(3):
+            a, b = (c + 1) % 3, (c + 2) % 3
+            out[c] = _matrix_along(d_star[b], w[a], b)
+            out[c] -= _matrix_along(d_star[a], w[b], a)
+        return out
 
     # -- boundary operator ----------------------------------------------------
 

@@ -1,6 +1,8 @@
 """The direct (fast-diagonalization) projection engine against the Krylov
 reference, its reported stats, and its input checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,24 +65,41 @@ def test_dual_eigenbasis_diagonalizes_dual_pencil(op_1d):
     assert op_1d.dual_eigenbasis is op_1d.dual_eigenbasis
 
 
-def test_setup_leaves_eigenbasis_unbuilt():
-    ops = square_tensor_ops(6, 33, 2)
-    assert all("eigenbasis" not in vars(op) for op in ops.axis_ops)
+# the per-axis matrices of the direct engine, each built on first use
+ENGINE_MATRICES = ("eigenbasis", "dual_eigenbasis", "gram_transforms",
+                   "dual_transform", "d_star")
+
+
+def _built(ops, name):
+    return [name in vars(op) for op in ops.axis_ops]
+
+
+def test_setup_leaves_eigenbasis_unbuilt(rng):
+    ops, ops3 = square_tensor_ops(6, 33, 2), square_tensor_ops(4, 9, 3)
+    for name in ENGINE_MATRICES:
+        assert not any(_built(ops, name)) and not any(_built(ops3, name))
     project_im_grad(ops, np.ones((2, *ops.shape)))
-    assert all("eigenbasis" in vars(op) for op in ops.axis_ops)
+    assert all(_built(ops, "eigenbasis"))
+    helmholtz(ops3, rng.standard_normal((3, *ops3.shape)))
+    for name in ENGINE_MATRICES:
+        assert all(_built(ops3, name)), name
 
 
 def test_dual_eigenbasis_is_built_by_the_3d_curl_stage_only(rng):
     ops = square_tensor_ops(6, 33, 2)
     helmholtz(ops, rng.standard_normal((2, *ops.shape)))
-    for name in ("dual_eigenbasis", "curl_transforms"):
-        assert all(name not in vars(op) for op in ops.axis_ops)
+    for name in ("dual_eigenbasis", "gram_transforms", "dual_transform",
+                 "d_star"):
+        assert not any(_built(ops, name)), name
     ops3 = square_tensor_ops(2, 7, 3)
-    for name in ("dual_eigenbasis", "curl_transforms"):
-        assert all(name not in vars(op) for op in ops3.axis_ops)
+    project_im_grad(ops3, np.ones((3, *ops3.shape)))
+    for name in ("eigenbasis", "gram_transforms", "d_star"):
+        assert all(_built(ops3, name)), name
+    for name in ("dual_eigenbasis", "dual_transform"):
+        assert not any(_built(ops3, name)), name
     project_im_curl(ops3, np.ones((3, *ops3.shape)))
-    for name in ("dual_eigenbasis", "curl_transforms"):
-        assert all(name in vars(op) for op in ops3.axis_ops)
+    for name in ("dual_eigenbasis", "dual_transform"):
+        assert all(_built(ops3, name)), name
 
 
 @pytest.mark.parametrize("dim,n", [(2, 17), (3, 9)])
@@ -119,12 +138,49 @@ def test_eigenbasis_curl_stage_equals_the_sweep_formulation(order, rng):
     assert rel(ops, sol.data, ops.curl(v_ref)) <= 1e-13
 
 
-def test_eigenbasis_curl_stage_sweeps_only_for_its_stats(monkeypatch, rng):
-    """A warm default 3D curl stage runs no D sweep, and the six D^T sweeps
-    of its normal residual (``_direct_stats``), its independent check."""
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_eigenbasis_grad_stage_equals_the_sweep_formulation(order, rng):
+    """The default 3D grad stage, which forms ``grad^T M u``, phi and
+    ``grad phi`` in the eigenbasis, gives the potential and part of the
+    sweeps: ``mean_zero(gram_pinv(grad_transpose(M u)))`` and its
+    ``grad``."""
+    ops = build_tensor_ops(order, [Grid1D(-1, 1, 17), Grid1D(0, 2, 19),
+                                   Grid1D(-1, 3, 21)])
+    u = rng.standard_normal((3, *ops.shape))
+    phi, grad_phi, _ = project_im_grad(ops, u)
+    phi_ref = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
+    assert rel(ops, phi.data, phi_ref) <= 1e-13
+    assert rel(ops, grad_phi.data, ops.grad(phi_ref)) <= 1e-13
+    with pytest.raises(WrongDimension):
+        square_tensor_ops(2, 7, 2).grad_projection(np.zeros((2, 7, 7)))
+
+
+def test_m_adjoints_equal_the_swept_transposes(rng):
+    """``grad_star`` and ``curl_star``, by the dense D* of each axis, equal
+    ``M^-1 A^T M`` formed with the sweeps of the transposes."""
+    ops = build_tensor_ops(6, [Grid1D(-1, 1, 13), Grid1D(0, 2, 14),
+                               Grid1D(-1, 3, 15)])
+    w = rng.standard_normal((3, *ops.shape))
+    swept = ops.grad_transpose(ops.mass * w) / ops.mass
+    assert rel(ops, ops.grad_star(w), swept) <= 1e-13
+    swept = ops.curl_transpose(ops.mass * w) / ops.mass
+    assert rel(ops, ops.curl_star(w), swept) <= 1e-13
+    ops2 = square_tensor_ops(4, 12, 2)
+    w2 = rng.standard_normal((2, *ops2.shape))
+    swept = ops2.grad_transpose(ops2.mass * w2) / ops2.mass
+    assert rel(ops2, ops2.grad_star(w2), swept) <= 1e-13
+    with pytest.raises(WrongDimension):
+        ops2.curl_star(w2)
+
+
+def test_warm_default_3d_helmholtz_runs_no_sweep(monkeypatch, rng):
+    """A warm default 3D decomposition, in either order, runs no D or D^T
+    sweep: both stages solve in their eigenbasis, and both checks apply
+    the dense D* of each axis."""
     ops = square_tensor_ops(4, 11, 3)
     u = rng.standard_normal((3, *ops.shape))
-    project_im_curl(ops, u)  # builds the bases and the curl transforms
+    for order in ("grad-first", "curl-first"):
+        helmholtz(ops, u, order=order)  # builds the per-axis matrices
     calls = []
     for name in ("apply_d", "apply_d_transpose"):
         method = getattr(SbpOperator1D, name)
@@ -134,9 +190,35 @@ def test_eigenbasis_curl_stage_sweeps_only_for_its_stats(monkeypatch, rng):
             return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(SbpOperator1D, name, counted)
-    project_im_curl(ops, u)
-    assert calls.count("apply_d") == 0
-    assert calls.count("apply_d_transpose") == 6
+    for order in ("grad-first", "curl-first"):
+        helmholtz(ops, u, order=order)
+        assert calls.count("apply_d") == 0, order
+        assert calls.count("apply_d_transpose") == 0, order
+
+
+@pytest.mark.parametrize("basis", ["eigenbasis", "dual_eigenbasis"])
+def test_stage_checks_do_not_read_the_eigenbasis(basis, rng):
+    """Each 3D stage's normal residual catches a corrupt basis: with two
+    eigenvector columns of one axis's basis swapped, every stage that
+    solves in that basis (both for S, the curl stage for R) reports a
+    normal residual far above roundoff, because its check applies D*,
+    which is built from D alone."""
+    ops = build_tensor_ops(4, [Grid1D(-1, 1, 11), Grid1D(0, 2, 13),
+                               Grid1D(-1, 3, 15)])
+    u = rng.standard_normal((3, *ops.shape))
+    bad = replace(ops.axis_ops[1])
+    ev, vecs = getattr(bad, basis)
+    vars(bad)[basis] = (ev, vecs[:, [0, 2, 1, *range(3, len(ev))]])
+    corrupt = TensorOps((ops.axis_ops[0], bad, ops.axis_ops[2]))
+    affected = {"eigenbasis": (project_im_grad, project_im_curl),
+                "dual_eigenbasis": (project_im_curl,)}[basis]
+    for stage in (project_im_grad, project_im_curl):
+        stats = stage(ops, u)[2]
+        assert stats.final_normal_residual_norm <= (
+            1e-12 * stats.final_residual_norm)
+        stats = stage(corrupt, u)[2]
+        ratio = stats.final_normal_residual_norm / stats.final_residual_norm
+        assert (ratio > 1e-6) == (stage in affected), (stage, ratio)
 
 
 def test_transform_equals_tensordot_bit_for_bit(rng):
