@@ -418,6 +418,7 @@ class SbpOperator1D:
         d, m = self.dense(), self.mass_weights
         return _read_only(d.T * m / m[:, None])[0]
 
+
 def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOperator1D:
     """Construct the diagonal-norm SBP operator of interior order 2p.
 

@@ -439,6 +439,11 @@ MISUSE = {
          DimensionMismatch),
     "2d curl_projection":
         (lambda: _ops2().curl_projection(np.ones((2, 9, 9))), WrongDimension),
+    "2d grad_projection":
+        (lambda: _ops2().grad_projection(np.ones((2, 9, 9))), WrongDimension),
+    "2d curl_star": (lambda: _ops2().curl_star(np.ones((2, 9, 9))), WrongDimension),
+    "3d grad_star of 2 components":
+        (lambda: _ops3().grad_star(np.ones((2, 5, 5, 5))), DimensionMismatch),
     "2d m_norm of 3 components":
         (lambda: m_norm(_ops2(), np.ones((3, 9, 9))), DimensionMismatch),
     "helmholtz of complex data":
