@@ -1,0 +1,46 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of grad, div, curl, rot and their transposes.
+
+The sweeps are BLAS matrix products, so this checks that their bits do not
+depend on the number of BLAS threads: run it under two thread counts and
+compare the outputs.  The fields are fixed random fields on the grids of the
+sweep tests (``SWEEP_GRIDS`` and ``BENCHMARK_GRIDS`` in
+``tests/test_tensor.py``) and on a 2D n=513 order-6 grid, large enough for
+OpenBLAS to split a product between threads.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/hash_sweeps.py > one
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python scripts/hash_sweeps.py > two
+    cmp one two
+"""
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from test_tensor import BENCHMARK_GRIDS, SWEEP_GRIDS  # noqa: E402
+
+from sbphodge.tensor import build_tensor_ops, square_tensor_ops  # noqa: E402
+
+
+def main():
+    grids = {name: build_tensor_ops(*SWEEP_GRIDS[name]) for name in SWEEP_GRIDS}
+    grids.update({name: square_tensor_ops(*args)
+                  for name, args in BENCHMARK_GRIDS.items()})
+    grids["2d-n513"] = square_tensor_ops(6, 513, 2)
+    for name, ops in grids.items():
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal(ops.shape)
+        u = rng.standard_normal((ops.dim, *ops.shape))
+        results = {"grad": ops.grad(f), "div": ops.div(u), "curl": ops.curl(u),
+                   "grad_transpose": ops.grad_transpose(u),
+                   "curl_transpose": ops.curl_transpose(f if ops.dim == 2 else u)}
+        if ops.dim == 2:
+            results["rot"] = ops.rot(f)
+        for call, a in results.items():
+            print(name, call, hashlib.sha256(a.tobytes()).hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -3,8 +3,9 @@
 
 Prints two markdown tables.  The first gives the mean time of ``apply_d``
 and ``apply_d_transpose`` in ns per node along each axis of a C-ordered
-field, on the views ``TensorOps`` sweeps (axis i seen as
-``(N_i, before, after)``) and into a preallocated ``out=``.  The second
+field, as ``TensorOps`` sweeps it (``TensorOps._along``, which hands the
+sweep the field seen as ``(before, N_i, after)``), into a preallocated
+``out=``.  The second
 gives the time of ``square_tensor_ops`` (construction and validation) per
 grid, in ms.  Every case is timed once per round, the rounds are repeated,
 and the median round is printed.  With ``--baseline DIR``, DIR holding
@@ -47,11 +48,6 @@ def load_tensor_module(src):
     return importlib.import_module(name + ".tensor")
 
 
-def sweep_view(a, shape, i):
-    pre = int(np.prod(shape[:i]))
-    return a.reshape(pre, shape[i], -1).transpose(1, 0, 2)
-
-
 def seconds(call, number):
     start = time.perf_counter()
     for _ in range(number):
@@ -81,11 +77,10 @@ def main(argv=None):
         f, out = rng.standard_normal(shape), np.empty(shape)
         number = max(1, min(1000, int(4e6 // f.size)))
         for i in range(dim):
-            u, slot = sweep_view(f, shape, i), sweep_view(out, shape, i)
             for method in ("apply_d", "apply_d_transpose"):
                 ops = [t.square_tensor_ops(ORDER, n, dim) for t in trees]
-                calls = [lambda c=getattr(o.axis_ops[i], method), u=u, slot=slot:
-                         c(u, out=slot) for o in ops]
+                calls = [lambda o=o, i=i, m=method, f=f, out=out:
+                         o._along(i, f, m, out) for o in ops]
                 cases.append((sweeps, (dim, n, i, method), number, calls))
         cases.append((setups, (dim, n), 20,
                       [lambda t=t, n=n, dim=dim: t.square_tensor_ops(ORDER, n, dim)

@@ -8,26 +8,19 @@ product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
 construction: the identity residual, the polynomial accuracy of all rows and
 nullspace consistency are checked, so a corrupted coefficient cannot construct
 silently.  An operator holds only this defining data; what is derived from it
-(the entry lists of D and of M D, the closure coefficients and the rows they
-read, the band, edge and corner parts of D^T, the grid oscillation, the
-integral's LU factors, the eigenbases of the Gram pencil and its dual, the
-3D stages' transforms built from them, and the dense D*) is a
-``cached_property``, built on first use, so a copy made by
+(the entry lists of D and of M D, the forms of D and D^T, the grid
+oscillation, the integral's LU factors, the eigenbases of the Gram pencil
+and its dual, the 3D stages' transforms built from them, and the dense D*)
+is a ``cached_property``, built on first use, so a copy made by
 ``dataclasses.replace`` never carries stale derived state; the float
 coefficients of each order are converted from the exact rationals once.
-The sweeps ``apply_d`` and ``apply_d_transpose`` take a numpy-style ``out=``
-and accumulate their terms in place in it.  When each row of both arrays is
-one contiguous run of memory, the band rows are swept in blocks of rows
-that fit in ``_BLOCK_BYTES`` (256 KiB) per operand, every term on one block
-before the next, through one block of scratch laid out as the output; a
-strided view runs as one block.  Each entry gets the same operations in
-the same order whatever the blocks.  The rows the band does not cover are
-written from gathered end rows of u, both ends at once: ``apply_d``
-gathers the 2 wt rows its closures read and sums the products of its
-terms in place, one multiply per term for both ends; the edge rows of
-``apply_d_transpose`` sum their truncated band terms in place over the
-gathered end rows, padded with zeros, and its corner corrections call
-``np.dot`` on the operands ``np.tensordot`` would form.
+D and D^T each have one form: a dense top block, the Toeplitz block of the
+interior stencil, and a dense bottom block, the top's rotated negation.
+``apply_d`` and ``apply_d_transpose`` take a numpy-style ``out=`` and apply
+a form by BLAS products on C-ordered operands (``_apply_form``), so every
+``out=`` slot gets the same bits and a sweep into one allocates no scratch
+of the field's size.  They do not sum in the order of a row-by-row
+product: a sweep agrees with it to roundoff, not bit for bit.
 ``accuracy_check`` differentiates every monomial in one sweep.  The grid
 oscillation (the kernel of D*) and the discrete integral are LAPACK banded
 LU solves (``dgbtrf`` then ``dgbtrs``, as ``DGBSV`` does) on the entries
@@ -38,10 +31,12 @@ eigenbases, the dense D* of the 3D stages' checks, and verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
@@ -56,11 +51,10 @@ from .grid import Grid1D
 from .stencils import coefficient_table
 
 _EPS = np.finfo(np.float64).eps
-# bytes of one operand per block of a band sweep (see _band): a block's
-# input, output and scratch stay in L2.  With a 2 MiB L2, sweeps at 2D
-# n=1025 took 5.6-6.6 ns/node at this budget, 7.5-8.5 at 64 KiB and
-# 9.4-10.2 at 1 MiB.
-_BLOCK_BYTES = 256 * 1024
+# interior rows per block of a sweep (see _apply_form), at least 2w: at
+# order 6, blocks of 8 and 16 rows swept 2D n=49-1025 and 3D n=25-97 at
+# par, and blocks of 24 or more rows more slowly
+_ROWS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,156 +104,93 @@ class SbpOperator1D:
                 f"expected leading axis {self.n_nodes}, got shape {u.shape}")
         return u
 
-    def _operands(self, u, out) -> tuple:
-        """``(u, out)`` for a sweep: u checked by ``_leading``, and ``out`` a
-        new array, or the given float64 array of u's shape (else
-        KindMismatch or DimensionMismatch).  A slot that overlaps u gets a
-        copy of u, so the sweep reads the input as numpy's ufuncs do."""
-        u = self._leading(u)
-        if out is None:
-            return u, np.empty_like(u)
-        if not isinstance(out, np.ndarray) or out.dtype != np.float64:
-            raise KindMismatch("output slot is not a float64 array")
-        if out.shape != u.shape:
-            raise DimensionMismatch(
-                f"output of shape {out.shape} for input of shape {u.shape}")
-        return (u.copy() if np.may_share_memory(u, out) else u), out
-
     def apply_d(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply D along the first axis of ``u``, into ``out`` if given.
-
-        Every row is accumulated in increasing column order (``_band`` for
-        the interior rows), which reproduces a naive dense row-by-row
-        multiplication bit for bit.
-        """
-        u, out = self._operands(u, out)
-        n, b = self.n_nodes, self.n_closure_rows
-        if n > 2 * b:
-            self._band(self.interior_stencil, b, u, out)
-        # both closures, written after the interior rows (see _band)
-        self._closures(u, out)
-        return out
-
-    def _closures(self, u: np.ndarray, out: np.ndarray) -> None:
-        """``out[:b]`` and ``out[n-b:]``, the top and bottom closure rows.
-
-        Row i of end e is ``sum_j coef[j, e, i] * u[rows[j, e]]`` summed in
-        increasing j (``_closure_parts``).  The 2 wt end rows of u are
-        gathered into one block, and each term's products for both ends are
-        formed in one multiply into one reused buffer and added in place.
-        """
-        coef, rows = self._closure_parts
-        n, (wt, _, b) = self.n_nodes, coef.shape
-        coef = coef.reshape(coef.shape + (1,) * (u.ndim - 1))
-        ends = u[rows]
-        acc = np.multiply(coef[0], ends[0])
-        tmp = np.empty_like(acc)
-        for j in range(1, wt):
-            acc += np.multiply(coef[j], ends[j], out=tmp)
-        out[:b], out[n - b :] = acc
-
-    def _band(self, stencil, lo: int, u: np.ndarray, out: np.ndarray) -> None:
-        """``out[lo:m-lo] = sum_k stencil[k] * u[lo-w+k : m-lo-w+k]``.
-
-        The terms accumulate in place in ``out``, through one scratch
-        buffer, in increasing k; later terms with a zero coefficient are
-        skipped (the first, the band's edge, is never zero).
-        When axis 0 is the unit-stride axis of both arrays (F-contiguous),
-        the sweep runs along their memory as one line of m = u.size
-        entries.  The entries it writes between two lines fall in rows
-        below ``lo`` or from ``n - lo`` on, which the caller writes
-        afterwards.
-        When each row of both arrays is one contiguous run of memory (that
-        line, or C-contiguous arrays), the rows ``lo .. m-lo`` are swept in
-        consecutive blocks of as many rows as fit in ``_BLOCK_BYTES`` per
-        operand (at least one), every term on one block before the next, so
-        a block's operands and scratch stay in cache.  Each entry gets the
-        same operations in the same order whatever the blocks.  The scratch
-        buffer is one block, laid out as the output's.  Strided views run as
-        one block.
-        """
-        if u.flags.f_contiguous and out.flags.f_contiguous:
-            u, out = u.ravel("F"), out.ravel("F")
-        m, w = len(u), self.halfwidth
-        rows = m - 2 * lo
-        if rows <= 0:
-            return
-        if u.flags.c_contiguous and out.flags.c_contiguous:
-            rows = min(rows, max(1, _BLOCK_BYTES // max(u[:1].nbytes, 1)))
-        scratch = np.empty_like(out[lo : lo + rows])
-        for start in range(lo, m - lo, rows):
-            stop = min(start + rows, m - lo)
-            core, tmp = out[start:stop], scratch[: stop - start]
-            np.multiply(stencil[0], u[start - w : stop - w], out=core)
-            for k in range(1, 2 * w + 1):
-                if stencil[k] != 0.0:
-                    core += np.multiply(
-                        stencil[k], u[start - w + k : stop - w + k], out=tmp)
-
-    @cached_property
-    def _closure_parts(self) -> tuple:
-        """``coef[j, e, i]``, column j of closure row i of end e: of the top
-        block (e = 0) and of the bottom one (its 180-degree rotated
-        negation); and ``rows[j, e, 0]``, the row of u it multiplies, row j
-        of the first or of the last wt rows."""
-        n, (b, wt) = self.n_nodes, self.boundary_block.shape
-        blocks = np.stack([self.boundary_block, -self.boundary_block[::-1, ::-1]])
-        rows = np.arange(wt)[:, None, None] + np.array([0, n - wt])[:, None]
-        return _read_only(blocks.transpose(2, 0, 1).copy(), rows)
-
-    @cached_property
-    def _transpose_parts(self) -> tuple:
-        """The reversed band and the corner correction of D^T."""
-        s, (b, wt) = self.interior_stencil, self.boundary_block.shape
-        k = np.arange(wt) - np.arange(b)[:, None] + self.halfwidth  # band index
-        band = np.where((k >= 0) & (k < len(s)), s[np.clip(k, 0, len(s) - 1)], 0.0)
-        return s[::-1], self.boundary_block - band
-
-    @cached_property
-    def _edge_parts(self) -> tuple:
-        """For the first and last w rows of D^T, where the band is
-        truncated: the rows of u their terms read, the first and last 2w
-        rows padded with w rows outside the grid on either side (clipped
-        into it, with a mask of the outside ones); the nonzero band terms
-        ``(k, band_rev[k])``; and the left operands of the corner
-        corrections, as ``np.tensordot`` forms them."""
-        n, w = self.n_nodes, self.halfwidth
-        band_rev, corr = self._transpose_parts
-        rows = np.arange(-w, 2 * w) + np.array([0, n - w])[:, None]
-        outside = (rows < 0) | (rows >= n)
-        terms = tuple((int(k), band_rev[k]) for k in np.flatnonzero(band_rev))
-        return (*_read_only(np.clip(rows, 0, n - 1), outside), terms,
-                *_read_only(corr.T, (-corr[::-1, ::-1]).T))
+        """Apply D along the first axis of ``u``, into ``out`` if given."""
+        return self._sweep(self._d_form, u, out)
 
     def apply_d_transpose(self, u: np.ndarray,
                           out: np.ndarray | None = None) -> np.ndarray:
-        """Apply D^T along the first axis of ``u``, into ``out`` if given.
+        """Apply D^T along the first axis of ``u``, into ``out`` if given."""
+        return self._sweep(self._dt_form, u, out)
 
-        Row i sums its band terms in increasing k from zero (``_band`` for
-        the rows the whole band reaches), then adds its corner correction.
+    def _sweep(self, form: tuple, u, out) -> np.ndarray:
+        """``_apply_form`` along the first axis of u, into ``out``: a new
+        array laid out as u, or the given float64 array of u's shape (else
+        KindMismatch or DimensionMismatch).  u is read as the C-ordered
+        ``(pre, n, post)`` array behind it, its first axis moved to the
+        first position at which it is C-contiguous (a C-ordered copy of u
+        if none), and the result is written so into ``out``, through a
+        buffer when ``out`` is laid out otherwise; a u that overlaps
+        ``out`` is read from a copy.  So every slot gets the same bits.
         """
-        u, out = self._operands(u, out)
+        u = self._leading(u)
+        if out is not None:
+            if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+                raise KindMismatch("output slot is not a float64 array")
+            if out.shape != u.shape:
+                raise DimensionMismatch(
+                    f"output of shape {out.shape} for input of shape {u.shape}")
+        for k in range(u.ndim):
+            axes = (*range(1, k + 1), 0, *range(k + 1, u.ndim))
+            if u.transpose(axes).flags.c_contiguous:
+                break
+        else:
+            u, k, axes = np.ascontiguousarray(u), 0, tuple(range(u.ndim))
+        lines = u.transpose(axes)
+        slot = np.empty(lines.shape) if out is None else out.transpose(axes)
+        dest = slot if slot.flags.c_contiguous else np.empty(lines.shape)
+        shape = (math.prod(lines.shape[:k]), self.n_nodes,
+                 math.prod(lines.shape[k + 1 :]))
+        u = lines.reshape(shape)
+        _apply_form(form, u.copy() if np.may_share_memory(u, dest) else u,
+                    dest.reshape(shape))
+        if dest is not slot:
+            slot[...] = dest
+        return np.moveaxis(slot, k, 0) if out is None else out
+
+    @cached_property
+    def _d_form(self) -> tuple:
+        """The form of D that ``_apply_form`` applies: its top block is
+        ``boundary_block``."""
+        return self._form(self.boundary_block, self.interior_stencil,
+                          self._entries)
+
+    @cached_property
+    def _dt_form(self) -> tuple:
+        """The form of D^T that ``_apply_form`` applies.  Its top block
+        holds the first bt = max(b + w, wt) rows of D^T, those the
+        reversed band does not give: the transpose of the first bt columns
+        of the first bt + w rows of D (its closure rows and the interior
+        rows that reach them), built from the coefficients in O(b wt)."""
+        s, block = self.interior_stencil, self.boundary_block
+        (b, wt), w = block.shape, self.halfwidth
+        bt = max(b + w, wt)
+        lead = np.zeros((bt + w, bt))
+        lead[:b, :wt] = block
+        k = np.arange(bt) - np.arange(b, bt + w)[:, None] + w  # stencil index
+        inside = (k >= 0) & (k < len(s))
+        lead[b:][inside] = s[k[inside]]
+        rows, cols, vals = self._entries
+        return self._form(lead.T, s[::-1], (cols, rows, vals))
+
+    def _form(self, top: np.ndarray, stencil: np.ndarray, entries) -> tuple:
+        """``(top, band, bottom)``, read-only: the dense top block, the
+        2 ``_ROWS`` x (2 ``_ROWS`` + 2w) Toeplitz block of the interior stencil
+        and the dense bottom block, the top's 180-degree rotated negation.
+        When the end blocks would meet (2 bt > n), the top block is the
+        whole matrix, set from its ``entries`` ``(rows, cols, values)``,
+        and the bottom block is empty."""
         n, w = self.n_nodes, self.halfwidth
-        rows, outside, terms, top, bottom = self._edge_parts
-        b, wt = self.boundary_block.shape
-        self._band(self._transpose_parts[0], w, u, out)
-        # the first and last w rows, where the band is truncated: the band
-        # over the gathered end rows of u, padded with zero rows, whose
-        # terms add zeros, as the missing terms would; accumulated in place
-        slabs = u[rows]
-        slabs[outside] = 0.0
-        acc = np.zeros_like(slabs[:, :w])
-        tmp = np.empty_like(acc)
-        for k, c in terms:
-            acc += np.multiply(c, slabs[:, k : k + w], out=tmp)
-        out[:w], out[n - w :] = acc
-        # corner corrections: closure rows minus what the full band put
-        # there, with np.dot on the operands np.tensordot(corr, u[:b], 1)
-        # would form
-        shape, lines = (wt, *u.shape[1:]), u[0].size
-        out[:wt] += np.dot(top, u[:b].reshape(b, lines)).reshape(shape)
-        out[n - wt :] += np.dot(bottom, u[n - b :].reshape(b, lines)).reshape(shape)
-        return out
+        bottom = -top[::-1, ::-1]
+        if 2 * len(top) > n:
+            rows, cols, vals = entries
+            top, bottom = np.zeros((n, n)), np.zeros((0, 0))
+            top[rows, cols] = vals
+        rows = np.arange(2 * _ROWS)[:, None]
+        band = np.zeros((2 * _ROWS, 2 * _ROWS + 2 * w))
+        band[rows, rows + np.arange(2 * w + 1)] = stencil
+        return _read_only(np.array(top, order="C"), band,
+                          np.array(bottom, order="C"))
 
     def apply_d_star(self, u: np.ndarray) -> np.ndarray:
         """Apply the M-adjoint D* = M^-1 D^T M along the first axis."""
@@ -498,6 +429,51 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
+def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
+    """``out = A u`` along axis 1 of the C-ordered ``(pre, n, post)``
+    arrays u and out, for the matrix A of ``form = (top, band, bottom)``.
+
+    The interior rows come first, in blocks of B = ``_ROWS`` rows: one
+    batched ``matmul`` of the leading B x (B + 2w) part of ``band`` with
+    the windows of B + 2w rows of u the blocks read (strided views, no
+    copy), the even and the odd blocks apart, so that the windows of one
+    product lie 2B >= B + 2w rows apart, as BLAS requires; and one product
+    with a leading part of ``band`` for the ragged tail.  When post == 1,
+    each product is taken as ``x @ a.T``, and the pre lines are swept as
+    one line, whose rows between the interiors of two lines are end rows.
+    Then one product per end block writes the end rows of every line.
+    """
+    top, band, bottom = form
+    (_, n, post), rows = u.shape, _ROWS
+    w = (band.shape[1] - len(band)) // 2
+    lo, hi = len(top), n - len(bottom)
+    products = []
+    if hi > lo:
+        line, dest = ((u.reshape(1, -1, 1), out.reshape(1, -1, 1)) if post == 1
+                      else (u, out))
+        stop = line.shape[1] - (n - hi)
+        pairs = (stop - lo) // (2 * rows)
+        mid = lo + 2 * rows * pairs
+
+        def blocks(a, width):  # even and odd blocks of width rows from a[:, 0]
+            s0, s1, s2 = a.strides
+            return as_strided(a, (len(a), 2, pairs, width, post),
+                              (s0, rows * s1, 2 * rows * s1, s1, s2))
+
+        products += [(band[:rows, : rows + 2 * w],
+                      blocks(line[:, lo - w :], rows + 2 * w),
+                      blocks(dest[:, lo:], rows)),
+                     (band[: stop - mid, : stop - mid + 2 * w],
+                      line[:, mid - w : stop + w], dest[:, mid:stop])]
+    products += [(top, u[:, : top.shape[1]], out[:, :lo]),
+                 (bottom, u[:, n - bottom.shape[1] :], out[:, hi:])]
+    for a, x, y in products:
+        if post == 1:
+            np.matmul(x[..., 0], a.T, out=y[..., 0])
+        else:
+            np.matmul(a, x, out=y)
+
+
 def _validate_operator(op: SbpOperator1D) -> None:
     scale = np.max(np.abs(op._mass_entries))
     res = op.sbp_residual()
@@ -519,7 +495,7 @@ def accuracy_check(op: SbpOperator1D, tol: float = 1e-12) -> None:
     n, b = op.n_nodes, op.n_closure_rows
     p = op.boundary_order
     degrees = np.arange(op.interior_order + 1)
-    monomials = np.stack([x**deg for deg in degrees.tolist()], axis=1)
+    monomials = np.vander(x, len(degrees), increasing=True)
     exact = np.zeros_like(monomials)
     exact[:, 1:] = degrees[1:] * monomials[:, :-1]
     errors = np.abs(op.apply_d(monomials) - exact)

@@ -3,10 +3,11 @@
 The 1D operators act along one axis of a field stored in row-major order with
 the first coordinate outermost, matching the Kronecker convention
 ``D_1 = D_x (x) I_y (x) ...``.  An application of ``D_i`` is therefore a
-strided sweep of the 1D stencil along axis i; no tensor-product matrix is ever
-materialized.  The sweeps write in place: each one accumulates its terms in
-its row of a preallocated result, and along the unit-stride axis it runs
-along memory as one line.  The mass matrix is the tensor product of the 1D
+sweep of the 1D operator along axis i; no tensor-product matrix is ever
+materialized.  Every axis follows one layout rule: the sweep reads the
+C-ordered field seen as ``(before, N_i, after)`` and writes its row of a
+preallocated result, by the matrix products of the 1D operator's form
+(``operators1d``).  The mass matrix is the tensor product of the 1D
 diagonal weights; vector fields use one copy of it per component, and inner
 products contract the weights axis by axis.  ``TensorOps`` holds only its
 per-axis operators: the full mass diagonal, the per-axis mode factors and
@@ -184,15 +185,17 @@ class TensorOps:
         """The 1D operator method ``name`` applied along axis i of a checked
         scalar array (``apply_d`` for D_i, ``apply_d_transpose`` for D_i^T),
         written into the C-contiguous scalar slot ``out``, or a new array;
-        returns it.  Both arrays are seen as ``(N_i, before, after)``, which
-        is F-contiguous for the last axis, so its sweeps run along memory."""
+        returns it.  On every axis the sweep reads the C-ordered field (a
+        copy of one laid out otherwise) seen as ``(before, N_i, after)``,
+        handed over with axis i first."""
         out = np.empty(self.shape) if out is None else out
-        pre = int(np.prod(self.shape[:i]))
+        pre = math.prod(self.shape[:i])
 
         def lines(a):
             return a.reshape(pre, self.shape[i], -1).transpose(1, 0, 2)
 
-        getattr(self.axis_ops[i], name)(lines(u), out=lines(out))
+        getattr(self.axis_ops[i], name)(lines(np.ascontiguousarray(u)),
+                                        out=lines(out))
         return out
 
     def apply_axis(self, i: int, u) -> np.ndarray:
@@ -301,6 +304,24 @@ class TensorOps:
 
     # -- the Gram operators of grad and curl ---------------------------------
 
+    @cached_property
+    def _sums(self) -> dict:
+        """The ``_eigenvalue_sums`` built so far, by basis combination."""
+        return {}
+
+    def _eigenvalue_sums(self, dual: int | None = None) -> np.ndarray:
+        """The sums of the per-axis eigenvalues of ``eigenbasis``, or of
+        ``dual_eigenbasis`` along axis ``dual``, over every mode, with the
+        zero mode, (0, ..., 0), set to 1: the divisors of ``_fdm_divide``.
+        Built on first use and kept, read-only, one array per combination."""
+        if dual not in self._sums:
+            sums = _outer([(op.dual_eigenbasis if i == dual else op.eigenbasis)[0]
+                           for i, op in enumerate(self.axis_ops)], np.add)
+            sums[(0,) * self.dim] = 1.0
+            sums.flags.writeable = False
+            self._sums[dual] = sums
+        return self._sums[dual]
+
     def gram_pinv(self, b) -> np.ndarray:
         """The M-mean-zero solution phi of ``L phi = b``, for b orthogonal
         to the constants.
@@ -311,7 +332,8 @@ class TensorOps:
         constants.
         """
         b = self.field_data(b, "scalar")
-        return _fdm_pinv([op.eigenbasis for op in self.axis_ops], b)
+        return _fdm_pinv([op.eigenbasis[1] for op in self.axis_ops],
+                         self._eigenvalue_sums(), b)
 
     def curl_gram_pinv(self, b) -> np.ndarray:
         """The least-M-norm solution v of ``curl^T M curl v = b`` (3D), for
@@ -359,13 +381,13 @@ class TensorOps:
             raise WrongDimension("the eigenbasis grad stage acts in 3D only")
         u = self.field_data(u, "vector")
         st_m, dst_m, ds = zip(*(op.gram_transforms for op in self.axis_ops))
-        lam, s = zip(*(op.eigenbasis for op in self.axis_ops))
+        s = [op.eigenbasis[1] for op in self.axis_ops]
         t0 = _matrix_along(st_m[1], _matrix_along(st_m[2], u[0], 2), 1)
         t12 = _matrix_along(dst_m[1], _matrix_along(st_m[2], u[1], 2), 1)
         t12 += _matrix_along(st_m[1], _matrix_along(dst_m[2], u[2], 2), 1)
         coef = _matrix_along(dst_m[0], t0, 0)
         coef += _matrix_along(st_m[0], t12, 0)
-        g = _fdm_divide(lam, coef)
+        g = _fdm_divide(self._eigenvalue_sums(), coef)
         p, dp = _matrix_along(s[0], g, 0), _matrix_along(ds[0], g, 0)
         q = _matrix_along(s[1], p, 1)
         grad = np.empty_like(u)
@@ -403,20 +425,20 @@ class TensorOps:
 
     def _curl_potential(self, coef: np.ndarray) -> tuple:
         """``(v, curl v)`` from the coefficients of ``curl^T M curl v`` in
-        the basis of each component: divided by the eigenvalue sums, then
+        the basis of each component: divided in place by the eigenvalue
+        sums, then
         v_k is R along k and S along the others, and it adds its two curl
         terms, ``D_b v_k`` to component a and ``-D_a v_k`` to component b
         with ``(a, b) = (k+1, k+2)`` mod 3, by D S in place of S along the
         derivative's axis.  The three share their leading transforms: 18
         transforms in all."""
-        lam, s = zip(*(op.eigenbasis for op in self.axis_ops))
-        mu, r = zip(*(op.dual_eigenbasis for op in self.axis_ops))
+        s = [op.eigenbasis[1] for op in self.axis_ops]
+        r = [op.dual_eigenbasis[1] for op in self.axis_ops]
         ds = [op.gram_transforms[2] for op in self.axis_ops]
         v, sol = np.empty_like(coef), np.zeros_like(coef)
         for k in range(3):
             a, b = (k + 1) % 3, (k + 2) % 3
-            g = _fdm_divide([mu[j] if j == k else lam[j] for j in range(3)],
-                            coef[k])
+            g = _fdm_divide(self._eigenvalue_sums(k), coef[k])
             g = _matrix_along(r[k], g, k)
             p = _matrix_along(s[a], g, a)
             v[k] = _matrix_along(s[b], p, b)
@@ -533,31 +555,28 @@ def _matrix_along(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
     return np.matmul(mat, lines).reshape(out)
 
 
-def _fdm_pinv(pairs, b: np.ndarray) -> np.ndarray:
+def _fdm_pinv(bases, sums: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of the tensor sum of 1D pencils (A_i, W_i), applied to
     b by fast diagonalization (Lynch, Rice & Thomas 1964).
 
-    ``pairs`` holds one ``(eigenvalues, basis)`` per axis, the basis
-    W_i-orthonormal, with one zero eigenvalue first: ``basis^T`` along every
-    axis, division by the summed eigenvalues, ``basis`` along every axis.
-    The single zero mode, (0, ..., 0), is set to 0.
+    ``bases`` holds one W_i-orthonormal eigenbasis per axis, and ``sums``
+    the sums of their eigenvalues (``TensorOps._eigenvalue_sums``), with
+    one zero mode, (0, ..., 0): ``basis^T`` along every axis, division by
+    the sums, ``basis`` along every axis.  The zero mode is set to 0.
     """
-    for i, (_, s) in enumerate(pairs):
+    for i, s in enumerate(bases):
         b = _transform(s.T, b, i)
-    b = _fdm_divide([ev for ev, _ in pairs], b)
-    for i, (_, s) in enumerate(pairs):
+    b = _fdm_divide(sums, np.ascontiguousarray(b))
+    for i, s in enumerate(bases):
         b = _transform(s, b, i)
     return np.ascontiguousarray(b)
 
 
-def _fdm_divide(eigenvalues, b: np.ndarray) -> np.ndarray:
-    """Eigenbasis coefficients b divided by the sums of the per-axis
-    ``eigenvalues``, the single zero mode, (0, ..., 0), set to 0."""
-    lam = _outer(eigenvalues, np.add)
-    zero_mode = (0,) * b.ndim
-    lam[zero_mode] = 1.0
-    b = np.divide(b, lam, out=lam)
-    b[zero_mode] = 0.0
+def _fdm_divide(sums: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenbasis coefficients b divided in place by the eigenvalue
+    ``sums``, the single zero mode, (0, ..., 0), set to 0; returns b."""
+    b /= sums
+    b[(0,) * b.ndim] = 0.0
     return b
 
 

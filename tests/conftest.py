@@ -31,3 +31,18 @@ def ops_2d():
 @pytest.fixture
 def ops_3d():
     return square_tensor_ops(2, 7, 3)
+
+
+def assert_within_forward_error(got, entries, u, want):
+    """``|got - want| <= 2 k eps (|A| |u|)`` elementwise, for two results of
+    the matrix A applied along the first axis of ``u``: the sum of their
+    forward-error bounds, whatever their order of summation.  A is given by
+    its entries ``(rows, cols, values)`` (those of ``dense()``, without
+    forming it), and k is the largest number of entries in one row."""
+    rows, cols, vals = entries
+    k = np.max(np.bincount(rows))
+    size = np.zeros(u.shape)
+    np.add.at(size, rows, np.abs(vals).reshape(-1, *(1,) * (u.ndim - 1))
+              * np.abs(u[cols]))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2 * k * np.finfo(np.float64).eps * size)

@@ -24,11 +24,11 @@ from sbphodge.operators1d import (
 from sbphodge.potentials import scalar_potential_integral
 from sbphodge.tensor import build_tensor_ops, square_tensor_ops
 
-from conftest import MIN_NODES
+from conftest import MIN_NODES, assert_within_forward_error
 
 
 def naive_matvec(a, u):
-    """Row-by-row left-to-right accumulation; the bit-level reference."""
+    """Row-by-row left-to-right accumulation."""
     out = np.empty(a.shape[0])
     for i in range(a.shape[0]):
         acc = 0.0
@@ -73,12 +73,13 @@ def test_dimension_mismatch(op_1d):
 # -- application ----------------------------------------------------------
 
 
-def test_apply_d_bit_identical_to_naive_dense(order, rng):
+def test_apply_d_within_the_forward_error_of_naive_dense(order, rng):
     op = build_operator_1d(order, Grid1D(-1.0, 1.0, MIN_NODES[order] + 7))
     dense = op.dense()
     for _ in range(5):
         u = rng.standard_normal(op.n_nodes)
-        assert np.array_equal(op.apply_d(u), naive_matvec(dense, u))
+        assert_within_forward_error(op.apply_d(u), op._entries, u,
+                                    naive_matvec(dense, u))
 
 
 def test_constant_annihilated(op_1d):

@@ -38,7 +38,7 @@ from sbphodge.tensor import (
     square_tensor_ops,
 )
 
-from conftest import MIN_NODES
+from conftest import MIN_NODES, assert_within_forward_error
 
 
 def random_scalar(ops, rng):
@@ -479,12 +479,11 @@ def test_misuse_raises_its_typed_error(name):
         call()
 
 
-# -- the in-place sweeps against their temporary-per-term formulas -----------
+# -- the sweeps against their temporary-per-term formulas --------------------
 
 
 def _sweep_d(op, u):
-    """D along axis 0 with a fresh temporary per term, zero terms included:
-    the reference order of the in-place sweep."""
+    """D along axis 0 with a fresh temporary per term, zero terms included."""
     n, b, w = op.n_nodes, op.n_closure_rows, op.halfwidth
     wt = op.boundary_block.shape[1]
     trailing = (1,) * (u.ndim - 1)
@@ -505,11 +504,15 @@ def _sweep_d(op, u):
 
 
 def _sweep_d_transpose(op, u):
-    """D^T along axis 0: the truncated band summed into zeros, term by
-    term with a fresh temporary, then the corner corrections."""
-    n, w = op.n_nodes, op.halfwidth
-    band_rev, corr = op._transpose_parts
-    b, wt = corr.shape
+    """D^T along axis 0: the reversed band, truncated at both ends, summed
+    into zeros term by term with a fresh temporary, then the corner
+    corrections, the closure block minus the band it replaces."""
+    n, w, s = op.n_nodes, op.halfwidth, op.interior_stencil
+    b, wt = op.boundary_block.shape
+    k = np.arange(wt) - np.arange(b)[:, None] + w
+    corr = op.boundary_block - np.where((k >= 0) & (k < len(s)),
+                                        s[np.clip(k, 0, len(s) - 1)], 0.0)
+    band_rev = s[::-1]
     out = np.zeros_like(u)
     for k in range(2 * w + 1):
         m, c = k - w, band_rev[k]
@@ -524,6 +527,13 @@ def _sweep_d_transpose(op, u):
     return out
 
 
+# (1D method, the entries of its matrix, its reference formula), for D and D^T
+SWEEPS = (("apply_d", lambda op: op._entries, _sweep_d),
+          ("apply_d_transpose",
+           lambda op: (op._entries[1], op._entries[0], op._entries[2]),
+           _sweep_d_transpose))
+
+
 SWEEP_GRIDS = {
     "2d": (6, [Grid1D(-1.0, 1.0, 23), Grid1D(0.0, 2.0, 19)]),
     "3d": (4, [Grid1D(-1.0, 1.0, 11), Grid1D(0.0, 1.0, 13),
@@ -534,32 +544,31 @@ SWEEP_GRIDS = {
 
 
 @pytest.mark.parametrize("name", SWEEP_GRIDS)
-def test_axis_sweeps_bit_identical_to_reference_formulas(name, rng):
+def test_axis_sweeps_within_the_forward_error_of_reference_formulas(name, rng):
     """Along every axis, ``apply_axis``/``apply_axis_transpose`` and the 1D
     sweeps with and without ``out=`` (a contiguous, a strided and an
-    aliased slot) reproduce the reference formulas bit for bit."""
+    aliased slot) agree with the reference formulas to the forward-error
+    bound, and every slot gets the bits of the sweep without one."""
     order, grids = SWEEP_GRIDS[name]
     ops = build_tensor_ops(order, grids)
     u = random_scalar(ops, rng)
     for i, op in enumerate(ops.axis_ops):
         moved = np.moveaxis(u, i, 0)
-        for method, axis_method, reference in (
-                ("apply_d", ops.apply_axis, _sweep_d),
-                ("apply_d_transpose", ops.apply_axis_transpose,
-                 _sweep_d_transpose)):
-            want = reference(op, moved)
-            sweep = getattr(op, method)
-            assert np.array_equal(np.moveaxis(axis_method(i, u), i, 0), want)
-            assert np.array_equal(sweep(moved), want)
+        for (method, entries, reference), axis_method in zip(
+                SWEEPS, (ops.apply_axis, ops.apply_axis_transpose)):
+            want, sweep = reference(op, moved), getattr(op, method)
+            got = sweep(moved)
+            assert_within_forward_error(got, entries(op), moved, want)
+            assert np.array_equal(np.moveaxis(axis_method(i, u), i, 0), got)
             slots = [np.empty(moved.shape),
                      np.empty((*moved.shape, 2))[..., 1],
                      np.moveaxis(np.empty((*moved.shape[1:], moved.shape[0])),
                                  -1, 0)]
             for slot in slots:
                 assert sweep(moved, out=slot) is slot
-                assert np.array_equal(slot, want)
-            alias = moved.copy()
-            assert np.array_equal(sweep(alias, out=alias), want)
+                assert np.array_equal(slot, got)
+            alias = np.moveaxis(u.copy(), i, 0)  # laid out as moved
+            assert np.array_equal(sweep(alias, out=alias), got)
 
 
 def test_sweep_output_slot_is_checked():
@@ -576,16 +585,12 @@ def test_sweep_output_slot_is_checked():
 @pytest.mark.parametrize("name", SWEEP_GRIDS)
 def test_calculus_bit_identical_to_reference_compositions(name, rng):
     """grad, div, curl, rot and the transposes, written row by row into
-    their results, equal the compositions of the reference sweeps."""
+    their results, equal the compositions of ``apply_axis`` and
+    ``apply_axis_transpose`` bit for bit."""
     order, grids = SWEEP_GRIDS[name]
     ops = build_tensor_ops(order, grids)
     f, u = random_scalar(ops, rng), random_vector(ops, rng)
-
-    def d(i, a, reference=_sweep_d):
-        return np.moveaxis(reference(ops.axis_ops[i], np.moveaxis(a, i, 0)), 0, i)
-
-    def dt(i, a):
-        return d(i, a, _sweep_d_transpose)
+    d, dt = ops.apply_axis, ops.apply_axis_transpose
 
     assert np.array_equal(ops.grad(f), np.stack([d(i, f) for i in range(ops.dim)]))
     for div, dd in ((ops.div, d), (ops.grad_transpose, dt)):
@@ -714,36 +719,35 @@ def test_inner_matches_full_mass_product(name, rng):
             assert abs(ops.inner(x, y) - want) <= 1e-14 * scale
 
 
-# -- the cache-blocked band sweep ---------------------------------------------
+# -- the windowed sweeps -----------------------------------------------------
 
 
 def _assert_sweeps_match_reference(ops, u):
-    """Along every axis, both 1D sweeps without ``out=`` and into a
-    contiguous, a strided and an aliased slot equal the reference formulas
-    bit for bit."""
+    """Along every axis, both 1D sweeps agree with the reference formulas to
+    the forward-error bound, and give the same bits into a contiguous, a
+    strided and an aliased ``out=`` slot as without one."""
     for i, op in enumerate(ops.axis_ops):
         moved = np.moveaxis(u, i, 0)
-        for method, reference in (("apply_d", _sweep_d),
-                                  ("apply_d_transpose", _sweep_d_transpose)):
-            want, sweep = reference(op, moved), getattr(op, method)
-            assert np.array_equal(sweep(moved), want)
+        for method, entries, reference in SWEEPS:
+            sweep = getattr(op, method)
+            got = sweep(moved)
+            assert_within_forward_error(got, entries(op), moved,
+                                        reference(op, moved))
             for slot in (np.empty(moved.shape),
                          np.empty((*moved.shape, 2))[..., 1]):
                 assert sweep(moved, out=slot) is slot
-                assert np.array_equal(slot, want)
-            alias = moved.copy()
-            assert np.array_equal(sweep(alias, out=alias), want)
+                assert np.array_equal(slot, got)
+            alias = np.moveaxis(u.copy(), i, 0)  # laid out as moved
+            assert np.array_equal(sweep(alias, out=alias), got)
 
 
-def test_blocked_sweeps_bit_identical_across_block_boundaries(rng):
-    """A 300 x 200 order-6 scalar field (469 KiB) is swept in two blocks
-    along each axis, the last one ragged.  A 9 x 11 x 5000 field is swept
-    one row per block along axis 0 and in 16 blocks along its last axis;
-    its middle axis runs whole."""
+def test_blocked_sweeps_within_the_forward_error_across_block_boundaries(rng):
+    """An order-6 300 x 200 field is swept in 35 or 36 blocks along axis 0
+    and 22 or 23 along axis 1, with and without a ragged tail.  An order-4
+    9 x 11 x 5000 field has a tail only (D) or one dense block (D^T) along
+    its short axes, and 624 blocks along its last axis."""
     ops = build_tensor_ops(6, [Grid1D(-1.0, 1.0, 300), Grid1D(0.0, 2.0, 200)])
-    u = random_scalar(ops, rng)
-    assert u.nbytes > 1.5 * operators1d._BLOCK_BYTES
-    _assert_sweeps_match_reference(ops, u)
+    _assert_sweeps_match_reference(ops, random_scalar(ops, rng))
     ops3 = build_tensor_ops(4, [Grid1D(0.0, 1.0, 9), Grid1D(0.0, 1.0, 11),
                                 Grid1D(0.0, 1.0, 5000)])
     _assert_sweeps_match_reference(ops3, random_scalar(ops3, rng))
@@ -756,120 +760,138 @@ BENCHMARK_GRIDS = {"2d-n49": (6, 49, 2), "2d-n129": (6, 129, 2),
 
 
 @pytest.mark.parametrize("name", BENCHMARK_GRIDS)
-def test_sweeps_bit_identical_on_the_benchmark_views(name, rng):
+def test_sweeps_within_the_forward_error_on_the_benchmark_views(name, rng):
     """Along every axis of the benchmark grids, the 1D sweeps (without
-    ``out=`` and into a contiguous, a strided and an aliased slot) and
-    ``apply_axis``/``apply_axis_transpose`` equal the reference formulas."""
+    ``out=`` and into a contiguous, a strided and an aliased slot) agree
+    with the reference formulas, and ``apply_axis``/``apply_axis_transpose``
+    give their bits."""
     ops = square_tensor_ops(*BENCHMARK_GRIDS[name])
     u = random_scalar(ops, rng)
     _assert_sweeps_match_reference(ops, u)
     for i, op in enumerate(ops.axis_ops):
         moved = np.moveaxis(u, i, 0)
         assert np.array_equal(np.moveaxis(ops.apply_axis(i, u), i, 0),
-                              _sweep_d(op, moved))
+                              op.apply_d(moved))
         assert np.array_equal(np.moveaxis(ops.apply_axis_transpose(i, u), i, 0),
-                              _sweep_d_transpose(op, moved))
+                              op.apply_d_transpose(moved))
 
 
-def test_sweeps_bit_identical_on_vectors_and_batches(order, rng):
+def test_sweeps_within_the_forward_error_on_vectors_and_batches(order, rng):
     """1D vectors and (n, 7) batches, C- and F-ordered, an empty batch and
-    negative zeros, at the smallest grid, a few rows more and n=49, equal
-    the reference formulas, signs of zero included."""
+    negative zeros, at the smallest grid, a few rows more and n=49, agree
+    with the reference formulas, into a slot as without one."""
     for n in (MIN_NODES[order], MIN_NODES[order] + 3, 49):
         op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
         batch = rng.standard_normal((n, 7))
         for u in (rng.standard_normal(n), batch, np.asfortranarray(batch),
                   np.empty((n, 0)), -np.zeros((n, 3))):
-            for method, reference in (("apply_d", _sweep_d),
-                                      ("apply_d_transpose", _sweep_d_transpose)):
+            for method, entries, reference in SWEEPS:
                 want, sweep = reference(op, u), getattr(op, method)
                 slot = np.empty_like(u)
                 assert sweep(u, out=slot) is slot
-                for got in (sweep(u), slot):
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                got = sweep(u)
+                assert_within_forward_error(got, entries(op), u, want)
+                assert np.array_equal(slot, got)
 
 
-@pytest.mark.parametrize("budget", [1, 8, 200])
-@pytest.mark.parametrize("name", SWEEP_GRIDS)
-def test_sweeps_bit_identical_at_any_block_budget(monkeypatch, name, budget, rng):
-    """With a budget of one row per block or below one row (a line's row is
-    8 bytes, a 2D axis-0 row 152), every sweep and calculus operator still
-    equals the reference."""
-    monkeypatch.setattr(operators1d, "_BLOCK_BYTES", budget)
-    order, grids = SWEEP_GRIDS[name]
-    ops = build_tensor_ops(order, grids)
-    u, v = random_scalar(ops, rng), random_vector(ops, rng)
-    _assert_sweeps_match_reference(ops, u)
-    for i in range(ops.dim):
-        moved = np.moveaxis(u, i, 0)
-        assert np.array_equal(np.moveaxis(ops.apply_axis(i, u), i, 0),
-                              _sweep_d(ops.axis_ops[i], moved))
-        assert np.array_equal(np.moveaxis(ops.apply_axis_transpose(i, u), i, 0),
-                              _sweep_d_transpose(ops.axis_ops[i], moved))
-    monkeypatch.undo()
-    want = (ops.grad(u), ops.div(v), ops.curl(v), ops.grad_transpose(v))
-    monkeypatch.setattr(operators1d, "_BLOCK_BYTES", budget)
-    got = (ops.grad(u), ops.div(v), ops.curl(v), ops.grad_transpose(v))
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+def _form_matrix(form, n):
+    """The n x n matrix of a form, placed block by block: the top block,
+    the rows of the band between the end blocks, the bottom block."""
+    top, band, bottom = form
+    rows, width = band.shape
+    w = (width - rows) // 2
+    a = np.zeros((n, n))
+    a[: len(top), : top.shape[1]] = top
+    if len(bottom):
+        a[n - len(bottom) :, n - bottom.shape[1] :] = bottom
+    for i in range(len(top), n - len(bottom)):
+        a[i, i - w : i + w + 1] = band[0, : 2 * w + 1]
+    return a
 
 
-def test_only_contiguous_rows_are_blocked(monkeypatch, rng):
-    """At a one-row budget the first and last axes of a C-ordered 3D field
-    are swept in many blocks; the middle axis, a strided view, in one: one
-    band multiply per nonzero band term.  Only the multiplies of the band
-    sweep (``_band``) are counted, not those of the closure and edge rows."""
-    monkeypatch.setattr(operators1d, "_BLOCK_BYTES", 8)
-    ops = build_tensor_ops(4, [Grid1D(0.0, 1.0, 11), Grid1D(0.0, 1.0, 13),
-                               Grid1D(0.0, 1.0, 9)])
-    u, calls, in_band = random_scalar(ops, rng), [], []
-    band = operators1d.SbpOperator1D._band
+@pytest.mark.parametrize("transpose", [False, True], ids=["d", "d_transpose"])
+def test_forms_rebuild_the_dense_matrices(order, transpose):
+    """The forms of D and D^T rebuild the matrix of the entries of D (or
+    its transpose), ``dense()`` and ``dense().T`` entry for entry: at the
+    smallest grid, where the end blocks of D^T meet (one dense block) and
+    just separate (no interior row), one row later, and at n=49.  Each
+    band is the Toeplitz block of its stencil, and every block is a
+    read-only C-ordered array."""
+    top_rows = len(build_operator_1d(order, Grid1D(0.0, 1.0, 49))._dt_form[0])
+    for n in (MIN_NODES[order], 2 * top_rows - 1, 2 * top_rows,
+              2 * top_rows + 1, 49):
+        op = build_operator_1d(order, Grid1D(0.0, 1.0, n))
+        rows, cols, vals = op._entries
+        want = np.zeros((n, n))
+        want[rows, cols] = vals
+        form, stencil = op._d_form, op.interior_stencil
+        if transpose:
+            want, form, stencil = want.T, op._dt_form, stencil[::-1]
+        top, band, bottom = form
+        assert np.array_equal(_form_matrix(form, n), want), n
+        assert np.array_equal(op.dense().T if transpose else op.dense(), want), n
+        assert (len(bottom) == 0) == (2 * len(top) > n)
+        for r in range(len(band)):
+            assert np.array_equal(band[r], np.r_[np.zeros(r), stencil,
+                                                 np.zeros(len(band) - 1 - r)])
+        assert all(a.flags.c_contiguous and not a.flags.writeable for a in form)
 
-    def counting_band(self, *args):
-        in_band.append(True)
-        try:
-            return band(self, *args)
-        finally:
-            in_band.pop()
 
-    class CountingNumpy:  # numpy as the sweeps see it, counting band multiplies
-        def __getattr__(self, attr):
-            return getattr(np, attr)
-
-        def multiply(self, *args, **kwargs):
-            if in_band:
-                calls.append(1)
-            return np.multiply(*args, **kwargs)
-
-    monkeypatch.setattr(operators1d, "np", CountingNumpy())
-    monkeypatch.setattr(operators1d.SbpOperator1D, "_band", counting_band)
+@pytest.mark.parametrize("name", {**SWEEP_GRIDS, **BENCHMARK_GRIDS})
+def test_every_slot_and_layout_gives_equal_bits(name, rng):
+    """Every sweep runs one product on C-ordered operands.  Through the
+    tensor layer, a field in Fortran order, a strided view or reversed
+    axes gives the bits of its C-ordered copy.  Through the 1D sweeps,
+    along every axis, a strided view gives the bits of its C-ordered copy,
+    into a contiguous, a strided or an aliased slot as without one."""
+    grids = SWEEP_GRIDS.get(name)
+    ops = (build_tensor_ops(*grids) if grids else
+           square_tensor_ops(*BENCHMARK_GRIDS[name]))
+    u = random_scalar(ops, rng)
+    wide = np.zeros((2 * ops.shape[0], *ops.shape[1:]))
+    wide[::2] = u
+    views = (np.asfortranarray(u), wide[::2], np.ascontiguousarray(u.T).T)
     for i, op in enumerate(ops.axis_ops):
-        terms = np.count_nonzero(op.interior_stencil)
-        for name in ("apply_axis", "apply_axis_transpose"):
-            calls.clear()
-            getattr(ops, name)(i, u)
-            blocks, rest = divmod(len(calls), terms)
-            assert rest == 0 and (blocks == 1 if i == 1 else blocks > 1), (
-                i, name, len(calls))
+        for method, axis_method in (("apply_d", ops.apply_axis),
+                                    ("apply_d_transpose", ops.apply_axis_transpose)):
+            want = axis_method(i, u)
+            for view in views:
+                assert np.array_equal(axis_method(i, view), want)
+            sweep = getattr(op, method)
+            copy = np.ascontiguousarray(np.moveaxis(u, i, 0))
+            got = sweep(copy)
+            if i == 0:
+                assert np.array_equal(got, want)
+            strided = np.empty((*copy.shape, 2))
+            strided[..., 0] = copy
+            slots = (np.empty(copy.shape), np.empty((*copy.shape, 3))[..., 2])
+            for source in (copy, strided[..., 0]):
+                assert np.array_equal(sweep(source), got)
+                for slot in slots:
+                    assert np.array_equal(sweep(source, out=slot), got)
+            alias = strided[..., 0]
+            assert np.array_equal(sweep(alias, out=alias), got)
 
 
 @pytest.mark.parametrize("method", ["apply_d", "apply_d_transpose"])
 def test_sweep_scratch_is_bounded(method, rng):
-    """A sweep into an ``out=`` slot allocates only block-sized scratch: the
-    traced peak stays under 1 MiB on an 8 MiB 1025 x 1025 field, along
-    either axis."""
+    """A sweep into an ``out=`` slot allocates no full-size scratch: the
+    traced peak stays under 1 MiB on an 8 MiB 1025 x 1025 field along
+    either axis, and on a 7 MiB 97^3 field along each of its three axes,
+    the middle one included."""
     import tracemalloc
 
-    op = build_operator_1d(6, Grid1D(0.0, 1.0, 1025))
-    u, out = rng.standard_normal((1025, 1025)), np.empty((1025, 1025))
-    for i in (0, 1):
-        sweep = getattr(op, method)
-        a, slot = np.moveaxis(u, i, 0), np.moveaxis(out, i, 0)
-        sweep(a, out=slot)  # builds the cached closure parts
-        tracemalloc.start()
-        try:
-            sweep(a, out=slot)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, (i, peak)
+    for shape in ((1025, 1025), (97, 97, 97)):
+        op = build_operator_1d(6, Grid1D(0.0, 1.0, shape[0]))
+        u, out = rng.standard_normal(shape), np.empty(shape)
+        for i in range(len(shape)):
+            sweep = getattr(op, method)
+            a, slot = np.moveaxis(u, i, 0), np.moveaxis(out, i, 0)
+            sweep(a, out=slot)  # builds the cached forms
+            tracemalloc.start()
+            try:
+                sweep(a, out=slot)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (shape, i, peak)
