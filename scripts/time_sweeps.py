@@ -5,9 +5,8 @@ Prints two markdown tables.  The first gives the mean time of ``apply_d``
 and ``apply_d_transpose`` in ns per node along each axis of a C-ordered
 field, as ``TensorOps`` sweeps it (``TensorOps._along``, which hands the
 sweep the field seen as ``(before, N_i, after)``), into a preallocated
-``out=``.  The second
-gives the time of ``square_tensor_ops`` (construction and validation) per
-grid, in ms.  Every case is timed once per round, the rounds are repeated,
+``out=``.  The second gives the time of ``square_tensor_ops``
+(construction and validation) per grid, in ms.  Every case is timed once per round, the rounds are repeated,
 and the median round is printed.  With ``--baseline DIR``, DIR holding
 another checkout's ``sbphodge`` package (its ``src``), each case is timed
 on both trees in alternating order within every round and printed as
