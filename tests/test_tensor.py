@@ -741,11 +741,13 @@ def _assert_sweeps_match_reference(ops, u):
             assert np.array_equal(sweep(alias, out=alias), got)
 
 
-def test_blocked_sweeps_within_the_forward_error_across_block_boundaries(rng):
+def test_blocked_sweeps_bit_identical_across_block_boundaries(rng):
     """An order-6 300 x 200 field is swept in 35 or 36 blocks along axis 0
     and 22 or 23 along axis 1, with and without a ragged tail.  An order-4
     9 x 11 x 5000 field has a tail only (D) or one dense block (D^T) along
-    its short axes, and 624 blocks along its last axis."""
+    its short axes, and 624 blocks along its last axis.  Across every block
+    boundary each slot gets the bits of the sweep without one, and the
+    sweep agrees with the reference formulas to the forward-error bound."""
     ops = build_tensor_ops(6, [Grid1D(-1.0, 1.0, 300), Grid1D(0.0, 2.0, 200)])
     _assert_sweeps_match_reference(ops, random_scalar(ops, rng))
     ops3 = build_tensor_ops(4, [Grid1D(0.0, 1.0, 9), Grid1D(0.0, 1.0, 11),
@@ -760,11 +762,11 @@ BENCHMARK_GRIDS = {"2d-n49": (6, 49, 2), "2d-n129": (6, 129, 2),
 
 
 @pytest.mark.parametrize("name", BENCHMARK_GRIDS)
-def test_sweeps_within_the_forward_error_on_the_benchmark_views(name, rng):
-    """Along every axis of the benchmark grids, the 1D sweeps (without
-    ``out=`` and into a contiguous, a strided and an aliased slot) agree
-    with the reference formulas, and ``apply_axis``/``apply_axis_transpose``
-    give their bits."""
+def test_sweeps_bit_identical_on_the_benchmark_views(name, rng):
+    """Along every axis of the benchmark grids, ``apply_axis`` and
+    ``apply_axis_transpose`` give the bits of the 1D sweeps, as does every
+    contiguous, strided and aliased ``out=`` slot; the sweeps agree with
+    the reference formulas to the forward-error bound."""
     ops = square_tensor_ops(*BENCHMARK_GRIDS[name])
     u = random_scalar(ops, rng)
     _assert_sweeps_match_reference(ops, u)
@@ -776,10 +778,11 @@ def test_sweeps_within_the_forward_error_on_the_benchmark_views(name, rng):
                               op.apply_d_transpose(moved))
 
 
-def test_sweeps_within_the_forward_error_on_vectors_and_batches(order, rng):
+def test_sweeps_bit_identical_on_vectors_and_batches(order, rng):
     """1D vectors and (n, 7) batches, C- and F-ordered, an empty batch and
-    negative zeros, at the smallest grid, a few rows more and n=49, agree
-    with the reference formulas, into a slot as without one."""
+    negative zeros, at the smallest grid, a few rows more and n=49: a
+    sweep into a slot gives the bits of the sweep without one, and both
+    agree with the reference formulas to the forward-error bound."""
     for n in (MIN_NODES[order], MIN_NODES[order] + 3, 49):
         op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
         batch = rng.standard_normal((n, 7))
