@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 digest of grad, div, curl, rot and their transposes.
+"""Print a SHA-256 digest of grad, div, curl, rot, their transposes and the
+M-adjoints grad* and curl*.
 
 The sweeps are BLAS matrix products, so this checks that their bits do not
 depend on the number of BLAS threads: run it under two thread counts and
 compare the outputs.  The fields are fixed random fields on the grids of the
 sweep tests (``SWEEP_GRIDS`` and ``BENCHMARK_GRIDS`` in
-``tests/test_tensor.py``) and on a 2D n=513 order-6 grid, large enough for
-OpenBLAS to split a product between threads.
+``tests/test_tensor.py``), on 2D order-6 grids of 64 and 65 nodes, the last
+swept by one dense block and the first by the banded form, and on a 2D n=513
+order-6 grid, large enough for OpenBLAS to split a product between threads.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/hash_sweeps.py > one
     OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python scripts/hash_sweeps.py > two
@@ -28,16 +30,20 @@ def main():
     grids = {name: build_tensor_ops(*SWEEP_GRIDS[name]) for name in SWEEP_GRIDS}
     grids.update({name: square_tensor_ops(*args)
                   for name, args in BENCHMARK_GRIDS.items()})
-    grids["2d-n513"] = square_tensor_ops(6, 513, 2)
+    for n in (64, 65, 513):
+        grids[f"2d-n{n}"] = square_tensor_ops(6, n, 2)
     for name, ops in grids.items():
         rng = np.random.default_rng(0)
         f = rng.standard_normal(ops.shape)
         u = rng.standard_normal((ops.dim, *ops.shape))
         results = {"grad": ops.grad(f), "div": ops.div(u), "curl": ops.curl(u),
                    "grad_transpose": ops.grad_transpose(u),
-                   "curl_transpose": ops.curl_transpose(f if ops.dim == 2 else u)}
+                   "curl_transpose": ops.curl_transpose(f if ops.dim == 2 else u),
+                   "grad_star": ops.grad_star(u)}
         if ops.dim == 2:
             results["rot"] = ops.rot(f)
+        else:
+            results["curl_star"] = ops.curl_star(u)
         for call, a in results.items():
             print(name, call, hashlib.sha256(a.tobytes()).hexdigest())
 

@@ -3,9 +3,9 @@
 
 Prints two markdown tables.  The first gives the mean time of ``apply_d``
 and ``apply_d_transpose`` in ns per node along each axis of a C-ordered
-field, as ``TensorOps`` sweeps it (``TensorOps._along``, which hands the
-sweep the field seen as ``(before, N_i, after)``), into a preallocated
-``out=``.  The second gives the time of ``square_tensor_ops``
+field, as ``TensorOps`` sweeps it (``TensorOps._along``, which applies the
+form of D or D^T to the field seen as ``(before, N_i, after)``), into a
+preallocated ``out=``.  The second gives the time of ``square_tensor_ops``
 (construction and validation) per grid, in ms.  Every case is timed once per round, the rounds are repeated,
 and the median round is printed.  With ``--baseline DIR``, DIR holding
 another checkout's ``sbphodge`` package (its ``src``), each case is timed
@@ -33,6 +33,14 @@ import numpy as np
 
 ORDER = 6
 GRIDS = ["2:49", "2:129", "2:257", "2:513", "2:1025", "3:25", "3:49", "3:97"]
+FORMS = {"apply_d": "_d_form", "apply_d_transpose": "_dt_form"}
+
+
+def along_name(ops, method):
+    """What ``ops._along`` takes for the sweep of ``method``: the name of
+    its form, or, in a tree whose operators have no form of D* (older
+    than the sweeps of D*), the name of the 1D method."""
+    return FORMS[method] if hasattr(ops.axis_ops[0], "_ds_form") else method
 
 
 def load_tensor_module(src):
@@ -78,7 +86,7 @@ def main(argv=None):
         for i in range(dim):
             for method in ("apply_d", "apply_d_transpose"):
                 ops = [t.square_tensor_ops(ORDER, n, dim) for t in trees]
-                calls = [lambda o=o, i=i, m=method, f=f, out=out:
+                calls = [lambda o=o, i=i, m=along_name(o, method), f=f, out=out:
                          o._along(i, f, m, out) for o in ops]
                 cases.append((sweeps, (dim, n, i, method), number, calls))
         cases.append((setups, (dim, n), 20,

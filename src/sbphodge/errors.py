@@ -18,7 +18,8 @@ class DimensionMismatch(SbpHodgeError, ValueError):
 
 
 class BadDomain(DimensionMismatch):
-    """Grid interval is empty or has a non-finite end."""
+    """Grid interval is empty or has a non-finite end, or its node count is
+    not an integer."""
 
 
 class KindMismatch(SbpHodgeError, ValueError):
@@ -78,4 +79,5 @@ class CorruptFieldFile(SbpHodgeError, ValueError):
 
 
 class InvalidConfig(SbpHodgeError, ValueError):
-    """Experiment settings out of range: dimension, grid sizes, amplitudes."""
+    """Settings out of range: an experiment's dimension, grid sizes or
+    amplitudes, or a Krylov solve's tolerances or iteration limit."""

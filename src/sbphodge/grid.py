@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -12,14 +13,17 @@ from .errors import BadDomain, GridTooSmall
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid on [x_min, x_max] with nodes x_min + a*dx, a = 0..n_nodes-1:
-    at least 2 nodes (else GridTooSmall) on a nonempty interval of finite
-    length (else BadDomain), the one rule of what a grid is."""
+    an integer count (else BadDomain) of at least 2 nodes (else GridTooSmall)
+    on a nonempty interval of finite length (else BadDomain), the one rule
+    of what a grid is."""
 
     x_min: float
     x_max: float
     n_nodes: int
 
     def __post_init__(self):
+        if not isinstance(self.n_nodes, Integral):
+            raise BadDomain(f"node count {self.n_nodes!r} is not an integer")
         if self.n_nodes < 2:
             raise GridTooSmall(f"need at least 2 nodes, got {self.n_nodes}")
         if not 0.0 < float(self.x_max) - float(self.x_min) < np.inf:

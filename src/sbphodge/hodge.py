@@ -15,20 +15,16 @@ the rot projection through ``rot = J grad``, reduce to the Gram operator
 (``TensorOps.gram_pinv``).  The 3D curl projection reduces on the coimage of
 curl to one tensor sum of 1D pencils per component, solved the same way
 (``TensorOps.curl_gram_pinv``); its solution is already the least-norm
-potential.  Both 3D stages run wholly in the eigenbasis
-(``TensorOps.grad_projection`` and ``TensorOps.curl_projection``): the
-right-hand side, ``grad^T M u`` or ``curl^T M u``, and the part, ``grad phi``
-or ``curl v``, are dense per-axis transforms, not sweeps; the 2D stages
-sweep.  Every direct stage reports its normal residual
-``||A^T M r||_{M^-1}``.  In 3D it is ``||A* r||_M``, with the M-adjoint
-``A*`` applied by the dense ``D* = M^-1 D^T M`` of each axis
-(``TensorOps.grad_star`` and ``TensorOps.curl_star``), which reads no
-eigenbasis, so the check stays independent of the solve; in 2D it is
-computed with the sweeps of the transpose.  So a warm default 3D
-decomposition runs no sweep.  When a Krylov solver is named, every stage
-runs LSQR/LSMR on the operator conjugated with the square root of the
-diagonal mass matrix, which turns the Euclidean guarantees of the solvers
-into M-norm guarantees; the zero initial guess fixes the gauge.
+potential.  Every direct stage, in 2D and 3D, takes the same four steps:
+the right-hand side ``M A* u``, one fast-diagonalization solve, the part
+``A x`` by sweeps, and the check ``A* r`` by sweeps, which reports the
+normal residual ``||A^T M r||_{M^-1} = ||A* r||_M``.  The M-adjoint ``A*``
+(``TensorOps.grad_star`` and ``TensorOps.curl_star``) sweeps
+``D* = M^-1 E - D`` along each axis, built from D alone, so the check reads
+no eigenbasis and stays independent of the solve.  When a Krylov solver is
+named, every stage runs LSQR/LSMR on the operator conjugated with the square
+root of the diagonal mass matrix, which turns the Euclidean guarantees of the
+solvers into M-norm guarantees; the zero initial guess fixes the gauge.
 
 The two projections do not commute, so the order is part of the result.
 """
@@ -151,11 +147,9 @@ def project_im_grad(
 
     Returns ``(phi, grad_phi, stats)`` with ``phi`` shifted to M-mean zero.
     With ``solver=None`` the normal equations ``L phi = grad^T M u`` are
-    solved directly by the fast diagonalization of ``TensorOps.gram_pinv``:
-    in 2D from the sweeps of ``grad^T``, with ``grad phi`` swept after; in
-    3D wholly in its eigenbasis (``TensorOps.grad_projection``), which
-    forms the right-hand side, phi and ``grad phi`` with no sweep.
-    ``"lsqr"``/``"lsmr"`` run the Krylov reference instead, and the
+    solved directly by the fast diagonalization of ``TensorOps.gram_pinv``,
+    the right-hand side formed as ``M grad* u`` and ``grad phi`` swept
+    after.  ``"lsqr"``/``"lsmr"`` run the Krylov reference instead, and the
     residual ``u - grad_phi`` is then M-orthogonal to every gradient at the
     solver tolerance.  Any other name raises UnknownSolver.
     """
@@ -168,17 +162,11 @@ def _grad_projection(ops, u, solver, atol, btol, max_iter):
     2D rot stage through ``rot = J grad``, so that each public stage
     function runs once per stage."""
     if solver is None:
-        if ops.dim == 3:
-            phi, grad_phi = ops.grad_projection(u)
-            phi = ops.mean_zero(phi)
-            r = u - grad_phi
-            normal = ops.grad_star(r)
-        else:
-            phi = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
-            grad_phi = ops.grad(phi)
-            r = u - grad_phi
-            normal = ops.grad_transpose(ops.mass * r) / ops.mass
-        return ops.field(phi), ops.field(grad_phi), _direct_stats(ops, r, normal)
+        phi = ops.mean_zero(ops.gram_pinv(ops.mass * ops.grad_star(u)))
+        grad_phi = ops.grad(phi)
+        r = u - grad_phi
+        return (ops.field(phi), ops.field(grad_phi),
+                _direct_stats(ops, r, ops.grad_star(r)))
 
     phi, stats = _krylov(ops, ops.grad, ops.grad_transpose, ops.shape, u,
                          solver, atol, btol, max_iter)
@@ -206,9 +194,9 @@ def project_im_curl(
     grad potential of ``J^T u``, solved by the grad stage's own core.
     In 3D, with ``solver=None``, ``v`` solves ``curl^T M curl v = curl^T M u``
     directly by the solve of ``TensorOps.curl_gram_pinv``, which returns
-    the coimage solution: ``TensorOps.curl_projection`` forms the
-    right-hand side, v and ``curl v`` in its eigenbasis, with no sweep.
-    ``"lsqr"``/``"lsmr"`` run the Krylov reference instead.
+    the coimage solution, the right-hand side formed as ``M curl* u`` and
+    ``curl v`` swept after.  ``"lsqr"``/``"lsmr"`` run the Krylov reference
+    instead.
     """
     u = _vector_data(ops, u)
     if ops.dim == 2:
@@ -218,7 +206,8 @@ def project_im_curl(
         return v, ops.field(np.stack([g[1], -g[0]])), stats  # J grad v = rot v
 
     if solver is None:
-        v, sol = ops.curl_projection(u)
+        v = ops.curl_gram_pinv(ops.mass * ops.curl_star(u))
+        sol = ops.curl(v)
         r = u - sol
         return (ops.field(v), ops.field(sol),
                 _direct_stats(ops, r, ops.curl_star(r)))

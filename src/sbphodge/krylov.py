@@ -7,7 +7,8 @@ guess both converge to the minimum-Euclidean-norm least-squares solution.
 They stop on the residual test ``|r| <= btol |b| + atol |A| |x|`` or the
 normal-equation test ``|A^T r| <= atol |A| |r|``, with machine-precision
 floors so that ``atol = btol = 0`` still terminates; SciPy's condition limit
-is off (``conlim=0``).  No preconditioning is applied.  A solve, not this
+is off (``conlim=0``).  A tolerance that is negative or not finite, or a
+``max_iter`` that is not a positive integer, raises InvalidConfig.  No preconditioning is applied.  A solve, not this
 module, imports ``scipy.sparse.linalg``, so the default direct decomposition
 never loads it.
 """
@@ -15,11 +16,12 @@ never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteEncountered
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteEncountered
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +107,12 @@ _STOPS = {1: "residual_tol", 4: "residual_tol", 2: "normal_tol",
 def _solve(name, op, b, atol, btol, max_iter, self_test, keep_iterates):
     from scipy.sparse import linalg  # lazily: not on the default path
 
+    if not all(np.isfinite(t) and t >= 0 for t in (atol, btol)):
+        raise InvalidConfig(f"tolerances atol={atol}, btol={btol} are not "
+                            "finite and non-negative")
+    if max_iter is not None and not (isinstance(max_iter, Integral)
+                                     and max_iter >= 1):
+        raise InvalidConfig(f"max_iter={max_iter!r} is not a positive integer")
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (op.rows,):
         raise DimensionMismatch(f"rhs shape {b.shape} != ({op.rows},)")

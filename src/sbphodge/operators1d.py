@@ -4,29 +4,32 @@ The derivative is stored matrix free: an antisymmetric interior stencil plus a
 dense top closure block (the bottom block is its 180-degree rotated negation).
 The diagonal mass matrix makes ``u^T M v`` a quadrature of the L2 inner
 product, and the triple (D, M, E) satisfies ``M D + D^T M = E`` with
-``E = diag(-1, 0, ..., 0, 1)`` up to roundoff.  Every operator is validated on
-construction: the identity residual, the polynomial accuracy of all rows and
-nullspace consistency are checked, so a corrupted coefficient cannot construct
-silently.  An operator holds only this defining data; what is derived from it
-(the entry lists of D and of M D, the forms of D and D^T, the grid
-oscillation, the integral's LU factors, the eigenbases of the Gram pencil
-and its dual, the 3D stages' transforms built from them, and the dense D*)
-is a ``cached_property``, built on first use, so a copy made by
-``dataclasses.replace`` never carries stale derived state; the float
-coefficients of each order are converted from the exact rationals once.
-D and D^T each have one form: a dense top block, the Toeplitz block of the
-interior stencil, and a dense bottom block, the top's rotated negation.
-``apply_d`` and ``apply_d_transpose`` take a numpy-style ``out=`` and apply
-a form by BLAS products on C-ordered operands (``_apply_form``), so every
-``out=`` slot gets the same bits and a sweep into one allocates no scratch
-of the field's size.  They do not sum in the order of a row-by-row
-product: a sweep agrees with it to roundoff, not bit for bit.
-``accuracy_check`` differentiates every monomial in one sweep.  The grid
-oscillation (the kernel of D*) and the discrete integral are LAPACK banded
-LU solves (``dgbtrf`` then ``dgbtrs``, as ``DGBSV`` does) on the entries
-of D, O(n) in time and memory.  The integral's factors are built on the
-first integral and reused by every later one; ``dense()`` serves only the
-eigenbases, the dense D* of the 3D stages' checks, and verification.
+``E = diag(-1, 0, ..., 0, 1)`` up to roundoff.  So the M-adjoint
+``D* = M^-1 D^T M`` is ``M^-1 E - D``: minus D, with ``-1/m_0`` and
+``1/m_(n-1)`` added at its two corners, built from D alone.  Every operator
+is validated on construction: the identity residual, the polynomial
+accuracy of all rows and nullspace consistency are checked, so a corrupted
+coefficient cannot construct silently.  An operator holds only this defining
+data; what is derived from it (the entry lists of D and of M D, the forms of
+D, D^T and D*, the grid oscillation, the integral's LU factors, and the
+eigenbases of the Gram pencil and its dual) is a ``cached_property``, built
+on first use, so a copy made by ``dataclasses.replace`` never carries stale
+derived state; the float coefficients of each order are converted from the
+exact rationals once.
+D, D^T and D* each have one form: a dense top block, the Toeplitz block of
+the interior stencil, and a dense bottom block, the top's rotated negation;
+on a grid of at most ``_DENSE_NODES`` nodes, one dense block.
+``apply_d``, ``apply_d_transpose`` and ``apply_d_star`` take a numpy-style
+``out=`` and apply a form by BLAS products on C-ordered operands
+(``_apply_form``), so every ``out=`` slot gets the same bits and a sweep
+into one allocates no scratch of the field's size.  They do not sum in the
+order of a row-by-row product: a sweep agrees with it to roundoff, not bit
+for bit.  ``accuracy_check`` differentiates every monomial in one sweep.
+The grid oscillation (the kernel of D*) and the discrete integral are LAPACK
+banded LU solves (``dgbtrf`` then ``dgbtrs``, as ``DGBSV`` does) on the
+entries of D, O(n) in time and memory.  The integral's factors are built on
+the first integral and reused by every later one; ``dense()`` serves only
+the eigenbases and verification.
 """
 
 from __future__ import annotations
@@ -55,6 +58,12 @@ _EPS = np.finfo(np.float64).eps
 # order 6, blocks of 8 and 16 rows swept 2D n=49-1025 and 3D n=25-97 at
 # par, and blocks of 24 or more rows more slowly
 _ROWS = 8
+# the most nodes for which a form is one dense block: per sweep of D along
+# one axis at order 6 (one BLAS thread, into a preallocated result), the
+# dense block took 7-20 us against 20-30 us for the banded form at 2D
+# n=33-64 and 22-33 against 35-71 us at 3D n=25, but 37-51 against 26-43 us
+# at 2D n=97 and 101-105 against 33-60 us at 2D n=129
+_DENSE_NODES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +122,16 @@ class SbpOperator1D:
         """Apply D^T along the first axis of ``u``, into ``out`` if given."""
         return self._sweep(self._dt_form, u, out)
 
+    def apply_d_star(self, u: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the M-adjoint D* = M^-1 D^T M along the first axis of
+        ``u``, into ``out`` if given."""
+        return self._sweep(self._ds_form, u, out)
+
     def _sweep(self, form: tuple, u, out) -> np.ndarray:
         """``_apply_form`` along the first axis of u, into ``out``: a new
-        array laid out as u, or the given float64 array of u's shape (else
-        KindMismatch or DimensionMismatch).  u is read as the C-ordered
+        array laid out as u, or the given writeable float64 array of u's
+        shape (else KindMismatch or DimensionMismatch).  u is read as the C-ordered
         ``(pre, n, post)`` array behind it, its first axis moved to the
         first position at which it is C-contiguous (a C-ordered copy of u
         if none), and the result is written so into ``out``, through a
@@ -125,8 +140,9 @@ class SbpOperator1D:
         """
         u = self._leading(u)
         if out is not None:
-            if not isinstance(out, np.ndarray) or out.dtype != np.float64:
-                raise KindMismatch("output slot is not a float64 array")
+            if (not isinstance(out, np.ndarray) or out.dtype != np.float64
+                    or not out.flags.writeable):
+                raise KindMismatch("output slot is not a writeable float64 array")
             if out.shape != u.shape:
                 raise DimensionMismatch(
                     f"output of shape {out.shape} for input of shape {u.shape}")
@@ -173,31 +189,39 @@ class SbpOperator1D:
         rows, cols, vals = self._entries
         return self._form(lead.T, s[::-1], (cols, rows, vals))
 
+    @cached_property
+    def _ds_form(self) -> tuple:
+        """The form of D* = M^-1 E - D that ``_apply_form`` applies: its top
+        block is ``-boundary_block`` with ``-1/m_0`` added at [0, 0], so
+        that the rotated negation adds ``1/m_(n-1)`` at the bottom corner
+        (the mass weights are symmetric)."""
+        n, m = self.n_nodes, self.mass_weights
+        rows, cols, vals = self._entries
+        top = -self.boundary_block
+        top[0, 0] -= 1.0 / m[0]
+        ends = [0, n - 1]
+        return self._form(top, -self.interior_stencil,
+                          (np.r_[rows, ends], np.r_[cols, ends],
+                           np.r_[-vals, -1.0 / m[0], 1.0 / m[-1]]))
+
     def _form(self, top: np.ndarray, stencil: np.ndarray, entries) -> tuple:
         """``(top, band, bottom)``, read-only: the dense top block, the
         2 ``_ROWS`` x (2 ``_ROWS`` + 2w) Toeplitz block of the interior stencil
         and the dense bottom block, the top's 180-degree rotated negation.
-        When the end blocks would meet (2 bt > n), the top block is the
-        whole matrix, set from its ``entries`` ``(rows, cols, values)``,
-        and the bottom block is empty."""
+        On a grid of at most ``_DENSE_NODES`` nodes (where the end blocks
+        of any order stay at most 24 rows, so they may meet), the top block
+        is the whole matrix, the sum of its ``entries``
+        ``(rows, cols, values)``, and the bottom block is empty."""
         n, w = self.n_nodes, self.halfwidth
         bottom = -top[::-1, ::-1]
-        if 2 * len(top) > n:
-            rows, cols, vals = entries
+        if n <= _DENSE_NODES:
             top, bottom = np.zeros((n, n)), np.zeros((0, 0))
-            top[rows, cols] = vals
+            np.add.at(top, entries[:2], entries[2])
         rows = np.arange(2 * _ROWS)[:, None]
         band = np.zeros((2 * _ROWS, 2 * _ROWS + 2 * w))
         band[rows, rows + np.arange(2 * w + 1)] = stencil
         return _read_only(np.array(top, order="C"), band,
                           np.array(bottom, order="C"))
-
-    def apply_d_star(self, u: np.ndarray) -> np.ndarray:
-        """Apply the M-adjoint D* = M^-1 D^T M along the first axis."""
-        u, n = self._leading(u), self.n_nodes
-        shape = (n,) + (1,) * (u.ndim - 1)
-        m = self.mass_weights.reshape(shape)
-        return self.apply_d_transpose(m * u) / m
 
     # -- diagnostics -----------------------------------------------------
 
@@ -320,34 +344,6 @@ class SbpOperator1D:
         c = w[:, None] * self.dense() / w
         mu, q = np.linalg.eigh(c @ c.T)
         return mu, q / w[:, None]
-
-    @cached_property
-    def gram_transforms(self) -> tuple:
-        """``(S^T M, (D S)^T M, D S)`` with S of ``eigenbasis``: the
-        matrices with which a 3D stage takes a field along this axis into
-        the eigenbasis of its Gram operator, through ``grad^T M`` or
-        ``curl^T M``, and brings a potential's coefficients back out as
-        its derivative (D S).  Built on first use, by the first 3D
-        projection; they read S only."""
-        s, m = self.eigenbasis[1], self.mass_weights
-        ds = self.apply_d(s)
-        return _read_only(s.T * m, ds.T * m, ds)
-
-    @cached_property
-    def dual_transform(self) -> np.ndarray:
-        """``R^T M`` with R of ``dual_eigenbasis``: the 3D curl stage's
-        transform along the axis of a component into the dual basis.
-        Built on first use, by the first 3D curl projection."""
-        return _read_only(self.dual_eigenbasis[1].T * self.mass_weights)[0]
-
-    @cached_property
-    def d_star(self) -> np.ndarray:
-        """D* = M^-1 D^T M as a dense n x n matrix, from ``dense()``: the
-        3D stages' normal-residual checks apply it as a dense transform.
-        It reads neither eigenbasis, so a check built on it stays
-        independent of the solve it checks.  Built on first use."""
-        d, m = self.dense(), self.mass_weights
-        return _read_only(d.T * m / m[:, None])[0]
 
 
 def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOperator1D:

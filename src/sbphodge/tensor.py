@@ -15,10 +15,11 @@ the oscillation fields are cached on first use.  Every oscillation field is
 a tensor product of the per-axis factors, the unit constant and the unit
 oscillation, so the oscillation filter is one separable projection.  Each
 transpose is its forward operator with ``D_i^T`` in place of ``D_i``:
-``grad^T`` is ``div``, and ``curl^T`` is ``-curl`` in 3D and ``-rot`` in 2D.
-The direct 3D stages and their checks run no sweep: they apply dense
-per-axis matrices (the eigenbases, and ``D* = M^-1 D^T M`` for the
-M-adjoints ``grad_star`` and ``curl_star``) as dense 1D transforms.
+``grad^T`` is ``div``, and ``curl^T`` is ``-curl`` in 3D and ``-rot`` in 2D;
+so are the M-adjoints ``grad_star`` and ``curl_star``, with
+``D_i* = M^-1 E_i - D_i`` in place of ``D_i``.  The Gram operators of grad
+and curl are solved by fast diagonalization (``_fdm_pinv``), with dense
+transforms by the per-axis eigenbases only.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     WrongDimension,
 )
 from .grid import Grid1D
-from .operators1d import build_operator_1d
+from .operators1d import _apply_form, build_operator_1d
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,68 +181,78 @@ class TensorOps:
             raise NonFiniteEncountered("vector field contains NaN or Inf")
         return u
 
-    def _along(self, i: int, u: np.ndarray, name: str,
+    def _along(self, i: int, u: np.ndarray, form: str,
                out: np.ndarray | None = None) -> np.ndarray:
-        """The 1D operator method ``name`` applied along axis i of a checked
-        scalar array (``apply_d`` for D_i, ``apply_d_transpose`` for D_i^T),
-        written into the C-contiguous scalar slot ``out``, or a new array;
-        returns it.  On every axis the sweep reads the C-ordered field (a
-        copy of one laid out otherwise) seen as ``(before, N_i, after)``,
-        handed over with axis i first."""
+        """The 1D operator's ``form`` (``"_d_form"`` for D_i, ``"_dt_form"``
+        for D_i^T, ``"_ds_form"`` for D_i*) applied along axis i of a
+        checked scalar array, written into the C-contiguous scalar slot
+        ``out`` (which u must not overlap), or a new array; returns it.
+        On every axis ``_apply_form`` reads the C-ordered field (a copy of
+        one laid out otherwise) seen as ``(before, N_i, after)`` and writes
+        ``out`` seen so, the view the 1D sweeps find for axis i."""
         out = np.empty(self.shape) if out is None else out
-        pre = math.prod(self.shape[:i])
-
-        def lines(a):
-            return a.reshape(pre, self.shape[i], -1).transpose(1, 0, 2)
-
-        getattr(self.axis_ops[i], name)(lines(np.ascontiguousarray(u)),
-                                        out=lines(out))
+        lines = (math.prod(self.shape[:i]), self.shape[i], -1)
+        _apply_form(getattr(self.axis_ops[i], form),
+                    np.ascontiguousarray(u).reshape(lines), out.reshape(lines))
         return out
 
     def apply_axis(self, i: int, u) -> np.ndarray:
         """D_i u for a scalar field (0-based axis index)."""
-        return self._along(i, self.field_data(u, "scalar"), "apply_d")
+        return self._along(i, self.field_data(u, "scalar"), "_d_form")
 
     def apply_axis_transpose(self, i: int, u) -> np.ndarray:
         """D_i^T u for a scalar field (0-based axis index)."""
-        return self._along(i, self.field_data(u, "scalar"), "apply_d_transpose")
+        return self._along(i, self.field_data(u, "scalar"), "_dt_form")
 
     # -- vector calculus ----------------------------------------------------
     # Each public method checks its field once; the private forms take
-    # checked arrays and the 1D method name.  The transposes call them, not
-    # the public forward methods, so a wrapper around a public method (a
-    # profiler's, say) sees only that method's own calls.  Every sweep writes
-    # into its row of the preallocated result, or into one scratch field
-    # that is then added to it.
+    # checked arrays and the name of the 1D operators' form.  The transposes
+    # and M-adjoints call them, not the public forward methods, so a wrapper
+    # around a public method (a profiler's, say) sees only that method's own
+    # calls.  Every sweep writes into its row of the preallocated result, or
+    # into one scratch field that is then added to it.
 
     def grad(self, f) -> np.ndarray:
         f = self.field_data(f, "scalar")
         out = np.empty((self.dim, *self.shape))
         for i in range(self.dim):
-            self._along(i, f, "apply_d", out[i])
+            self._along(i, f, "_d_form", out[i])
         return out
 
     def div(self, u) -> np.ndarray:
-        return self._div(self.field_data(u, "vector"), "apply_d")
+        return self._div(self.field_data(u, "vector"), "_d_form")
 
     def curl(self, u) -> np.ndarray:
-        return self._curl(self.field_data(u, "vector"), "apply_d")
+        return self._curl(self.field_data(u, "vector"), "_d_form")
 
     def rot(self, v) -> np.ndarray:
         if self.dim != 2:
             raise WrongDimension("rot maps scalars to vectors in 2D only")
-        return self._rot(self.field_data(v, "scalar"), "apply_d")
+        return self._rot(self.field_data(v, "scalar"), "_d_form")
 
     def grad_transpose(self, w) -> np.ndarray:
         """grad^T: div with D_i^T in place of D_i."""
-        return self._div(self.field_data(w, "vector"), "apply_d_transpose")
+        return self._div(self.field_data(w, "vector"), "_dt_form")
 
     def curl_transpose(self, w) -> np.ndarray:
         """curl^T of a scalar (2D) or 3-vector (3D) field: -rot (2D) or
         -curl (3D) with D_i^T in place of D_i."""
-        name, planar = "apply_d_transpose", self.dim == 2
+        name, planar = "_dt_form", self.dim == 2
         w = self.field_data(w, "scalar" if planar else "vector")
         out = self._rot(w, name) if planar else self._curl(w, name)
+        return np.negative(out, out=out)
+
+    def grad_star(self, w) -> np.ndarray:
+        """grad* = M^-1 grad^T M of a vector field: div with D_i* in place
+        of D_i."""
+        return self._div(self.field_data(w, "vector"), "_ds_form")
+
+    def curl_star(self, w) -> np.ndarray:
+        """curl* = M^-1 curl^T M of a 3D vector field: -curl with D_i* in
+        place of D_i."""
+        if self.dim != 3:
+            raise WrongDimension("curl* maps 3-vectors to 3-vectors in 3D only")
+        out = self._curl(self.field_data(w, "vector"), "_ds_form")
         return np.negative(out, out=out)
 
     def _div(self, u: np.ndarray, name: str) -> np.ndarray:
@@ -348,130 +359,17 @@ class TensorOps:
         its pseudo-inverse, one fast diagonalization per component with
         ``dual_eigenbasis`` R along axis c and ``eigenbasis`` S along the
         others, returns the coimage solution.  The zero mode of component
-        c is ``osc_(c,) e_c``, which lies in ker curl.  The coefficients of
-        b[c] are R^T along c and S^T along the others; ``_curl_potential``
-        solves for them, the one solve it shares with ``curl_projection``
-        (which also reads the curl it forms, discarded here).
+        c is ``osc_(c,) e_c``, which lies in ker curl.
         """
         if self.dim != 3:
             raise WrongDimension("the curl Gram operator acts in 3D only")
         b = self.field_data(b, "vector")
-        coef = np.array(b)
-        for c in range(3):
-            for i, op in enumerate(self.axis_ops):
-                basis = (op.dual_eigenbasis if i == c else op.eigenbasis)[1]
-                coef[c] = _matrix_along(basis.T, coef[c], i)
-        return self._curl_potential(coef)[0]
-
-    def grad_projection(self, u) -> tuple:
-        """``(phi, grad phi)`` with ``phi = gram_pinv(grad_transpose(M u))``
-        (3D): the direct 3D grad stage, in the eigenbasis of ``gram_pinv``,
-        with no sweep.
-
-        Component i of u enters ``grad^T M u`` as ``D_i^T M u_i``, and M is
-        a tensor product, so the coefficients (S^T along every axis) are
-        per-axis transforms of u itself (``gram_transforms``): ``(D S)^T M``
-        along i and ``S^T M`` along the others; u_1 and u_2 share their
-        ``S^T M`` along axis 0: 8 transforms.  Divided by the eigenvalue
-        sums, they come back as phi by S along every axis, and as
-        ``D_i phi`` by D S in place of S along i; the four share their
-        leading transforms: 9 transforms.
-        """
-        if self.dim != 3:
-            raise WrongDimension("the eigenbasis grad stage acts in 3D only")
-        u = self.field_data(u, "vector")
-        st_m, dst_m, ds = zip(*(op.gram_transforms for op in self.axis_ops))
         s = [op.eigenbasis[1] for op in self.axis_ops]
-        t0 = _matrix_along(st_m[1], _matrix_along(st_m[2], u[0], 2), 1)
-        t12 = _matrix_along(dst_m[1], _matrix_along(st_m[2], u[1], 2), 1)
-        t12 += _matrix_along(st_m[1], _matrix_along(dst_m[2], u[2], 2), 1)
-        coef = _matrix_along(dst_m[0], t0, 0)
-        coef += _matrix_along(st_m[0], t12, 0)
-        g = _fdm_divide(self._eigenvalue_sums(), coef)
-        p, dp = _matrix_along(s[0], g, 0), _matrix_along(ds[0], g, 0)
-        q = _matrix_along(s[1], p, 1)
-        grad = np.empty_like(u)
-        grad[0] = _matrix_along(s[2], _matrix_along(s[1], dp, 1), 2)
-        grad[1] = _matrix_along(s[2], _matrix_along(ds[1], p, 1), 2)
-        grad[2] = _matrix_along(ds[2], q, 2)
-        return _matrix_along(s[2], q, 2), grad
-
-    def curl_projection(self, u) -> tuple:
-        """``(v, curl v)`` with ``v = curl_gram_pinv(curl_transpose(M u))``
-        (3D): the direct 3D curl stage, in the eigenbasis of
-        ``curl_gram_pinv``, with no sweep.
-
-        Component c of ``curl^T M u`` is ``D_b^T M u_a - D_a^T M u_b`` with
-        ``(a, b) = (c+1, c+2)`` mod 3, and M is a tensor product, so its
-        coefficients (R^T along c, S^T along the others) are products of
-        per-axis transforms of u itself: ``S^T M`` along the axis of the
-        component of u, ``(D S)^T M`` along the derivative's axis
-        (``gram_transforms``), ``R^T M`` along c (``dual_transform``).  The
-        two terms that read u_k share its ``S^T M`` transform: 15
-        transforms in all.
-        """
-        if self.dim != 3:
-            raise WrongDimension("the curl Gram operator acts in 3D only")
-        u = self.field_data(u, "vector")
-        st_m, dst_m, _ = zip(*(op.gram_transforms for op in self.axis_ops))
-        rt_m = [op.dual_transform for op in self.axis_ops]
-        coef = np.zeros_like(u)
-        for k in range(3):
-            a, b = (k + 1) % 3, (k + 2) % 3
-            t = _matrix_along(st_m[k], u[k], k)
-            coef[b] += _matrix_along(rt_m[b], _matrix_along(dst_m[a], t, a), b)
-            coef[a] -= _matrix_along(rt_m[a], _matrix_along(dst_m[b], t, b), a)
-        return self._curl_potential(coef)
-
-    def _curl_potential(self, coef: np.ndarray) -> tuple:
-        """``(v, curl v)`` from the coefficients of ``curl^T M curl v`` in
-        the basis of each component: divided in place by the eigenvalue
-        sums, then
-        v_k is R along k and S along the others, and it adds its two curl
-        terms, ``D_b v_k`` to component a and ``-D_a v_k`` to component b
-        with ``(a, b) = (k+1, k+2)`` mod 3, by D S in place of S along the
-        derivative's axis.  The three share their leading transforms: 18
-        transforms in all."""
-        s = [op.eigenbasis[1] for op in self.axis_ops]
-        r = [op.dual_eigenbasis[1] for op in self.axis_ops]
-        ds = [op.gram_transforms[2] for op in self.axis_ops]
-        v, sol = np.empty_like(coef), np.zeros_like(coef)
-        for k in range(3):
-            a, b = (k + 1) % 3, (k + 2) % 3
-            g = _fdm_divide(self._eigenvalue_sums(k), coef[k])
-            g = _matrix_along(r[k], g, k)
-            p = _matrix_along(s[a], g, a)
-            v[k] = _matrix_along(s[b], p, b)
-            sol[a] += _matrix_along(ds[b], p, b)
-            sol[b] -= _matrix_along(s[b], _matrix_along(ds[a], g, a), b)
-        return v, sol
-
-    # -- the M-adjoints, by dense per-axis transforms -------------------------
-    # D_i* = M^-1 D_i^T M acts along axis i alone, since M is a tensor
-    # product of 1D diagonals whose weights off axis i cancel; each is one
-    # dense transform by the axis's ``d_star``, which reads no eigenbasis.
-
-    def grad_star(self, w) -> np.ndarray:
-        """grad* = M^-1 grad^T M of a vector field: ``sum_i D_i* w_i``."""
-        w = self.field_data(w, "vector")
-        out = _matrix_along(self.axis_ops[0].d_star, w[0], 0)
-        for i in range(1, self.dim):
-            out += _matrix_along(self.axis_ops[i].d_star, w[i], i)
-        return out
-
-    def curl_star(self, w) -> np.ndarray:
-        """curl* = M^-1 curl^T M of a 3D vector field: component c is
-        ``D_b* w_a - D_a* w_b`` with ``(a, b) = (c+1, c+2)`` mod 3."""
-        if self.dim != 3:
-            raise WrongDimension("curl* maps 3-vectors to 3-vectors in 3D only")
-        w = self.field_data(w, "vector")
-        d_star = [op.d_star for op in self.axis_ops]
-        out = np.empty_like(w)
-        for c in range(3):
-            a, b = (c + 1) % 3, (c + 2) % 3
-            out[c] = _matrix_along(d_star[b], w[a], b)
-            out[c] -= _matrix_along(d_star[a], w[b], a)
-        return out
+        v = np.empty_like(b)
+        for c, op in enumerate(self.axis_ops):
+            bases = [*s[:c], op.dual_eigenbasis[1], *s[c + 1 :]]
+            v[c] = _fdm_pinv(bases, self._eigenvalue_sums(c), b[c])
+        return v
 
     # -- boundary operator ----------------------------------------------------
 
@@ -533,20 +431,11 @@ def _outer(parts, ufunc=np.multiply) -> np.ndarray:
     return out
 
 
-def _transform(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
-    """Apply the matrix ``mat`` along axis i of ``u``: ``np.dot`` on the
-    operands ``np.tensordot(mat, u, axes=(1, i))`` forms, without its
-    argument handling."""
-    rest = u.shape[:i] + u.shape[i + 1 :]
-    lines = np.moveaxis(u, i, 0).reshape(u.shape[i], math.prod(rest))
-    return np.moveaxis(np.dot(mat, lines).reshape(len(mat), *rest), 0, i)
-
-
 def _matrix_along(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
     """Apply the matrix ``mat`` along axis i of ``u`` into a new C-ordered
     array: one ``matmul`` of mat with u seen as ``(before, N_i, after)``,
     or of u's rows with mat^T along the last axis, so a C-ordered u is
-    read in place.  Equal to ``_transform`` up to roundoff."""
+    read in place."""
     shape, n = u.shape, u.shape[i]
     out = (*shape[:i], len(mat), *shape[i + 1 :])
     if i == u.ndim - 1:
@@ -565,11 +454,11 @@ def _fdm_pinv(bases, sums: np.ndarray, b: np.ndarray) -> np.ndarray:
     the sums, ``basis`` along every axis.  The zero mode is set to 0.
     """
     for i, s in enumerate(bases):
-        b = _transform(s.T, b, i)
-    b = _fdm_divide(sums, np.ascontiguousarray(b))
+        b = _matrix_along(s.T, b, i)
+    b = _fdm_divide(sums, b)
     for i, s in enumerate(bases):
-        b = _transform(s, b, i)
-    return np.ascontiguousarray(b)
+        b = _matrix_along(s, b, i)
+    return b
 
 
 def _fdm_divide(sums: np.ndarray, b: np.ndarray) -> np.ndarray:

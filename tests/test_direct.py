@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sbphodge import tensor
 from sbphodge.errors import (
     DimensionMismatch,
     NonFiniteEncountered,
@@ -17,7 +16,6 @@ from sbphodge.experiments import ExperimentConfig, _curl_coimage_part
 from sbphodge.grid import Grid1D
 from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
 from sbphodge.krylov import LinearMap, lsmr
-from sbphodge.operators1d import SbpOperator1D
 from sbphodge.potentials import (
     harmonic_neumann_potential,
     scalar_potential_integral,
@@ -66,8 +64,7 @@ def test_dual_eigenbasis_diagonalizes_dual_pencil(op_1d):
 
 
 # the per-axis matrices of the direct engine, each built on first use
-ENGINE_MATRICES = ("eigenbasis", "dual_eigenbasis", "gram_transforms",
-                   "dual_transform", "d_star")
+ENGINE_MATRICES = ("eigenbasis", "dual_eigenbasis")
 
 
 def _built(ops, name):
@@ -88,24 +85,25 @@ def test_setup_leaves_eigenbasis_unbuilt(rng):
 def test_dual_eigenbasis_is_built_by_the_3d_curl_stage_only(rng):
     ops = square_tensor_ops(6, 33, 2)
     helmholtz(ops, rng.standard_normal((2, *ops.shape)))
-    for name in ("dual_eigenbasis", "gram_transforms", "dual_transform",
-                 "d_star"):
-        assert not any(_built(ops, name)), name
+    assert not any(_built(ops, "dual_eigenbasis"))
     ops3 = square_tensor_ops(2, 7, 3)
     project_im_grad(ops3, np.ones((3, *ops3.shape)))
-    for name in ("eigenbasis", "gram_transforms", "d_star"):
-        assert all(_built(ops3, name)), name
-    for name in ("dual_eigenbasis", "dual_transform"):
-        assert not any(_built(ops3, name)), name
+    assert all(_built(ops3, "eigenbasis"))
+    assert not any(_built(ops3, "dual_eigenbasis"))
     project_im_curl(ops3, np.ones((3, *ops3.shape)))
-    for name in ("dual_eigenbasis", "dual_transform"):
-        assert all(_built(ops3, name)), name
+    assert all(_built(ops3, "dual_eigenbasis"))
 
 
 @pytest.mark.parametrize("dim,n", [(2, 17), (3, 9)])
 def test_gram_pinv_solves_gram_system(dim, n, rng):
+    """``gram_pinv`` inverts L on the M-mean-zero fields, and ``mean_zero``
+    equals its defining shift bit for bit, whatever the layout of f."""
     ops = square_tensor_ops(4, n, dim)
-    f = ops.mean_zero(rng.standard_normal(ops.shape))
+    g = rng.standard_normal(ops.shape)
+    for field in (g, np.asfortranarray(g)):
+        want = field - float(np.sum(ops.mass * field)) / float(np.sum(ops.mass))
+        assert np.array_equal(ops.mean_zero(field), want)
+    f = ops.mean_zero(g)
     b = ops.grad_transpose(ops.mass * ops.grad(f))
     phi = ops.gram_pinv(b)
     assert rel(ops, phi, f) <= 1e-10
@@ -124,38 +122,40 @@ def test_curl_gram_pinv_solves_curl_gram_system(rng):
         square_tensor_ops(2, 7, 2).curl_gram_pinv(np.zeros((2, 7, 7)))
 
 
+# an anisotropic grid on which each order has interior rows along every axis
+STAGE_GRIDS = [Grid1D(-1, 1, 17), Grid1D(0, 2, 19), Grid1D(-1, 3, 21)]
+
+
 @pytest.mark.parametrize("order", [2, 4, 6, 8])
 def test_eigenbasis_curl_stage_equals_the_sweep_formulation(order, rng):
-    """The default 3D curl stage, which forms ``curl^T M u`` and ``curl v``
-    in the eigenbasis, gives the potential and part of the sweeps:
-    ``curl_gram_pinv(curl_transpose(M u))`` and its ``curl``."""
-    ops = build_tensor_ops(order, [Grid1D(-1, 1, 17), Grid1D(0, 2, 19),
-                                   Grid1D(-1, 3, 21)])
+    """The default 3D curl stage, which solves in the eigenbases, gives the
+    potential and part of the formulation by sweeps alone: LSMR on the
+    sweeps of ``curl`` and ``curl^T``, which reads no eigenbasis."""
+    ops = build_tensor_ops(order, STAGE_GRIDS)
     u = rng.standard_normal((3, *ops.shape))
     v, sol, _ = project_im_curl(ops, u)
-    v_ref = ops.curl_gram_pinv(ops.curl_transpose(ops.mass * u))
-    assert rel(ops, v.data, v_ref) <= 1e-13
-    assert rel(ops, sol.data, ops.curl(v_ref)) <= 1e-13
+    v_ref, sol_ref, _ = project_im_curl(ops, u, solver="lsmr", **TIGHT)
+    assert rel(ops, v.data, v_ref.data) <= 1e-10
+    assert ops.norm(sol.data - sol_ref.data) <= 1e-10 * ops.norm(u)
 
 
 @pytest.mark.parametrize("order", [2, 4, 6, 8])
 def test_eigenbasis_grad_stage_equals_the_sweep_formulation(order, rng):
-    """The default 3D grad stage, which forms ``grad^T M u``, phi and
-    ``grad phi`` in the eigenbasis, gives the potential and part of the
-    sweeps: ``mean_zero(gram_pinv(grad_transpose(M u)))`` and its
-    ``grad``."""
-    ops = build_tensor_ops(order, [Grid1D(-1, 1, 17), Grid1D(0, 2, 19),
-                                   Grid1D(-1, 3, 21)])
+    """The default 3D grad stage, which solves in the eigenbasis, gives the
+    potential and part of the formulation by sweeps alone: LSMR on the
+    sweeps of ``grad`` and ``grad^T``, which reads no eigenbasis."""
+    ops = build_tensor_ops(order, STAGE_GRIDS)
     u = rng.standard_normal((3, *ops.shape))
     phi, grad_phi, _ = project_im_grad(ops, u)
-    phi_ref = ops.mean_zero(ops.gram_pinv(ops.grad_transpose(ops.mass * u)))
-    assert rel(ops, phi.data, phi_ref) <= 1e-13
-    assert rel(ops, grad_phi.data, ops.grad(phi_ref)) <= 1e-13
+    phi_ref, grad_phi_ref, _ = project_im_grad(ops, u, solver="lsmr", **TIGHT)
+    assert rel(ops, phi.data, phi_ref.data) <= 1e-10
+    assert ops.norm(grad_phi.data - grad_phi_ref.data) <= 1e-10 * ops.norm(u)
 
 
 def test_m_adjoints_equal_the_swept_transposes(rng):
-    """``grad_star`` and ``curl_star``, by the dense D* of each axis, equal
-    ``M^-1 A^T M`` formed with the sweeps of the transposes."""
+    """``grad_star`` and ``curl_star``, by the sweeps of D* = M^-1 E - D
+    along each axis, equal ``M^-1 A^T M`` formed with the sweeps of the
+    transposes."""
     ops = build_tensor_ops(6, [Grid1D(-1, 1, 13), Grid1D(0, 2, 14),
                                Grid1D(-1, 3, 15)])
     w = rng.standard_normal((3, *ops.shape))
@@ -169,27 +169,41 @@ def test_m_adjoints_equal_the_swept_transposes(rng):
     assert rel(ops2, ops2.grad_star(w2), swept) <= 1e-13
 
 
-def test_warm_default_3d_helmholtz_runs_no_sweep(monkeypatch, rng):
-    """A warm default 3D decomposition, in either order, runs no D or D^T
-    sweep: both stages solve in their eigenbasis, and both checks apply
-    the dense D* of each axis."""
-    ops = square_tensor_ops(4, 11, 3)
-    u = rng.standard_normal((3, *ops.shape))
-    for order in ("grad-first", "curl-first"):
-        helmholtz(ops, u, order=order)  # builds the per-axis matrices
-    calls = []
-    for name in ("apply_d", "apply_d_transpose"):
-        method = getattr(SbpOperator1D, name)
+def test_default_decomposition_never_builds_the_transpose_form(rng):
+    """A default decomposition, 2D or 3D, in either order, never builds the
+    form of D^T: every right-hand side and check applies D* = M^-1 E - D.
+    The Krylov reference, which applies grad^T and curl^T, builds it."""
+    for ops in (square_tensor_ops(4, 11, 2), square_tensor_ops(4, 11, 3)):
+        u = rng.standard_normal((ops.dim, *ops.shape))
+        for order in ("grad-first", "curl-first"):
+            helmholtz(ops, u, order=order)
+            assert not any(_built(ops, "_dt_form")), (ops.dim, order)
+        helmholtz(ops, u, solver="lsmr")
+        assert all(_built(ops, "_dt_form")), ops.dim
 
-        def counted(self, *args, _name=name, _method=method, **kwargs):
-            calls.append(_name)
-            return _method(self, *args, **kwargs)
 
-        monkeypatch.setattr(SbpOperator1D, name, counted)
-    for order in ("grad-first", "curl-first"):
-        helmholtz(ops, u, order=order)
-        assert calls.count("apply_d") == 0, order
-        assert calls.count("apply_d_transpose") == 0, order
+def _swapped(op, basis):
+    """A copy of op with two eigenvector columns of ``basis`` swapped."""
+    bad = replace(op)
+    ev, vecs = getattr(bad, basis)
+    vars(bad)[basis] = (ev, vecs[:, [0, 2, 1, *range(3, len(ev))]])
+    return bad
+
+
+def test_2d_stage_checks_do_not_read_the_eigenbasis(rng):
+    """The 2D twin of the test below: with two eigenvector columns of one
+    axis's basis swapped, both 2D stages (the rot stage solves through the
+    grad stage's core) report a normal residual far above roundoff."""
+    ops = build_tensor_ops(4, [Grid1D(-1, 1, 11), Grid1D(0, 2, 13)])
+    u = rng.standard_normal((2, *ops.shape))
+    corrupt = TensorOps((ops.axis_ops[0], _swapped(ops.axis_ops[1], "eigenbasis")))
+    for stage in (project_im_grad, project_im_curl):
+        stats = stage(ops, u)[2]
+        assert stats.final_normal_residual_norm <= (
+            1e-12 * stats.final_residual_norm)
+        stats = stage(corrupt, u)[2]
+        ratio = stats.final_normal_residual_norm / stats.final_residual_norm
+        assert ratio > 1e-6, (stage, ratio)
 
 
 @pytest.mark.parametrize("basis", ["eigenbasis", "dual_eigenbasis"])
@@ -215,26 +229,6 @@ def test_stage_checks_do_not_read_the_eigenbasis(basis, rng):
         stats = stage(corrupt, u)[2]
         ratio = stats.final_normal_residual_norm / stats.final_residual_norm
         assert (ratio > 1e-6) == (stage in affected), (stage, ratio)
-
-
-def test_transform_equals_tensordot_bit_for_bit(rng):
-    """The FDM transform is np.tensordot along one axis, without its
-    argument handling: equal bit for bit on every axis of C-ordered,
-    F-ordered and strided 3D fields, for both bases and their transposes;
-    ``mean_zero`` equals its defining shift."""
-    ops = build_tensor_ops(6, [Grid1D(-1, 1, 13), Grid1D(0, 2, 14),
-                               Grid1D(-1, 3, 15)])
-    u = rng.standard_normal((2, *ops.shape))[0]
-    for field in (u, np.asfortranarray(u), np.zeros((26, 14, 15))[::2]):
-        field[...] = u
-        for i, op in enumerate(ops.axis_ops):
-            for s in (op.eigenbasis[1], op.dual_eigenbasis[1]):
-                for mat in (s, s.T):
-                    want = np.moveaxis(np.tensordot(mat, field, axes=(1, i)), 0, i)
-                    assert np.array_equal(tensor._transform(mat, field, i), want)
-        volume = float(np.sum(ops.mass))
-        assert np.array_equal(ops.mean_zero(field),
-                              field - float(np.sum(ops.mass * field)) / volume)
 
 
 # -- direct against Krylov ------------------------------------------------------

@@ -7,6 +7,7 @@ from sbphodge.errors import (
     BadDomain,
     DimensionMismatch,
     GridTooSmall,
+    InvalidConfig,
     KindMismatch,
     NonFiniteEncountered,
     WrongDimension,
@@ -425,6 +426,12 @@ def _ops3():
     return square_tensor_ops(2, 5, 3)
 
 
+def _read_only_slot():
+    slot = np.zeros(9)
+    slot.flags.writeable = False
+    return slot
+
+
 MISUSE = {
     "2d divergence of 3 components":
         (lambda: divergence(_ops2(), np.ones((3, 9, 9))), DimensionMismatch),
@@ -434,13 +441,6 @@ MISUSE = {
         (lambda: _ops3().curl_transpose(np.ones((4, 5, 5, 5))), DimensionMismatch),
     "3d curl of 2 components":
         (lambda: _ops3().curl(np.ones((2, 5, 5, 5))), DimensionMismatch),
-    "3d curl_projection of 2 components":
-        (lambda: _ops3().curl_projection(np.ones((2, 5, 5, 5))),
-         DimensionMismatch),
-    "2d curl_projection":
-        (lambda: _ops2().curl_projection(np.ones((2, 9, 9))), WrongDimension),
-    "2d grad_projection":
-        (lambda: _ops2().grad_projection(np.ones((2, 9, 9))), WrongDimension),
     "2d curl_star": (lambda: _ops2().curl_star(np.ones((2, 9, 9))), WrongDimension),
     "3d grad_star of 2 components":
         (lambda: _ops3().grad_star(np.ones((2, 5, 5, 5))), DimensionMismatch),
@@ -454,6 +454,20 @@ MISUSE = {
         (lambda: square_tensor_ops(2, 9, 2, 0.0, np.inf), BadDomain),
     "grid on an empty interval": (lambda: Grid1D(1.0, 0.0, 5), BadDomain),
     "grid with a nan end": (lambda: Grid1D(0.0, np.nan, 5), BadDomain),
+    "grid with a non-integer node count":
+        (lambda: Grid1D(-1, 1, 33.5), BadDomain),
+    "lsqr with a negative max_iter":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), solver="lsqr",
+                           max_iter=-1), InvalidConfig),
+    "lsqr with a nan atol":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), solver="lsqr",
+                           atol=np.nan), InvalidConfig),
+    "lsqr with a negative atol":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), solver="lsqr",
+                           atol=-1.0), InvalidConfig),
+    "sweep into a read-only slot":
+        (lambda: _ops2().axis_ops[0].apply_d(np.ones(9), out=_read_only_slot()),
+         KindMismatch),
     "field on a reversed and a nan axis":
         (lambda: GridField(np.zeros((3, 3)), ((1.0, -1.0), (0.0, np.nan))),
          BadDomain),
@@ -540,6 +554,8 @@ SWEEP_GRIDS = {
                Grid1D(0.0, 3.0, 9)]),
     "3d-order2-min": (2, [Grid1D(0.0, 1.0, 2), Grid1D(0.0, 1.0, 3),
                           Grid1D(0.0, 1.0, 4)]),
+    # above operators1d._DENSE_NODES: the banded forms
+    "2d-order8-banded": (8, [Grid1D(-1.0, 1.0, 67), Grid1D(0.0, 2.0, 90)]),
 }
 
 
@@ -650,8 +666,6 @@ def test_every_returned_field_is_c_contiguous(dim, rng):
         fields["rot"] = ops.rot(f)
     else:
         fields["curl_gram_pinv"] = ops.curl_gram_pinv(ops.curl_transpose(u))
-        fields["curl_projection_v"], fields["curl_projection_sol"] = (
-            ops.curl_projection(u))
     for order in ("grad-first", "curl-first"):
         dec = helmholtz(ops, u, order=order)
         for name in ("phi", "v", "grad_phi", "sol_part", "remainder"):
@@ -816,13 +830,14 @@ def _form_matrix(form, n):
 def test_forms_rebuild_the_dense_matrices(order, transpose):
     """The forms of D and D^T rebuild the matrix of the entries of D (or
     its transpose), ``dense()`` and ``dense().T`` entry for entry: at the
-    smallest grid, where the end blocks of D^T meet (one dense block) and
-    just separate (no interior row), one row later, and at n=49.  Each
-    band is the Toeplitz block of its stencil, and every block is a
-    read-only C-ordered array."""
-    top_rows = len(build_operator_1d(order, Grid1D(0.0, 1.0, 49))._dt_form[0])
-    for n in (MIN_NODES[order], 2 * top_rows - 1, 2 * top_rows,
-              2 * top_rows + 1, 49):
+    smallest grid and at the most nodes of one dense block, and above it
+    where the interior rows of D^T leave a ragged tail of 15, 0 and 1 rows
+    after the blocks of 16, and at n=129.  Each band is the Toeplitz block
+    of its stencil, and every block is a read-only C-ordered array."""
+    dense_nodes = operators1d._DENSE_NODES
+    top_rows = len(build_operator_1d(order, Grid1D(0.0, 1.0, 129))._dt_form[0])
+    sizes = [dense_nodes + 2 * top_rows + k for k in (-1, 0, 1)]
+    for n in (MIN_NODES[order], dense_nodes, *sizes, 129):
         op = build_operator_1d(order, Grid1D(0.0, 1.0, n))
         rows, cols, vals = op._entries
         want = np.zeros((n, n))
@@ -833,11 +848,41 @@ def test_forms_rebuild_the_dense_matrices(order, transpose):
         top, band, bottom = form
         assert np.array_equal(_form_matrix(form, n), want), n
         assert np.array_equal(op.dense().T if transpose else op.dense(), want), n
-        assert (len(bottom) == 0) == (2 * len(top) > n)
+        assert (len(bottom) == 0) == (n <= dense_nodes)
         for r in range(len(band)):
             assert np.array_equal(band[r], np.r_[np.zeros(r), stencil,
                                                  np.zeros(len(band) - 1 - r)])
         assert all(a.flags.c_contiguous and not a.flags.writeable for a in form)
+
+
+def test_d_star_form_rebuilds_the_m_adjoint(order, rng):
+    """The form of D* = M^-1 E - D rebuilds ``M^-1 dense()^T M`` to
+    roundoff (the identity M D + D^T M = E holds to the roundoff of the
+    float coefficients), and is exactly minus the matrix of the entries of
+    D with -1/m_0 and 1/m_(n-1) added at its corners: on the smallest
+    grid, on both sides of the dense rule and at n=129.  ``apply_d_star``
+    sweeps it, into an ``out=`` slot as without one, within the
+    forward-error bound of the dense product."""
+    eps = np.finfo(np.float64).eps
+    for n in (MIN_NODES[order], 64, 65, 129):
+        op = build_operator_1d(order, Grid1D(0.0, 1.0, n))
+        d, m = op.dense(), op.mass_weights
+        got = _form_matrix(op._ds_form, n)
+        want = -d
+        want[0, 0] -= 1.0 / m[0]
+        want[-1, -1] += 1.0 / m[-1]
+        assert np.array_equal(got, want), n
+        adjoint = d.T * m / m[:, None]
+        assert np.max(np.abs(got - adjoint)) <= 4 * eps * np.max(np.abs(d)), n
+        assert all(a.flags.c_contiguous and not a.flags.writeable
+                   for a in op._ds_form)
+        u = rng.standard_normal((n, 3))
+        swept, slot = op.apply_d_star(u), np.empty((n, 3))
+        assert op.apply_d_star(u, out=slot) is slot
+        assert np.array_equal(slot, swept)
+        rows, cols = np.nonzero(got)
+        assert_within_forward_error(swept, (rows, cols, got[rows, cols]), u,
+                                    got @ u)
 
 
 @pytest.mark.parametrize("name", {**SWEEP_GRIDS, **BENCHMARK_GRIDS})
