@@ -40,7 +40,7 @@ def along_name(ops, method):
     """What ``ops._along`` takes for the sweep of ``method``: the name of
     its form, or, in a tree whose operators have no form of D* (older
     than the sweeps of D*), the name of the 1D method."""
-    return FORMS[method] if hasattr(ops.axis_ops[0], "_ds_form") else method
+    return FORMS[method] if hasattr(type(ops.axis_ops[0]), "_ds_form") else method
 
 
 def load_tensor_module(src):

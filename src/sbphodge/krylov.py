@@ -8,9 +8,9 @@ They stop on the residual test ``|r| <= btol |b| + atol |A| |x|`` or the
 normal-equation test ``|A^T r| <= atol |A| |r|``, with machine-precision
 floors so that ``atol = btol = 0`` still terminates; SciPy's condition limit
 is off (``conlim=0``).  A tolerance that is negative or not finite, or a
-``max_iter`` that is not a positive integer, raises InvalidConfig.  No preconditioning is applied.  A solve, not this
-module, imports ``scipy.sparse.linalg``, so the default direct decomposition
-never loads it.
+``max_iter`` that is not a positive integer, raises InvalidConfig.  No
+preconditioning is applied.  A solve, not this module, imports
+``scipy.sparse.linalg``, so the default direct decomposition never loads it.
 """
 
 from __future__ import annotations

@@ -131,10 +131,10 @@ class SbpOperator1D:
     def _sweep(self, form: tuple, u, out) -> np.ndarray:
         """``_apply_form`` along the first axis of u, into ``out``: a new
         array laid out as u, or the given writeable float64 array of u's
-        shape (else KindMismatch or DimensionMismatch).  u is read as the C-ordered
-        ``(pre, n, post)`` array behind it, its first axis moved to the
-        first position at which it is C-contiguous (a C-ordered copy of u
-        if none), and the result is written so into ``out``, through a
+        shape (else KindMismatch or DimensionMismatch).  u is read as the
+        C-ordered ``(pre, n, post)`` array behind it, its first axis moved
+        to the first position at which it is C-contiguous (a C-ordered copy
+        of u if none), and the result is written so into ``out``, through a
         buffer when ``out`` is laid out otherwise; a u that overlaps
         ``out`` is read from a copy.  So every slot gets the same bits.
         """
@@ -208,9 +208,9 @@ class SbpOperator1D:
         """``(top, band, bottom)``, read-only: the dense top block, the
         2 ``_ROWS`` x (2 ``_ROWS`` + 2w) Toeplitz block of the interior stencil
         and the dense bottom block, the top's 180-degree rotated negation.
-        On a grid of at most ``_DENSE_NODES`` nodes (where the end blocks
-        of any order stay at most 24 rows, so they may meet), the top block
-        is the whole matrix, the sum of its ``entries``
+        On a grid of at most ``_DENSE_NODES`` nodes, which holds every grid
+        on which the end blocks meet (2 bt <= 24 at every order), the top
+        block is the whole matrix, the sum of its ``entries``
         ``(rows, cols, values)``, and the bottom block is empty."""
         n, w = self.n_nodes, self.halfwidth
         bottom = -top[::-1, ::-1]

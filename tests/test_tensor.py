@@ -758,8 +758,8 @@ def _assert_sweeps_match_reference(ops, u):
 def test_blocked_sweeps_bit_identical_across_block_boundaries(rng):
     """An order-6 300 x 200 field is swept in 35 or 36 blocks along axis 0
     and 22 or 23 along axis 1, with and without a ragged tail.  An order-4
-    9 x 11 x 5000 field has a tail only (D) or one dense block (D^T) along
-    its short axes, and 624 blocks along its last axis.  Across every block
+    9 x 11 x 5000 field has one dense block along its short axes, and 624
+    blocks along its last axis.  Across every block
     boundary each slot gets the bits of the sweep without one, and the
     sweep agrees with the reference formulas to the forward-error bound."""
     ops = build_tensor_ops(6, [Grid1D(-1.0, 1.0, 300), Grid1D(0.0, 2.0, 200)])
