@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time the 1D stencil sweeps and the operator set-up, on one BLAS thread.
+"""Time the 1D stencil sweeps, the operator set-up and whole decompositions,
+on one BLAS thread.
 
-Prints two markdown tables.  The first gives the mean time of ``apply_d``
+Prints two markdown tables, or with ``--calls`` a third alone.  The first gives the mean time of ``apply_d``
 and ``apply_d_transpose`` in ns per node along each axis of a C-ordered
 field, as ``TensorOps`` sweeps it (``TensorOps._along``, which applies the
 form of D or D^T to the field seen as ``(before, N_i, after)``), into a
@@ -10,10 +11,14 @@ preallocated ``out=``.  The second gives the time of ``square_tensor_ops``
 and the median round is printed.  With ``--baseline DIR``, DIR holding
 another checkout's ``sbphodge`` package (its ``src``), each case is timed
 on both trees in alternating order within every round and printed as
-``baseline → this tree``.
+``baseline → this tree``.  The ``--calls`` table gives the time of one warm
+default ``helmholtz`` call (its bases built by an untimed first call) on a
+fixed random field, in ms, in both projection orders, per grid (default
+2D n=49, 129, 1025 and 3D n=25, 97); its rounds run one grid at a time.
 
     PYTHONPATH=src python scripts/time_sweeps.py
     PYTHONPATH=src python scripts/time_sweeps.py --baseline ../parent/src
+    PYTHONPATH=src python scripts/time_sweeps.py --calls --baseline ../parent/src
     PYTHONPATH=src python scripts/time_sweeps.py --grid 2:13 --grid 3:12 --repeats 1
 """
 import os
@@ -33,6 +38,8 @@ import numpy as np
 
 ORDER = 6
 GRIDS = ["2:49", "2:129", "2:257", "2:513", "2:1025", "3:25", "3:49", "3:97"]
+CALL_GRIDS = ["2:49", "2:129", "2:1025", "3:25", "3:97"]
+ORDERS = ("grad-first", "curl-first")
 FORMS = {"apply_d": "_d_form", "apply_d_transpose": "_dt_form"}
 
 
@@ -43,8 +50,8 @@ def along_name(ops, method):
     return FORMS[method] if hasattr(type(ops.axis_ops[0]), "_ds_form") else method
 
 
-def load_tensor_module(src):
-    """``sbphodge.tensor`` of the package under ``src``, imported as
+def load_package(src):
+    """The ``sbphodge`` package under ``src``, imported as
     ``sbphodge_baseline`` so that it lives beside this tree's."""
     name, pkg = "sbphodge_baseline", Path(src) / "sbphodge"
     spec = importlib.util.spec_from_file_location(
@@ -52,7 +59,7 @@ def load_tensor_module(src):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(name + ".tensor")
+    return module
 
 
 def seconds(call, number):
@@ -62,6 +69,36 @@ def seconds(call, number):
     return (time.perf_counter() - start) / number
 
 
+def cell(times, scale, digits):
+    return " → ".join(f"{scale * statistics.median(t):.{digits}f}" for t in times)
+
+
+def time_calls(trees, grids, repeats):
+    """Print the ``--calls`` table: per grid, the median over ``repeats``
+    interleaved rounds of a warm default ``helmholtz`` call in each order."""
+    print(f"Order {ORDER}: one warm default helmholtz call, ms, "
+          f"median of {repeats} interleaved rounds\n")
+    print("| grid | " + " | ".join(ORDERS) + " |")
+    print("|------|" + "-----------:|" * len(ORDERS))
+    for dim, n in grids:
+        ops = [t.square_tensor_ops(ORDER, n, dim) for t in trees]
+        u = np.random.default_rng(0).standard_normal((dim,) + (n,) * dim)
+        number = max(1, int(2e5 // u.size))
+        row = []
+        for order in ORDERS:
+            calls = [lambda t=t, o=o: t.helmholtz(o, u, order=order)
+                     for t, o in zip(trees, ops)]
+            for call in calls:
+                call()  # builds the eigenbases and forms
+            times = [[] for _ in calls]
+            for r in range(repeats):
+                ks = range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))
+                for k in ks:
+                    times[k].append(seconds(calls[k], number))
+            row.append(cell(times, 1e3, 3))
+        print(f"| {dim}D n={n} | " + " | ".join(row) + " |")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--grid", action="append", metavar="DIM:N",
@@ -69,13 +106,19 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--baseline", metavar="DIR",
                         help="src directory of another checkout to time beside")
+    parser.add_argument("--calls", action="store_true",
+                        help="time whole helmholtz calls instead (default "
+                             f"grids {' '.join(CALL_GRIDS)})")
     args = parser.parse_args(argv)
-    grids = [tuple(int(x) for x in g.split(":")) for g in (args.grid or GRIDS)]
+    grids = args.grid or (CALL_GRIDS if args.calls else GRIDS)
+    grids = [tuple(int(x) for x in g.split(":")) for g in grids]
 
-    from sbphodge import tensor
-    trees = [tensor]
+    import sbphodge
+    trees = [sbphodge]
     if args.baseline is not None:
-        trees.insert(0, load_tensor_module(args.baseline))
+        trees.insert(0, load_package(args.baseline))
+    if args.calls:
+        return time_calls(trees, grids, args.repeats)
     rng = np.random.default_rng(0)
     sweeps, setups = {}, {}  # case -> one list of round times per tree
     cases = []
@@ -98,9 +141,6 @@ def main(argv=None):
             order = range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))
             for k in order:
                 times[k].append(seconds(calls[k], number))
-
-    def cell(times, scale, digits):
-        return " → ".join(f"{scale * statistics.median(t):.{digits}f}" for t in times)
 
     print(f"Order {ORDER}: mean of apply_d and apply_d_transpose, ns per node, "
           f"median of {args.repeats} interleaved rounds\n")

@@ -9,19 +9,19 @@ first image, so ``r`` keeps a component in it.  Each projection is a
 least-norm least-squares problem, and potentials are the minimum-M-norm
 representatives (mean-zero for scalars).
 
-Every projection has a direct default path.  The grad projection, and in 2D
-the rot projection through ``rot = J grad``, reduce to the Gram operator
+Every projection has a direct default path.  The grad projection and the
+2D rot projection (``rot^T M rot = L``, as ``rot = J grad`` with a rotation
+J that commutes with M) reduce to the Gram operator
 ``L = sum_i D_i^T M D_i``, solved by fast diagonalization
 (``TensorOps.gram_pinv``).  The 3D curl projection reduces on the coimage of
 curl to one tensor sum of 1D pencils per component, solved the same way
 (``TensorOps.curl_gram_pinv``); its solution is already the least-norm
-potential.  Every direct stage, in 2D and 3D, takes the same four steps:
+potential.  Every direct stage (grad, rot, curl) takes the same four steps:
 the right-hand side ``M A* u``, one fast-diagonalization solve, the part
 ``A x`` by sweeps, and the check ``A* r`` by sweeps, which reports the
 normal residual ``||A^T M r||_{M^-1} = ||A* r||_M``.  The M-adjoint ``A*``
-(``TensorOps.grad_star`` and ``TensorOps.curl_star``) sweeps
-``D* = M^-1 E - D`` along each axis, built from D alone, so the check reads
-no eigenbasis and stays independent of the solve.  When a Krylov solver is
+(``div`` for grad, ``-curl`` for rot and curl) sweeps ``D* = M^-1 E - D``
+along each axis, built from D alone, so the check reads no eigenbasis.  When a Krylov solver is
 named, every stage runs LSQR/LSMR on the operator conjugated with the square
 root of the diagonal mass matrix, which turns the Euclidean guarantees of the
 solvers into M-norm guarantees; the zero initial guess fixes the gauge.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownProjectionOrder, UnknownSolver
-from .krylov import SOLVERS, LinearMap, SolveStats
+from .krylov import SOLVERS, LinearMap, SolveStats, check_controls
 from .tensor import GridField, TensorOps
 
 
@@ -112,27 +112,40 @@ def _krylov(ops, apply, apply_t, x_shape, u, solver, atol, btol, max_iter):
     return y.reshape(x_shape) / s, stats
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Checked:
     """Vector data that ``TensorOps.vector_data`` has passed.  ``helmholtz``
     hands each stage its running remainder in this form, so a decomposition
     checks its input once and still runs its stages through the public
-    functions."""
+    functions; a direct stage hands back its residual ``u - part`` in
+    ``residual``."""
 
     data: np.ndarray
+    residual: np.ndarray | None = None
 
 
-def _vector_data(ops, u) -> np.ndarray:
-    return u.data if isinstance(u, _Checked) else ops.vector_data(u)
+def _vector_data(ops, u, atol, btol, max_iter) -> np.ndarray:
+    """A stage's input checked, and its solver controls, unless helmholtz's."""
+    if isinstance(u, _Checked):
+        return u.data
+    check_controls(atol, btol, max_iter)
+    return ops.vector_data(u)
 
 
-def _direct_stats(ops, r, normal) -> SolveStats:
-    """Stats of a direct stage with residual r, in a Krylov solve's terms:
-    ``||r||_M`` and the normal residual ``||A^T M r||_{M^-1}``, which is
-    ``||A* r||_M`` with ``normal = A* r = M^-1 A^T M r``."""
-    return SolveStats(iterations=0, final_residual_norm=ops.norm(r),
-                      final_normal_residual_norm=ops.norm(normal),
-                      stop_reason="direct")
+def _direct(ops, u, data, star, solve, apply):
+    """The direct stage of A = ``apply``, A* = ``star`` on checked ``data``:
+    ``x = solve(M A* u)``, the part ``A x`` and the residual r, which a
+    ``_Checked`` u gets back; the stats hold ``||r||_M`` and the normal
+    residual ``||A^T M r||_{M^-1} = ||A* r||_M``."""
+    b = star(data)
+    b *= ops.mass
+    x = solve(b)
+    part = apply(x)
+    r = data - part
+    if isinstance(u, _Checked):
+        u.residual = r
+    stats = SolveStats(0, ops.norm(r), ops.norm(star(r)), "direct")
+    return ops.field(x), ops.field(part), stats
 
 
 def project_im_grad(
@@ -153,22 +166,12 @@ def project_im_grad(
     residual ``u - grad_phi`` is then M-orthogonal to every gradient at the
     solver tolerance.  Any other name raises UnknownSolver.
     """
-    return _grad_projection(ops, _vector_data(ops, u), solver, atol, btol,
-                            max_iter)
-
-
-def _grad_projection(ops, u, solver, atol, btol, max_iter):
-    """``project_im_grad`` of checked vector data: the grad stage, and the
-    2D rot stage through ``rot = J grad``, so that each public stage
-    function runs once per stage."""
+    data = _vector_data(ops, u, atol, btol, max_iter)
     if solver is None:
-        phi = ops.mean_zero(ops.gram_pinv(ops.mass * ops.grad_star(u)))
-        grad_phi = ops.grad(phi)
-        r = u - grad_phi
-        return (ops.field(phi), ops.field(grad_phi),
-                _direct_stats(ops, r, ops.grad_star(r)))
+        return _direct(ops, u, data, lambda w: ops._div(w, "_ds_form"),
+                       lambda b: ops.mean_zero(ops.gram_pinv(b)), ops.grad)
 
-    phi, stats = _krylov(ops, ops.grad, ops.grad_transpose, ops.shape, u,
+    phi, stats = _krylov(ops, ops.grad, ops.grad_transpose, ops.shape, data,
                          solver, atol, btol, max_iter)
     phi = ops.mean_zero(phi)
     return ops.field(phi), ops.field(ops.grad(phi)), stats
@@ -189,32 +192,27 @@ def project_im_curl(
     Being least-norm, ``v`` lies in ``(ker curl)^perp_M``: for ``u = curl w``
     it is the M-orthogonal projection of ``w`` onto the coimage of curl.
 
-    In 2D, ``rot = J grad`` with the rotation ``J(a, b) = (b, -a)``, which
-    commutes with M, so the projection is ``J P_grad J^T`` and ``v`` is the
-    grad potential of ``J^T u``, solved by the grad stage's own core.
-    In 3D, with ``solver=None``, ``v`` solves ``curl^T M curl v = curl^T M u``
-    directly by the solve of ``TensorOps.curl_gram_pinv``, which returns
-    the coimage solution, the right-hand side formed as ``M curl* u`` and
-    ``curl v`` swept after.  ``"lsqr"``/``"lsmr"`` run the Krylov reference
-    instead.
+    With ``solver=None`` the stage is direct for A = rot (2D) or curl (3D),
+    the right-hand side formed as ``M A* u``, ``A* = -curl`` with D* in
+    place of D, and ``A v`` swept after.  In 2D ``rot^T M rot`` is the grad
+    stage's L, so ``v`` is ``TensorOps.gram_pinv``'s M-mean-zero solution;
+    in 3D ``TensorOps.curl_gram_pinv`` returns the coimage solution.
+    ``"lsqr"``/``"lsmr"`` run the Krylov reference on A and ``A^T``.
     """
-    u = _vector_data(ops, u)
-    if ops.dim == 2:
-        v, grad_v, stats = _grad_projection(
-            ops, np.stack([-u[1], u[0]]), solver, atol, btol, max_iter)
-        g = grad_v.data
-        return v, ops.field(np.stack([g[1], -g[0]])), stats  # J grad v = rot v
-
+    data = _vector_data(ops, u, atol, btol, max_iter)
+    planar = ops.dim == 2
+    apply = ops.rot if planar else ops.curl
     if solver is None:
-        v = ops.curl_gram_pinv(ops.mass * ops.curl_star(u))
-        sol = ops.curl(v)
-        r = u - sol
-        return (ops.field(v), ops.field(sol),
-                _direct_stats(ops, r, ops.curl_star(r)))
+        solve = ((lambda b: ops.mean_zero(ops.gram_pinv(b))) if planar
+                 else ops.curl_gram_pinv)
+        return _direct(ops, u, data, lambda w: ops._curl(w, "_ds_form", -1),
+                       solve, apply)
 
-    v, stats = _krylov(ops, ops.curl, ops.curl_transpose, u.shape, u,
-                       solver, atol, btol, max_iter)
-    return ops.field(v), ops.field(ops.curl(v)), stats
+    v, stats = _krylov(ops, apply, lambda w: ops._curl(w, "_dt_form", -1),
+                       ops.shape if planar else data.shape, data, solver,
+                       atol, btol, max_iter)
+    v = ops.mean_zero(v) if planar else v
+    return ops.field(v), ops.field(apply(v)), stats
 
 
 def helmholtz(
@@ -240,20 +238,25 @@ def helmholtz(
     directly (``stop_reason == "direct"``) or how its Krylov solve ended.
     ``atol``, ``btol`` and ``max_iter`` govern a named Krylov solver only:
     the default decomposition, 2D or 3D, is exact to roundoff whatever
-    tolerance is passed.  The input is checked once, here.
+    tolerance is passed; a bad one raises InvalidConfig whatever the
+    solver.  The input and these controls are checked once, here.
     """
     order = ProjectionOrder.parse(order)
+    check_controls(atol, btol, max_iter)
     u_arr = ops.vector_data(u)
     kwargs = dict(solver=solver, atol=atol, btol=btol, max_iter=max_iter)
     project = {"grad": project_im_grad, "curl": project_im_curl}
     stages = (("grad", "curl") if order is ProjectionOrder.GRAD_FIRST
               else ("curl", "grad"))
-    # each stage projects what the stages before it left over
+    # each stage projects what the stages before it left over; a direct
+    # stage hands back that remainder, the bits of ``remainder - part``
     remainder, results = u_arr, {}
     for name in stages:
-        results[name] = project[name](ops, _Checked(remainder), **kwargs)
+        checked = _Checked(remainder)
+        results[name] = project[name](ops, checked, **kwargs)
         part = results[name][1].data
-        remainder = remainder - part
+        remainder = (remainder - part if checked.residual is None
+                     else checked.residual)
         if name == stages[0]:
             first_orthogonality = ops.inner(remainder, part)
     (phi, grad_phi, _), (v, sol, _) = results["grad"], results["curl"]
@@ -265,7 +268,9 @@ def helmholtz(
         "norm_u": ops.norm(u_arr),
         "norm_grad_phi": ops.norm(grad_phi.data),
         "norm_sol_part": ops.norm(sol.data),
-        "norm_remainder": ops.norm(remainder),
+        # a direct second stage measured the final remainder already
+        "norm_remainder": (ops.norm(remainder) if checked.residual is None
+                           else results[stages[1]][2].final_residual_norm),
         "first_stage_orthogonality": first_orthogonality,
         "second_stage_orthogonality": remainder_inner[stages[1]],
         "remainder_inner_grad_phi": remainder_inner["grad"],

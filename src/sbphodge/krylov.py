@@ -104,15 +104,21 @@ _STOPS = {1: "residual_tol", 4: "residual_tol", 2: "normal_tol",
           5: "normal_tol"}
 
 
-def _solve(name, op, b, atol, btol, max_iter, self_test, keep_iterates):
-    from scipy.sparse import linalg  # lazily: not on the default path
-
+def check_controls(atol, btol, max_iter) -> None:
+    """InvalidConfig unless atol, btol >= 0 are finite and max_iter is
+    None or a positive integer."""
     if not all(np.isfinite(t) and t >= 0 for t in (atol, btol)):
         raise InvalidConfig(f"tolerances atol={atol}, btol={btol} are not "
                             "finite and non-negative")
     if max_iter is not None and not (isinstance(max_iter, Integral)
                                      and max_iter >= 1):
         raise InvalidConfig(f"max_iter={max_iter!r} is not a positive integer")
+
+
+def _solve(name, op, b, atol, btol, max_iter, self_test, keep_iterates):
+    from scipy.sparse import linalg  # lazily: not on the default path
+
+    check_controls(atol, btol, max_iter)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (op.rows,):
         raise DimensionMismatch(f"rhs shape {b.shape} != ({op.rows},)")

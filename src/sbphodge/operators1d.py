@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
@@ -431,8 +430,8 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
 
     The interior rows come first, in blocks of B = ``_ROWS`` rows: one
     batched ``matmul`` of the leading B x (B + 2w) part of ``band`` with
-    the windows of B + 2w rows of u the blocks read (strided views, no
-    copy), the even and the odd blocks apart, so that the windows of one
+    the windows of B + 2w rows of u the blocks read (strided ndarrays on
+    the buffers of u and out, which must be C-contiguous; no copy), the even and the odd blocks apart, so that the windows of one
     product lie 2B >= B + 2w rows apart, as BLAS requires; and one product
     with a leading part of ``band`` for the ragged tail.  When post == 1,
     each product is taken as ``x @ a.T``, and the pre lines are swept as
@@ -451,14 +450,14 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
         pairs = (stop - lo) // (2 * rows)
         mid = lo + 2 * rows * pairs
 
-        def blocks(a, width):  # even and odd blocks of width rows from a[:, 0]
+        def blocks(a, start, width):  # even and odd blocks from a[:, start]
             s0, s1, s2 = a.strides
-            return as_strided(a, (len(a), 2, pairs, width, post),
-                              (s0, rows * s1, 2 * rows * s1, s1, s2))
+            return np.ndarray((len(a), 2, pairs, width, post), a.dtype, a,
+                              start * s1, (s0, rows * s1, 2 * rows * s1, s1, s2))
 
         products += [(band[:rows, : rows + 2 * w],
-                      blocks(line[:, lo - w :], rows + 2 * w),
-                      blocks(dest[:, lo:], rows)),
+                      blocks(line, lo - w, rows + 2 * w),
+                      blocks(dest, lo, rows)),
                      (band[: stop - mid, : stop - mid + 2 * w],
                       line[:, mid - w : stop + w], dest[:, mid:stop])]
     products += [(top, u[:, : top.shape[1]], out[:, :lo]),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionsViolated, NotDivCurlFree, TooLarge
-from .tensor import GridField, TensorOps
+from .tensor import GridField, TensorOps, _outer
 
 _EPS = np.finfo(np.float64).eps
 
@@ -145,12 +145,13 @@ def _derivative_scale(ops: TensorOps) -> float:
 
 
 def check_potential_conditions(ops: TensorOps, u) -> PotentialConditions:
-    return _conditions(ops, ops.vector_data(u))
+    u = ops.vector_data(u)
+    return _conditions(ops, u, ops.norm(u))
 
 
-def _conditions(ops: TensorOps, u: np.ndarray) -> PotentialConditions:
-    """``check_potential_conditions`` of checked vector data."""
-    unorm = ops.norm(u)
+def _conditions(ops: TensorOps, u: np.ndarray, unorm: float) -> PotentialConditions:
+    """``check_potential_conditions`` of checked vector data of M-norm
+    ``unorm``."""
     curl_norm = ops.norm(ops.curl(u))
     rel_curl = curl_norm / (_derivative_scale(ops) * unorm) if unorm > 0 else 0.0
     overlaps = tuple(abs(ops.inner(u[i], ops.oscillations[(i,)])) / unorm
@@ -182,7 +183,8 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     whole field.
     """
     u = ops.vector_data(u)
-    cond = _conditions(ops, u)
+    floor = ops.norm(u)
+    cond = _conditions(ops, u, floor)
     failed = []
     if cond.curl_residual > tol:
         failed.append(f"curl residual {cond.curl_residual:.3e}")
@@ -193,7 +195,6 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
         raise ConditionsViolated(failed)
 
     op_x, op_y = ops.axis_ops[0], ops.axis_ops[1]
-    floor = ops.norm(u)
     if ops.dim == 2:
         edge = op_x.invert_on_v0(u[0][:, 0], tol=tol, norm_floor=floor)
         phi = edge[:, None] + _invert_along(op_y, 1, u[1], tol, floor)
@@ -214,7 +215,8 @@ def harmonic_neumann_potential(ops: TensorOps, u, tol: float = 1e-8) -> GridFiel
     Solves the singular symmetric positive-semidefinite normal system
     ``sum_i D_i^T M D_i phi = sum_i E_i u_i`` directly with
     ``TensorOps.gram_pinv``; the kernel of the system is the constants,
-    removed by an exact mean shift.
+    removed by an exact mean shift.  ``E_i u_i`` is summed on the faces
+    normal to axis i: the other axes' mass weights, negated on the first.
     """
     u = ops.vector_data(u)
     unorm = ops.norm(u)
@@ -227,5 +229,10 @@ def harmonic_neumann_potential(ops: TensorOps, u, tol: float = 1e-8) -> GridFiel
                 f"relative residuals div {div_norm / scale:.3e}, "
                 f"curl {curl_norm / scale:.3e} exceed {tol:.1e}"
             )
-    rhs = sum(ops.e_weight(i) * u[i] for i in range(ops.dim))
+    rhs, weights = np.zeros(ops.shape), [op.mass_weights for op in ops.axis_ops]
+    for i in range(ops.dim):
+        face = _outer(weights[:i] + weights[i + 1 :])
+        for end, sign in ((0, -1.0), (-1, 1.0)):
+            at = (slice(None),) * i + (end,)
+            rhs[at] += sign * face * u[i][at]
     return ops.field(ops.mean_zero(ops.gram_pinv(rhs)))

@@ -252,8 +252,7 @@ class TensorOps:
         place of D_i."""
         if self.dim != 3:
             raise WrongDimension("curl* maps 3-vectors to 3-vectors in 3D only")
-        out = self._curl(self.field_data(w, "vector"), "_ds_form")
-        return np.negative(out, out=out)
+        return self._curl(self.field_data(w, "vector"), "_ds_form", -1)
 
     def _div(self, u: np.ndarray, name: str) -> np.ndarray:
         out, term = self._along(0, u[0], name), np.empty(self.shape)
@@ -261,14 +260,15 @@ class TensorOps:
             out += self._along(i, u[i], name, term)
         return out
 
-    def _curl(self, u: np.ndarray, name: str) -> np.ndarray:
+    def _curl(self, u: np.ndarray, name: str, sign: int = 1) -> np.ndarray:
         """Component c is ``D_a u_b - D_b u_a`` with ``(a, b) = (c+1, c+2)``
-        mod 3; the 2D curl is the scalar component c = 2."""
+        mod 3, or with a and b swapped, the bits of its negation, for
+        ``sign = -1``; the 2D curl is the scalar component c = 2."""
         planar = self.dim == 2
         out = np.empty(self.shape if planar else (3, *self.shape))
         term = np.empty(self.shape)
         for c in (2,) if planar else range(3):
-            a, b = (c + 1) % 3, (c + 2) % 3
+            a, b = ((c + 1) % 3, (c + 2) % 3)[::sign]
             row = out if planar else out[c]
             self._along(a, u[b], name, row)
             row -= self._along(b, u[a], name, term)

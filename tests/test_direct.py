@@ -206,6 +206,49 @@ def test_2d_stage_checks_do_not_read_the_eigenbasis(rng):
         assert ratio > 1e-6, (stage, ratio)
 
 
+@pytest.mark.parametrize("n", [40, 129])
+def test_2d_rot_stage_equals_the_rotated_grad_stage(order, n, rng):
+    """The direct 2D rot stage gives the bits of the grad stage conjugated
+    with the rotation J(a, b) = (b, -a), as ``rot = J grad``: ``v`` is the
+    grad potential of ``J^T u = (-u_1, u_0)``, the part is J of its
+    gradient, and the stats are equal, on a dense and a banded grid."""
+    ops = build_tensor_ops(order, [Grid1D(-1, 1, n), Grid1D(0, 2, n + 3)])
+    u = rng.standard_normal((2, *ops.shape))
+    v, sol, stats = project_im_curl(ops, u)
+    phi, grad_phi, grad_stats = project_im_grad(ops, np.stack([-u[1], u[0]]))
+    g = grad_phi.data
+    assert np.array_equal(v.data, phi.data)
+    assert np.array_equal(sol.data, np.stack([g[1], -g[0]]))
+    assert stats == grad_stats
+
+
+def test_warm_default_helmholtz_takes_ten_inner_products(monkeypatch, rng):
+    """A warm default decomposition, 2D or 3D, in either order, takes 10
+    M-inner products: the norms of r and A* r in each stage, the first
+    stage's orthogonality, the final remainder against both parts, and the
+    norms of u and of both parts; the remainder's norm is the second
+    stage's."""
+    calls = []
+    inner = TensorOps.inner
+
+    def counted(self, a, b):
+        calls.append(1)
+        return inner(self, a, b)
+
+    monkeypatch.setattr(TensorOps, "inner", counted)
+    for ops in (square_tensor_ops(4, 12, 2), square_tensor_ops(4, 9, 3)):
+        u = rng.standard_normal((ops.dim, *ops.shape))
+        for order in ("grad-first", "curl-first"):
+            helmholtz(ops, u, order=order)
+            calls.clear()
+            dec = helmholtz(ops, u, order=order)
+            assert len(calls) == 10, (ops.dim, order)
+            second = {"grad-first": "curl", "curl-first": "grad"}[order]
+            stats = dec.diagnostics["solver_stats"][second]
+            assert (dec.diagnostics["norm_remainder"]
+                    == stats["final_residual_norm"])
+
+
 @pytest.mark.parametrize("basis", ["eigenbasis", "dual_eigenbasis"])
 def test_stage_checks_do_not_read_the_eigenbasis(basis, rng):
     """Each 3D stage's normal residual catches a corrupt basis: with two

@@ -18,7 +18,7 @@ from sbphodge.potentials import (
     kernel_dimension,
     scalar_potential_integral,
 )
-from sbphodge.tensor import build_tensor_ops, square_tensor_ops
+from sbphodge.tensor import TensorOps, build_tensor_ops, square_tensor_ops
 
 
 def place(ops, arr, slot):
@@ -210,6 +210,39 @@ def test_neumann_3d(ops_3d):
     u = ops_3d.grad(x)
     phi = harmonic_neumann_potential(ops_3d, ops_3d.field(u)).data
     assert ops_3d.norm(ops_3d.grad(phi) - u) <= 1e-9 * ops_3d.norm(u)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_neumann_right_hand_side_is_the_full_boundary_sum(dim, rng):
+    """The Neumann potential, its right-hand side summed on the boundary
+    faces, has the bits of the pseudo-inverse of the full-size
+    ``sum_i E_i u_i``, on an anisotropic grid."""
+    grids = [Grid1D(-1, 1, 11), Grid1D(0, 2, 13), Grid1D(-1, 3, 9)][:dim]
+    ops = build_tensor_ops(4, grids)
+    u = ops.grad(rng.standard_normal(ops.shape))
+    rhs = sum(ops.e_weight(i) * u[i] for i in range(dim))
+    want = ops.mean_zero(ops.gram_pinv(rhs))
+    got = harmonic_neumann_potential(ops, u, tol=np.inf).data
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_integral_potential_measures_the_field_once(dim, monkeypatch):
+    """``scalar_potential_integral`` takes ``||u||_M`` once: its inner
+    products are that norm, the curl's norm and one oscillation overlap
+    per component."""
+    calls = []
+    inner = TensorOps.inner
+
+    def counted(self, a, b):
+        calls.append(1)
+        return inner(self, a, b)
+
+    ops = square_tensor_ops(4, 9, dim)
+    u = ops.grad(ops.meshgrid()[0] ** 2)
+    monkeypatch.setattr(TensorOps, "inner", counted)
+    scalar_potential_integral(ops, u)
+    assert len(calls) == 2 + dim
 
 
 def test_neumann_rejects_generic_field(ops_2d, rng):

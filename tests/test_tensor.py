@@ -465,6 +465,21 @@ MISUSE = {
     "lsqr with a negative atol":
         (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), solver="lsqr",
                            atol=-1.0), InvalidConfig),
+    "direct helmholtz with a negative max_iter":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), max_iter=-1),
+         InvalidConfig),
+    "direct helmholtz with a nan atol":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), atol=np.nan),
+         InvalidConfig),
+    "direct helmholtz with a negative btol":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), btol=-1.0),
+         InvalidConfig),
+    "direct grad stage with an infinite btol":
+        (lambda: project_im_grad(_ops3(), np.ones((3, 5, 5, 5)), btol=np.inf),
+         InvalidConfig),
+    "direct curl stage with a fractional max_iter":
+        (lambda: project_im_curl(_ops2(), np.ones((2, 9, 9)), max_iter=2.5),
+         InvalidConfig),
     "sweep into a read-only slot":
         (lambda: _ops2().axis_ops[0].apply_d(np.ones(9), out=_read_only_slot()),
          KindMismatch),
@@ -943,3 +958,28 @@ def test_sweep_scratch_is_bounded(method, rng):
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, (shape, i, peak)
+
+
+@pytest.mark.parametrize("n", [33, 129])
+def test_sweeps_on_interior_slices_give_fresh_bits(order, n, rng):
+    """``apply_d`` and ``apply_d_star``, on one dense (n <= 64) and one
+    banded grid, read an input and write an ``out=`` slot that are interior
+    slices of larger arrays, at a nonzero offset into their buffers: a
+    vector, lines along the first axis, and lines along the middle axis of
+    a block.  Every result has the bits of a sweep of a fresh copy of the
+    input, laid out alike, into a fresh array."""
+    op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
+    for shape in ((n + 5,), (n + 5, 4), (6, n, 5)):
+        big, buffer = rng.standard_normal(shape), np.zeros(shape)
+        if len(shape) == 3:
+            u, slot, copy = (np.moveaxis(a, 1, 0) for a in
+                             (big[2:5], buffer[2:5], big[2:5].copy()))
+        else:
+            u, slot, copy = big[3 : 3 + n], buffer[3 : 3 + n], big[3 : 3 + n].copy()
+        assert u.base is big and slot.base is buffer
+        for method in ("apply_d", "apply_d_star"):
+            sweep = getattr(op, method)
+            want = sweep(copy)
+            assert sweep(u, out=slot) is slot
+            assert np.array_equal(slot, want), (shape, method)
+            assert np.array_equal(sweep(u), want), (shape, method)
