@@ -3,7 +3,7 @@ import pytest
 
 from sbphodge.grid import Grid1D
 from sbphodge.operators1d import build_operator_1d
-from sbphodge.tensor import square_tensor_ops
+from sbphodge.tensor import TensorOps, square_tensor_ops
 
 MIN_NODES = {2: 2, 4: 8, 6: 12, 8: 16}
 
@@ -21,6 +21,19 @@ def order(request):
 @pytest.fixture
 def op_1d(order):
     return build_operator_1d(order, Grid1D(-1.0, 1.0, 33))
+
+
+@pytest.fixture
+def inner_calls(monkeypatch):
+    """A list that grows by one entry at every ``TensorOps.inner`` call."""
+    calls, inner = [], TensorOps.inner
+
+    def counted(self, a, b):
+        calls.append(1)
+        return inner(self, a, b)
+
+    monkeypatch.setattr(TensorOps, "inner", counted)
+    return calls
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from sbphodge.potentials import (
     kernel_dimension,
     scalar_potential_integral,
 )
-from sbphodge.tensor import TensorOps, build_tensor_ops, square_tensor_ops
+from sbphodge.tensor import build_tensor_ops, square_tensor_ops
 
 
 def place(ops, arr, slot):
@@ -227,22 +227,15 @@ def test_neumann_right_hand_side_is_the_full_boundary_sum(dim, rng):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_integral_potential_measures_the_field_once(dim, monkeypatch):
+def test_integral_potential_measures_the_field_once(dim, inner_calls):
     """``scalar_potential_integral`` takes ``||u||_M`` once: its inner
     products are that norm, the curl's norm and one oscillation overlap
     per component."""
-    calls = []
-    inner = TensorOps.inner
-
-    def counted(self, a, b):
-        calls.append(1)
-        return inner(self, a, b)
-
     ops = square_tensor_ops(4, 9, dim)
     u = ops.grad(ops.meshgrid()[0] ** 2)
-    monkeypatch.setattr(TensorOps, "inner", counted)
+    inner_calls.clear()
     scalar_potential_integral(ops, u)
-    assert len(calls) == 2 + dim
+    assert len(inner_calls) == 2 + dim
 
 
 def test_neumann_rejects_generic_field(ops_2d, rng):
