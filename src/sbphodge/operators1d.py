@@ -460,8 +460,9 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
                       blocks(dest, lo, rows)),
                      (band[: stop - mid, : stop - mid + 2 * w],
                       line[:, mid - w : stop + w], dest[:, mid:stop])]
-    products += [(top, u[:, : top.shape[1]], out[:, :lo]),
-                 (bottom, u[:, n - bottom.shape[1] :], out[:, hi:])]
+    products.append((top, u[:, : top.shape[1]], out[:, :lo]))
+    if len(bottom):  # a dense form is its top block alone
+        products.append((bottom, u[:, n - bottom.shape[1] :], out[:, hi:]))
     for a, x, y in products:
         if post == 1:
             np.matmul(x[..., 0], a.T, out=y[..., 0])
