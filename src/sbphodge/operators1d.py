@@ -430,9 +430,10 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
 
     The interior rows come first, in blocks of B = ``_ROWS`` rows: one
     batched ``matmul`` of the leading B x (B + 2w) part of ``band`` with
-    the windows of B + 2w rows of u the blocks read (strided ndarrays on
-    the buffers of u and out, which must be C-contiguous; no copy), the even and the odd blocks apart, so that the windows of one
-    product lie 2B >= B + 2w rows apart, as BLAS requires; and one product
+    the windows of B + 2w rows of u the blocks read (strided arrays on the
+    buffers of u and out, which must be C-contiguous; no copy), the even
+    and the odd blocks apart, so that the windows of one product lie
+    2B >= B + 2w rows apart, as BLAS requires; and one product
     with a leading part of ``band`` for the ragged tail.  When post == 1,
     each product is taken as ``x @ a.T``, and the pre lines are swept as
     one line, whose rows between the interiors of two lines are end rows.
