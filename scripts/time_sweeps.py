@@ -2,12 +2,13 @@
 """Time the 1D stencil sweeps, the operator set-up and whole decompositions,
 on one BLAS thread.
 
-Prints two markdown tables, or with ``--calls`` a third alone.  The first gives the mean time of ``apply_d``
-and ``apply_d_transpose`` in ns per node along each axis of a C-ordered
-field, as ``TensorOps`` sweeps it (``TensorOps._along``, which applies the
-form of D or D^T to the field seen as ``(before, N_i, after)``), into a
-preallocated ``out=``.  The second gives the time of ``square_tensor_ops``
-(construction and validation) per grid, in ms.  Every case is timed once per round, the rounds are repeated,
+Prints two markdown tables, or with ``--calls`` a third alone.  The first
+gives the mean time of ``apply_d`` and ``apply_d_transpose`` in ns per node
+along each axis of a C-ordered field, as ``TensorOps`` sweeps it
+(``TensorOps._along``, which applies the form of D or D^T to the field seen
+as ``(before, N_i, after)``), into a preallocated ``out=``.  The second
+gives the time of ``square_tensor_ops`` (construction and validation) per
+grid, in ms.  Every case is timed once per round, the rounds are repeated,
 and the median round is printed.  With ``--baseline DIR``, DIR holding
 another checkout's ``sbphodge`` package (its ``src``), each case is timed
 on both trees in alternating order within every round and printed as
@@ -86,7 +87,7 @@ def time_calls(trees, grids, repeats):
         number = max(1, int(2e5 // u.size))
         row = []
         for order in ORDERS:
-            calls = [lambda t=t, o=o: t.helmholtz(o, u, order=order)
+            calls = [lambda t=t, o=o, p=order: t.helmholtz(o, u, order=p)
                      for t, o in zip(trees, ops)]
             for call in calls:
                 call()  # builds the eigenbases and forms
