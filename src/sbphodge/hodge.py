@@ -16,15 +16,19 @@ J that commutes with M) reduce to the Gram operator
 (``TensorOps.gram_pinv``).  The 3D curl projection reduces on the coimage of
 curl to one tensor sum of 1D pencils per component, solved the same way
 (``TensorOps.curl_gram_pinv``); its solution is already the least-norm
-potential.  Every direct stage (grad, rot, curl) takes the same four steps:
-the right-hand side ``M A* u``, one fast-diagonalization solve, the part
-``A x`` by sweeps, and the check ``A* r`` by sweeps, which reports the
-normal residual ``||A^T M r||_{M^-1} = ||A* r||_M``.  The M-adjoint ``A*``
-(``div`` for grad, ``-curl`` for rot and curl) sweeps ``D* = M^-1 E - D``
-along each axis, built from D alone, so the check reads no eigenbasis.  When a Krylov solver is
-named, every stage runs LSQR/LSMR on the operator conjugated with the square
-root of the diagonal mass matrix, which turns the Euclidean guarantees of the
-solvers into M-norm guarantees; the zero initial guess fixes the gauge.
+potential.  Each stage is described once, as ``(A, A*, solve, gauge)``:
+``(grad, div with D*, gram_pinv, mean_zero)``, in 2D
+``(rot, -curl with D*, gram_pinv, mean_zero)`` and in 3D
+``(curl, -curl with D*, curl_gram_pinv, identity)``.  The M-adjoint ``A*``
+sweeps ``D* = M^-1 E - D`` along each axis, built from D alone.  Every
+direct stage takes the same four steps: the right-hand side ``M A* u``, one
+fast-diagonalization solve, the part ``A x`` by sweeps, and the check
+``A* r`` by sweeps, which reports the normal residual
+``||A^T M r||_{M^-1} = ||A* r||_M`` and reads no eigenbasis.  When a Krylov
+solver is named, every stage runs LSQR/LSMR on A and A* conjugated with the
+square root of the diagonal mass matrix, which turns the Euclidean
+guarantees of the solvers into M-norm guarantees; the zero initial guess
+fixes the gauge.
 
 The two projections do not commute, so the order is part of the result.
 """
@@ -88,64 +92,55 @@ def _solver(name):
         ) from None
 
 
-def _krylov(ops, apply, apply_t, x_shape, u, solver, atol, btol, max_iter):
-    """Least-M-norm least-squares solution ``x`` of ``apply(x) = u``.
-
-    Runs the named Krylov solver on the operator conjugated with
-    ``s = sqrt(M)`` on both sides, so that its Euclidean least-norm
-    guarantee becomes the M-norm one; returns ``(x, stats)``.
-    """
-    s = np.sqrt(ops.mass)  # broadcasts over a leading component axis
-
-    def forward(y):
-        return (apply(y.reshape(x_shape) / s) * s).ravel()
-
-    def adjoint(c):
-        return (apply_t(c.reshape(u.shape) * s) / s).ravel()
-
-    system = LinearMap(rows=u.size, cols=int(np.prod(x_shape)),
-                       forward=forward, adjoint=adjoint)
-    y, stats = _solver(solver)(
-        system, (u * s).ravel(), atol=atol, btol=btol, max_iter=max_iter,
-        self_test=False,
-    )
-    return y.reshape(x_shape) / s, stats
-
-
 @dataclass(eq=False)
 class _Checked:
     """Vector data that ``TensorOps.vector_data`` has passed.  ``helmholtz``
     hands each stage its running remainder in this form, so a decomposition
     checks its input once and still runs its stages through the public
-    functions; a direct stage hands back its residual ``u - part`` in
+    functions; the stage hands back its residual ``u - part`` in
     ``residual``."""
 
     data: np.ndarray
     residual: np.ndarray | None = None
 
 
-def _vector_data(ops, u, atol, btol, max_iter) -> np.ndarray:
-    """A stage's input checked, and its solver controls, unless helmholtz's."""
-    if isinstance(u, _Checked):
-        return u.data
-    check_controls(atol, btol, max_iter)
-    return ops.vector_data(u)
+def _project(ops, u, stage, solver, atol, btol, max_iter):
+    """The projection of u onto the image of A for the ``stage``
+    ``(A, A*, solve, gauge)``: ``(x, A x, stats)``, x and ``A x`` as fields.
 
-
-def _direct(ops, u, data, star, solve, apply):
-    """The direct stage of A = ``apply``, A* = ``star`` on checked ``data``:
-    ``x = solve(M A* u)``, the part ``A x`` and the residual r, which a
-    ``_Checked`` u gets back; the stats hold ``||r||_M`` and the normal
-    residual ``||A^T M r||_{M^-1} = ||A* r||_M``."""
-    b = star(data)
-    b *= ops.mass
-    x = solve(b)
-    del b  # a lower peak for the part and residual: fewer fresh heap pages
+    Directly, ``x = gauge(solve(M A* u))``.  A named solver runs on
+    ``s A s^-1``, ``s = sqrt(M)``, whose Euclidean adjoint is
+    ``s A* s^-1`` (as ``A^T = M A* M^-1``), so that its Euclidean
+    least-norm guarantee becomes the M-norm one; x is ``gauge`` of its
+    solution.  A ``_Checked`` u gets the residual ``r = u - A x`` back.
+    The stats of a direct stage hold ``||r||_M`` and the normal residual
+    ``||A^T M r||_{M^-1} = ||A* r||_M``.
+    """
+    apply, star, solve, gauge = stage
+    if not isinstance(u, _Checked):
+        check_controls(atol, btol, max_iter)
+        u = _Checked(ops.vector_data(u))
+    data = u.data
+    if solver is None:
+        b = star(data)
+        b *= ops.mass
+        x = gauge(solve(b))
+        del b  # a lower peak for the part and residual: fewer fresh heap pages
+    else:
+        s = np.sqrt(ops.mass)  # broadcasts over a leading component axis
+        # the potential is a vector field for the 3D curl only
+        shape = data.shape if apply == ops.curl else ops.shape
+        system = LinearMap(
+            rows=data.size, cols=int(np.prod(shape)),
+            forward=lambda y: (apply(y.reshape(shape) / s) * s).ravel(),
+            adjoint=lambda c: (star(c.reshape(data.shape) / s) * s).ravel())
+        y, stats = _solver(solver)(system, (data * s).ravel(), atol=atol,
+                                   btol=btol, max_iter=max_iter)
+        x = gauge(y.reshape(shape) / s)
     part = apply(x)
-    r = data - part
-    if isinstance(u, _Checked):
-        u.residual = r
-    stats = SolveStats(0, ops.norm(r), ops.norm(star(r)), "direct")
+    u.residual = r = data - part
+    if solver is None:
+        stats = SolveStats(0, ops.norm(r), ops.norm(star(r)), "direct")
     return ops.field(x), ops.field(part), stats
 
 
@@ -160,22 +155,17 @@ def project_im_grad(
     """M-orthogonal projection onto the image of the gradient.
 
     Returns ``(phi, grad_phi, stats)`` with ``phi`` shifted to M-mean zero.
-    With ``solver=None`` the normal equations ``L phi = grad^T M u`` are
-    solved directly by the fast diagonalization of ``TensorOps.gram_pinv``,
-    the right-hand side formed as ``M grad* u`` and ``grad phi`` swept
-    after.  ``"lsqr"``/``"lsmr"`` run the Krylov reference instead, and the
-    residual ``u - grad_phi`` is then M-orthogonal to every gradient at the
-    solver tolerance.  Any other name raises UnknownSolver.
+    The stage is ``(grad, div with D*, gram_pinv, mean_zero)``.  With
+    ``solver=None`` the normal equations ``L phi = grad^T M u`` are solved
+    directly by the fast diagonalization of ``TensorOps.gram_pinv``, the
+    right-hand side formed as ``M grad* u`` and ``grad phi`` swept after.
+    ``"lsqr"``/``"lsmr"`` run the Krylov reference on grad and grad*
+    instead, and the residual ``u - grad_phi`` is then M-orthogonal to every
+    gradient at the solver tolerance.  Any other name raises UnknownSolver.
     """
-    data = _vector_data(ops, u, atol, btol, max_iter)
-    if solver is None:
-        return _direct(ops, u, data, lambda w: ops._div(w, "_ds_form"),
-                       lambda b: ops.mean_zero(ops.gram_pinv(b)), ops.grad)
-
-    phi, stats = _krylov(ops, ops.grad, ops.grad_transpose, ops.shape, data,
-                         solver, atol, btol, max_iter)
-    phi = ops.mean_zero(phi)
-    return ops.field(phi), ops.field(ops.grad(phi)), stats
+    stage = (ops.grad, lambda w: ops._div(w, "_ds_form"),
+             ops.gram_pinv, ops.mean_zero)
+    return _project(ops, u, stage, solver, atol, btol, max_iter)
 
 
 def project_im_curl(
@@ -193,27 +183,18 @@ def project_im_curl(
     Being least-norm, ``v`` lies in ``(ker curl)^perp_M``: for ``u = curl w``
     it is the M-orthogonal projection of ``w`` onto the coimage of curl.
 
-    With ``solver=None`` the stage is direct for A = rot (2D) or curl (3D),
-    the right-hand side formed as ``M A* u``, ``A* = -curl`` with D* in
-    place of D, and ``A v`` swept after.  In 2D ``rot^T M rot`` is the grad
-    stage's L, so ``v`` is ``TensorOps.gram_pinv``'s M-mean-zero solution;
-    in 3D ``TensorOps.curl_gram_pinv`` returns the coimage solution.
-    ``"lsqr"``/``"lsmr"`` run the Krylov reference on A and ``A^T``.
+    The stage is ``(rot, -curl with D*, gram_pinv, mean_zero)`` in 2D and
+    ``(curl, -curl with D*, curl_gram_pinv, identity)`` in 3D.  With
+    ``solver=None`` it is direct, the right-hand side formed as ``M A* u``
+    and ``A v`` swept after.  In 2D ``rot^T M rot`` is the grad stage's L,
+    so ``v`` is ``TensorOps.gram_pinv``'s M-mean-zero solution; in 3D
+    ``TensorOps.curl_gram_pinv`` returns the coimage solution.
+    ``"lsqr"``/``"lsmr"`` run the Krylov reference on A and A*.
     """
-    data = _vector_data(ops, u, atol, btol, max_iter)
-    planar = ops.dim == 2
-    apply = ops.rot if planar else ops.curl
-    if solver is None:
-        solve = ((lambda b: ops.mean_zero(ops.gram_pinv(b))) if planar
-                 else ops.curl_gram_pinv)
-        return _direct(ops, u, data, lambda w: ops._curl(w, "_ds_form", -1),
-                       solve, apply)
-
-    v, stats = _krylov(ops, apply, lambda w: ops._curl(w, "_dt_form", -1),
-                       ops.shape if planar else data.shape, data, solver,
-                       atol, btol, max_iter)
-    v = ops.mean_zero(v) if planar else v
-    return ops.field(v), ops.field(apply(v)), stats
+    star = lambda w: ops._curl(w, "_ds_form", -1)  # noqa: E731
+    stage = ((ops.rot, star, ops.gram_pinv, ops.mean_zero) if ops.dim == 2
+             else (ops.curl, star, ops.curl_gram_pinv, lambda v: v))
+    return _project(ops, u, stage, solver, atol, btol, max_iter)
 
 
 def helmholtz(
@@ -249,15 +230,13 @@ def helmholtz(
     project = {"grad": project_im_grad, "curl": project_im_curl}
     stages = (("grad", "curl") if order is ProjectionOrder.GRAD_FIRST
               else ("curl", "grad"))
-    # each stage projects what the stages before it left over; a direct
-    # stage hands back that remainder, the bits of ``remainder - part``
+    # each stage projects what the stages before it left over and hands
+    # back that remainder, the bits of ``remainder - part``
     remainder, results = u_arr, {}
     for name in stages:
         checked = _Checked(remainder)
         results[name] = project[name](ops, checked, **kwargs)
-        part = results[name][1].data
-        remainder = (remainder - part if checked.residual is None
-                     else checked.residual)
+        part, remainder = results[name][1].data, checked.residual
         if name == stages[0]:
             first_orthogonality = ops.inner(remainder, part)
     (phi, grad_phi, _), (v, sol, _) = results["grad"], results["curl"]
@@ -270,7 +249,7 @@ def helmholtz(
         "norm_grad_phi": ops.norm(grad_phi.data),
         "norm_sol_part": ops.norm(sol.data),
         # a direct second stage measured the final remainder already
-        "norm_remainder": (ops.norm(remainder) if checked.residual is None
+        "norm_remainder": (ops.norm(remainder) if solver is not None
                            else results[stages[1]][2].final_residual_norm),
         "first_stage_orthogonality": first_orthogonality,
         "second_stage_orthogonality": remainder_inner[stages[1]],

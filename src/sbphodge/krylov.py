@@ -8,8 +8,11 @@ They stop on the residual test ``|r| <= btol |b| + atol |A| |x|`` or the
 normal-equation test ``|A^T r| <= atol |A| |r|``, with machine-precision
 floors so that ``atol = btol = 0`` still terminates; SciPy's condition limit
 is off (``conlim=0``).  A tolerance that is negative or not finite, or a
-``max_iter`` that is not a positive integer, raises InvalidConfig.  No
-preconditioning is applied.  A solve, not this module, imports
+``max_iter`` that is not a positive integer, raises InvalidConfig.  Every
+solve first runs the operator's adjoint self-test (``LinearMap.self_test``,
+three forward and three adjoint applications).  A solve returns its final
+iterate only; from a zero start, a run capped at ``max_iter=k`` returns
+iterate k exactly.  No preconditioning is applied.  A solve, not this module, imports
 ``scipy.sparse.linalg``, so the default direct decomposition never loads it.
 """
 
@@ -75,7 +78,6 @@ class SolveStats:
     # residual_tol | normal_tol | max_iter; "direct" (iterations 0) for a
     # stage solved without Krylov, e.g. by TensorOps.gram_pinv
     stop_reason: str
-    iterates: Optional[list] = None
 
     def as_dict(self) -> dict:
         return {"iterations": self.iterations,
@@ -115,7 +117,7 @@ def check_controls(atol, btol, max_iter) -> None:
         raise InvalidConfig(f"max_iter={max_iter!r} is not a positive integer")
 
 
-def _solve(name, op, b, atol, btol, max_iter, self_test, keep_iterates):
+def _solve(name, op, b, atol, btol, max_iter):
     from scipy.sparse import linalg  # lazily: not on the default path
 
     check_controls(atol, btol, max_iter)
@@ -124,60 +126,46 @@ def _solve(name, op, b, atol, btol, max_iter, self_test, keep_iterates):
         raise DimensionMismatch(f"rhs shape {b.shape} != ({op.rows},)")
     if not np.all(np.isfinite(b)):
         raise NonFiniteEncountered("right-hand side contains NaN or Inf")
-    if self_test:
-        op.self_test()
+    op.self_test()
     if max_iter is None:
         max_iter = 4 * max(op.rows, op.cols)
     a = linalg.LinearOperator((op.rows, op.cols), dtype=np.float64,
                               matvec=_finite(op.forward),
                               rmatvec=_finite(op.adjoint))
-
-    def run(limit):
-        """``(x, istop, itn, |r|, |A^T r|)`` of a run capped at ``limit``."""
-        if name == "lsqr":
-            out = linalg.lsqr(a, b, atol=atol, btol=btol, conlim=0,
-                              iter_lim=limit)
-            return out[:4] + out[7:8]
-        return linalg.lsmr(a, b, atol=atol, btol=btol, conlim=0,
-                           maxiter=limit)[:5]
-
-    x, istop, itn, rnorm, arnorm = run(max_iter)
+    if name == "lsqr":
+        out = linalg.lsqr(a, b, atol=atol, btol=btol, conlim=0,
+                          iter_lim=max_iter)
+        x, istop, itn, rnorm, arnorm = out[:4] + out[7:8]
+    else:
+        x, istop, itn, rnorm, arnorm = linalg.lsmr(
+            a, b, atol=atol, btol=btol, conlim=0, maxiter=max_iter)[:5]
     if not (np.isfinite(rnorm) and np.isfinite(arnorm)):
         raise NonFiniteEncountered("non-finite value during iteration")
     if istop == 0:  # x = 0 returned before the first iteration
         istop = 1 if rnorm == 0 else 2 if arnorm == 0 else 7
-    stats = SolveStats(itn, float(rnorm), float(arnorm),
-                       _STOPS.get(istop, "max_iter"))
-    if keep_iterates:
-        # from a zero start, a run capped at k returns iterate k exactly
-        stats.iterates = ([np.zeros(op.cols)]
-                          + [run(k)[0] for k in range(1, itn)] + [x])
-    return x, stats
+    return x, SolveStats(itn, float(rnorm), float(arnorm),
+                         _STOPS.get(istop, "max_iter"))
 
 
 def lsqr(op: LinearMap, b: np.ndarray, atol: float = 1e-10,
-         btol: float = 1e-10, max_iter: Optional[int] = None,
-         self_test: bool = True, keep_iterates: bool = False):
+         btol: float = 1e-10, max_iter: Optional[int] = None):
     """Minimum-norm least-squares solve of ``op x = b`` via LSQR.
 
     Returns ``(x, SolveStats)``.  The residual norm is non-increasing across
     iterations.  Hitting ``max_iter`` is not an error: the last iterate and
     its stats are returned with ``stop_reason = "max_iter"``.
     """
-    return _solve("lsqr", op, b, atol, btol, max_iter, self_test,
-                  keep_iterates)
+    return _solve("lsqr", op, b, atol, btol, max_iter)
 
 
 def lsmr(op: LinearMap, b: np.ndarray, atol: float = 1e-10,
-         btol: float = 1e-10, max_iter: Optional[int] = None,
-         self_test: bool = True, keep_iterates: bool = False):
+         btol: float = 1e-10, max_iter: Optional[int] = None):
     """Minimum-norm least-squares solve of ``op x = b`` via LSMR.
 
     Returns ``(x, SolveStats)``.  The normal-equation residual ``|A^T r|`` is
     non-increasing across iterations.
     """
-    return _solve("lsmr", op, b, atol, btol, max_iter, self_test,
-                  keep_iterates)
+    return _solve("lsmr", op, b, atol, btol, max_iter)
 
 
 SOLVERS = {"lsqr": lsqr, "lsmr": lsmr}

@@ -135,7 +135,11 @@ class SbpOperator1D:
         to the first position at which it is C-contiguous (a C-ordered copy
         of u if none), and the result is written so into ``out``, through a
         buffer when ``out`` is laid out otherwise; a u that overlaps
-        ``out`` is read from a copy.  So every slot gets the same bits.
+        ``out`` is read from a copy.  So every ``out=`` slot gets the bits
+        of the sweep without one, and a u that is copied gets its copy's
+        bits.  A view read in place need not: its ``(pre, n, post)`` split
+        differs from its copy's, and at order 8 the ragged tail's product
+        can round differently for another ``post``.
         """
         u = self._leading(u)
         if out is not None:

@@ -36,6 +36,16 @@ def inner_calls(monkeypatch):
     return calls
 
 
+def krylov_iterates(solver, op, b, **controls):
+    """The iterates ``[x_0 = 0, x_1, ..., x_k]`` of a solve from zero and
+    the stats of the full run; ``x_j`` comes from a run capped at
+    ``max_iter=j``, which returns iterate j exactly."""
+    x, stats = solver(op, b, **controls)
+    capped = [solver(op, b, max_iter=j, **controls)[0]
+              for j in range(1, stats.iterations)]
+    return [np.zeros(op.cols), *capped, x], stats
+
+
 @pytest.fixture
 def ops_2d():
     return square_tensor_ops(4, 12, 2)

@@ -169,17 +169,47 @@ def test_m_adjoints_equal_the_swept_transposes(rng):
     assert rel(ops2, ops2.grad_star(w2), swept) <= 1e-13
 
 
-def test_default_decomposition_never_builds_the_transpose_form(rng):
-    """A default decomposition, 2D or 3D, in either order, never builds the
-    form of D^T: every right-hand side and check applies D* = M^-1 E - D.
-    The Krylov reference, which applies grad^T and curl^T, builds it."""
+def test_no_decomposition_builds_the_transpose_form(rng):
+    """No decomposition, default or Krylov, 2D or 3D, in either order,
+    builds the form of D^T: every right-hand side, check and Krylov adjoint
+    applies D* = M^-1 E - D.  The public transpose ``grad_transpose`` still
+    builds it."""
     for ops in (square_tensor_ops(4, 11, 2), square_tensor_ops(4, 11, 3)):
         u = rng.standard_normal((ops.dim, *ops.shape))
         for order in ("grad-first", "curl-first"):
-            helmholtz(ops, u, order=order)
-            assert not any(_built(ops, "_dt_form")), (ops.dim, order)
-        helmholtz(ops, u, solver="lsmr")
+            for solver in (None,) + KRYLOV:
+                helmholtz(ops, u, order=order, solver=solver)
+                assert not any(_built(ops, "_dt_form")), (ops.dim, order, solver)
+        ops.grad_transpose(u)
         assert all(_built(ops, "_dt_form")), ops.dim
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_krylov_stages_self_test_their_pairing(dim, monkeypatch, rng):
+    """Each named-solver stage runs on A and A*, and its solve runs the
+    adjoint self-test: on operators whose D* sweeps apply D instead, both
+    stages raise from it.  A named-solver decomposition runs exactly one
+    self-test per stage."""
+    ops = square_tensor_ops(4, 9, dim)
+    u = rng.standard_normal((dim, *ops.shape))
+    bad = replace(ops.axis_ops[0])
+    vars(bad)["_ds_form"] = bad._d_form
+    corrupt = TensorOps((bad,) * dim)
+    for stage in (project_im_grad, project_im_curl):
+        with pytest.raises(ValueError, match="adjoint inconsistency"):
+            stage(corrupt, u, solver="lsqr")
+    calls, self_test = [], LinearMap.self_test
+
+    def counted(op, *args, **kwargs):
+        calls.append(1)
+        return self_test(op, *args, **kwargs)
+
+    monkeypatch.setattr(LinearMap, "self_test", counted)
+    for order in ("grad-first", "curl-first"):
+        for solver in KRYLOV:
+            calls.clear()
+            helmholtz(ops, u, order=order, solver=solver)
+            assert len(calls) == 2, (order, solver)
 
 
 def _swapped(op, basis):

@@ -13,6 +13,8 @@ import sbphodge
 from sbphodge.errors import DimensionMismatch, NonFiniteEncountered
 from sbphodge.krylov import LinearMap, lsmr, lsqr
 
+from conftest import krylov_iterates
+
 SOLVERS = [lsqr, lsmr]
 
 
@@ -69,9 +71,9 @@ def test_min_norm_property(seed):
 def test_lsqr_residual_monotone(rng):
     a = rng.standard_normal((30, 18))
     b = rng.standard_normal(30)
-    x, stats = lsqr(LinearMap.from_dense(a), b, atol=1e-14, btol=1e-14,
-                    keep_iterates=True)
-    norms = [np.linalg.norm(b - a @ xk) for xk in stats.iterates]
+    iterates, stats = krylov_iterates(lsqr, LinearMap.from_dense(a), b,
+                                      atol=1e-14, btol=1e-14)
+    norms = [np.linalg.norm(b - a @ xk) for xk in iterates]
     for prev, cur in zip(norms, norms[1:]):
         assert cur <= prev * (1 + 1e-10)
     # the internal estimate tracks the explicit residual
@@ -81,9 +83,9 @@ def test_lsqr_residual_monotone(rng):
 def test_lsmr_normal_residual_monotone(rng):
     a = rng.standard_normal((30, 18))
     b = rng.standard_normal(30)
-    x, stats = lsmr(LinearMap.from_dense(a), b, atol=1e-14, btol=1e-14,
-                    keep_iterates=True)
-    norms = [np.linalg.norm(a.T @ (b - a @ xk)) for xk in stats.iterates]
+    iterates, _ = krylov_iterates(lsmr, LinearMap.from_dense(a), b,
+                                  atol=1e-14, btol=1e-14)
+    norms = [np.linalg.norm(a.T @ (b - a @ xk)) for xk in iterates]
     for prev, cur in zip(norms, norms[1:]):
         assert cur <= prev * (1 + 1e-10)
 
@@ -190,9 +192,10 @@ def test_non_finite_operator_output_raises(solver, rng):
 
     op = LinearMap(rows=20, cols=15, forward=forward, adjoint=lambda y: a.T @ y)
     with pytest.raises(NonFiniteEncountered):
-        solver(op, rng.standard_normal(20), atol=0.0, btol=0.0,
-               self_test=False)
-    assert len(calls) == 4  # stopped at the first bad output
+        solver(op, rng.standard_normal(20), atol=0.0, btol=0.0)
+    # the adjoint self-test takes the first three outputs; the solve stopped
+    # at its first, the first bad one
+    assert len(calls) == 4
 
 
 def test_only_a_named_solver_loads_scipy_sparse():

@@ -905,8 +905,11 @@ def test_every_slot_and_layout_gives_equal_bits(name, rng):
     """Every sweep runs one product on C-ordered operands.  Through the
     tensor layer, a field in Fortran order, a strided view or reversed
     axes gives the bits of its C-ordered copy.  Through the 1D sweeps,
-    along every axis, a strided view gives the bits of its C-ordered copy,
-    into a contiguous, a strided or an aliased slot as without one."""
+    along every axis, a strided view that the sweep copies gives the bits
+    of its C-ordered copy, and a contiguous, a strided or an aliased slot
+    the bits of the sweep without one.  (A view that the 1D sweep reads in
+    place, such as a moved-axis view, may round differently from its
+    copy.)"""
     grids = SWEEP_GRIDS.get(name)
     ops = (build_tensor_ops(*grids) if grids else
            square_tensor_ops(*BENCHMARK_GRIDS[name]))
