@@ -191,9 +191,11 @@ def project_im_curl(
     ``TensorOps.curl_gram_pinv`` returns the coimage solution.
     ``"lsqr"``/``"lsmr"`` run the Krylov reference on A and A*.
     """
-    star = lambda w: ops._curl(w, "_ds_form", -1)  # noqa: E731
-    stage = ((ops.rot, star, ops.gram_pinv, ops.mean_zero) if ops.dim == 2
-             else (ops.curl, star, ops.curl_gram_pinv, lambda v: v))
+    planar = ops.dim == 2
+    stage = (ops.rot if planar else ops.curl,
+             lambda w: ops._curl(w, "_ds_form", -1),
+             ops.gram_pinv if planar else ops.curl_gram_pinv,
+             ops.mean_zero if planar else lambda v: v)
     return _project(ops, u, stage, solver, atol, btol, max_iter)
 
 
