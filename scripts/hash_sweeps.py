@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 digest of grad, div, curl, rot, their transposes and the
-M-adjoints grad* and curl*.
+"""Print a SHA-256 digest of grad, div, curl, rot, their transposes, the
+M-adjoints grad* and curl*, and the integral potential of grad f.
 
-The sweeps are BLAS matrix products, so this checks that their bits do not
-depend on the number of BLAS threads: run it under two thread counts and
-compare the outputs.  The fields are fixed random fields on the grids of the
-sweep tests (``SWEEP_GRIDS`` and ``BENCHMARK_GRIDS`` in
-``tests/test_tensor.py``), on 2D order-6 grids of 64 and 65 nodes, the last
-swept by one dense block and the first by the banded form, and on a 2D n=513
+The sweeps and the discrete integral are BLAS matrix products, so this
+checks that their bits do not depend on the number of BLAS threads: run it
+under two thread counts and compare the outputs.  The fields are fixed
+random fields on the grids of the sweep tests (``SWEEP_GRIDS`` and
+``BENCHMARK_GRIDS`` in ``tests/test_tensor.py``), on 2D order-6 grids of 64
+and 65 nodes, the first swept and integrated by one dense block and the last
+by the banded form (``operators1d._DENSE_NODES`` is 64), and on a 2D n=513
 order-6 grid, large enough for OpenBLAS to split a product between threads.
+Each grid prints 8 lines: 7 sweeps, then ``scalar_potential_integral`` of
+``grad f``.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/hash_sweeps.py > one
     OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python scripts/hash_sweeps.py > two
@@ -23,6 +26,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from test_tensor import BENCHMARK_GRIDS, SWEEP_GRIDS  # noqa: E402
 
+from sbphodge.potentials import scalar_potential_integral  # noqa: E402
 from sbphodge.tensor import build_tensor_ops, square_tensor_ops  # noqa: E402
 
 
@@ -44,6 +48,8 @@ def main():
             results["rot"] = ops.rot(f)
         else:
             results["curl_star"] = ops.curl_star(u)
+        results["scalar_potential_integral"] = scalar_potential_integral(
+            ops, results["grad"]).data
         for call, a in results.items():
             print(name, call, hashlib.sha256(a.tobytes()).hexdigest())
 

@@ -16,6 +16,10 @@ on both trees in alternating order within every round and printed as
 default ``helmholtz`` call (its bases built by an untimed first call) on a
 fixed random field, in ms, in both projection orders, per grid (default
 2D n=49, 129, 1025 and 3D n=25, 97); its rounds run one grid at a time.
+A second ``--calls`` table gives, per 2D grid, the time of one warm
+``harmonic_neumann_potential`` plus ``scalar_potential_integral`` pair on
+the gradient of a harmonic cubic, as the ``neumann2d`` benchmark workload
+runs them, and of the integral alone, in ms.
 
     PYTHONPATH=src python scripts/time_sweeps.py
     PYTHONPATH=src python scripts/time_sweeps.py --baseline ../parent/src
@@ -74,6 +78,17 @@ def cell(times, scale, digits):
     return " → ".join(f"{scale * statistics.median(t):.{digits}f}" for t in times)
 
 
+def interleaved(calls, repeats, number):
+    """Per call, its time in each of ``repeats`` rounds; within a round the
+    calls run in alternating order."""
+    times = [[] for _ in calls]
+    for r in range(repeats):
+        ks = range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))
+        for k in ks:
+            times[k].append(seconds(calls[k], number))
+    return times
+
+
 def time_calls(trees, grids, repeats):
     """Print the ``--calls`` table: per grid, the median over ``repeats``
     interleaved rounds of a warm default ``helmholtz`` call in each order."""
@@ -91,12 +106,37 @@ def time_calls(trees, grids, repeats):
                      for t, o in zip(trees, ops)]
             for call in calls:
                 call()  # builds the eigenbases and forms
-            times = [[] for _ in calls]
-            for r in range(repeats):
-                ks = range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))
-                for k in ks:
-                    times[k].append(seconds(calls[k], number))
-            row.append(cell(times, 1e3, 3))
+            row.append(cell(interleaved(calls, repeats, number), 1e3, 3))
+        print(f"| {dim}D n={n} | " + " | ".join(row) + " |")
+
+
+def time_potentials(trees, grids, repeats):
+    """Print the potentials table of ``--calls``: per 2D grid, the median
+    over ``repeats`` interleaved rounds of a warm Neumann plus integral
+    potential pair on the gradient of p = x^3 - 3xy^2 + xy + x^2 - y^2,
+    exactly div- and curl-free for the order-6 operators, and of the
+    integral alone."""
+    print(f"\nOrder {ORDER}: one warm potential pair on grad of a harmonic "
+          f"cubic, ms, median of {repeats} interleaved rounds\n")
+    print("| grid | Neumann + integral | integral |")
+    print("|------|-------------------:|---------:|")
+    for dim, n in grids:
+        if dim != 2:
+            continue
+        ops = [t.square_tensor_ops(ORDER, n, dim) for t in trees]
+        x, y = ops[0].meshgrid()
+        u = np.stack([3 * x * x - 3 * y * y + y + 2 * x, -6 * x * y + x - 2 * y])
+        number = max(1, int(2e5 // u.size))
+        pair = [lambda t=t, o=o: (t.harmonic_neumann_potential(o, u),
+                                  t.scalar_potential_integral(o, u))
+                for t, o in zip(trees, ops)]
+        integral = [lambda t=t, o=o: t.scalar_potential_integral(o, u)
+                    for t, o in zip(trees, ops)]
+        row = []
+        for calls in (pair, integral):
+            for call in calls:
+                call()  # builds the eigenbases and the integral's factors
+            row.append(cell(interleaved(calls, repeats, number), 1e3, 3))
         print(f"| {dim}D n={n} | " + " | ".join(row) + " |")
 
 
@@ -108,8 +148,8 @@ def main(argv=None):
     parser.add_argument("--baseline", metavar="DIR",
                         help="src directory of another checkout to time beside")
     parser.add_argument("--calls", action="store_true",
-                        help="time whole helmholtz calls instead (default "
-                             f"grids {' '.join(CALL_GRIDS)})")
+                        help="time whole helmholtz calls and potential pairs "
+                             f"instead (default grids {' '.join(CALL_GRIDS)})")
     args = parser.parse_args(argv)
     grids = args.grid or (CALL_GRIDS if args.calls else GRIDS)
     grids = [tuple(int(x) for x in g.split(":")) for g in grids]
@@ -119,7 +159,8 @@ def main(argv=None):
     if args.baseline is not None:
         trees.insert(0, load_package(args.baseline))
     if args.calls:
-        return time_calls(trees, grids, args.repeats)
+        time_calls(trees, grids, args.repeats)
+        return time_potentials(trees, grids, args.repeats)
     rng = np.random.default_rng(0)
     sweeps, setups = {}, {}  # case -> one list of round times per tree
     cases = []

@@ -40,7 +40,8 @@ class LinearMap:
         """Randomized adjoint-consistency check.
 
         Verifies |<Ax, y> - <x, A^T y>| against ``tol`` times the natural
-        scale of the pairing; raises ValueError on failure.
+        scale of the pairing; raises ValueError on failure, a pairing that
+        is NaN included.
         """
         rng = np.random.default_rng(rng)
         for _ in range(trials):
@@ -57,7 +58,7 @@ class LinearMap:
             rhs = float(np.dot(x, aty))
             scale = (np.linalg.norm(ax) * np.linalg.norm(y)
                      + np.linalg.norm(x) * np.linalg.norm(aty) + 1.0)
-            if abs(lhs - rhs) > tol * scale:
+            if not abs(lhs - rhs) <= tol * scale:  # a NaN pairing fails
                 raise ValueError(f"adjoint inconsistency {abs(lhs - rhs):.3e} "
                                  f"exceeds {tol:.1e} * {scale:.3e}")
 

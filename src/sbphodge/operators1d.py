@@ -28,8 +28,11 @@ for bit.  ``accuracy_check`` differentiates every monomial in one sweep.
 The grid oscillation (the kernel of D*) and the discrete integral are LAPACK
 banded LU solves (``dgbtrf`` then ``dgbtrs``, as ``DGBSV`` does) on the
 entries of D, O(n) in time and memory.  The integral's factors are built on
-the first integral and reused by every later one; ``dense()`` serves only
-the eigenbases and verification.
+the first integral and reused by every later one.  On a grid of at most
+``_DENSE_NODES`` nodes the integral follows the dense rule of the forms: one
+``dgbtrs`` solve of the identity with those factors gives the inverse of
+its band, cached read-only, and every integral is then one BLAS product
+with it.  ``dense()`` serves only the eigenbases and verification.
 """
 
 from __future__ import annotations
@@ -278,25 +281,25 @@ class SbpOperator1D:
         Raises NonFiniteEncountered when u holds a NaN or Inf, and NotInImage
         when u has an oscillation component larger than ``tol`` times
         max(its own M-norm, ``norm_floor``).  Otherwise solves rows 1..n-1
-        of ``D v = u`` for ``v[1:]`` with the banded LU factors of those
-        rows and columns of D (``_integral_lu``): row 0 is a combination of
-        the others (the kernel vector of D^T has a nonzero first entry), so
-        it holds once the oscillation component is gone.
+        of ``D v = u`` for ``v[1:]``: row 0 is a combination of the others
+        (the kernel vector of D^T has a nonzero first entry), so it holds
+        once the oscillation component is gone.  On a grid of at most
+        ``_DENSE_NODES`` nodes the solve is one product with
+        ``_integral_inverse``, which agrees with the banded solve to
+        roundoff; on a larger grid it is the banded solve with
+        ``_integral_lu``.
         """
         u, n = self._leading(u), self.n_nodes
         flat = u.reshape(n, -1)
         if not np.all(np.isfinite(flat)):
             raise NonFiniteEncountered("discrete integral of NaN or Inf")
-        osc = self.grid_oscillation
-        overlap = np.abs((self.mass_weights * osc) @ flat)
-        norms = np.sqrt(self.mass_weights @ flat**2)
-        if np.any(overlap > tol * np.maximum(norms, norm_floor) + 1e2 * _EPS):
-            raise NotInImage(
-                "right-hand side has an oscillation component of relative size "
-                f"{float(np.max(overlap / np.maximum(norms, 1e-300))):.3e}"
-            )
+        _check_in_image((self.mass_weights * self.grid_oscillation) @ flat,
+                        np.sqrt(self.mass_weights @ flat**2), tol, norm_floor)
         out = np.zeros_like(flat)
-        out[1:] = _banded_lu_solve(self._integral_lu, flat[1:])
+        if n <= _DENSE_NODES:
+            np.matmul(self._integral_inverse, flat[1:], out=out[1:])
+        else:
+            out[1:] = _banded_lu_solve(self._integral_lu, flat[1:])
         return out.reshape(u.shape)
 
     @cached_property
@@ -305,6 +308,16 @@ class SbpOperator1D:
         discrete integral; built on the first integral."""
         rows, cols, vals = self._entries
         return _banded_lu(rows - 1, cols - 1, vals, self.n_nodes - 1)
+
+    @cached_property
+    def _integral_inverse(self) -> np.ndarray:
+        """The (n-1) x (n-1) inverse of rows and columns 1..n-1 of D,
+        read-only: one ``_banded_lu_solve`` of the identity with
+        ``_integral_lu``, so no factorization is added.  The integral uses
+        it on a grid of at most ``_DENSE_NODES`` nodes; built on the first
+        integral there."""
+        return _read_only(_banded_lu_solve(self._integral_lu,
+                                           np.eye(self.n_nodes - 1)))[0]
 
     # -- nullspace of the adjoint ----------------------------------------
 
@@ -419,6 +432,18 @@ def _banded_lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     ``_banded_lu`` factors of A."""
     lu, piv, lower, upper = factors
     return dgbtrs(lu, lower, upper, rhs, piv)[0]
+
+
+def _check_in_image(overlap, norms, tol: float, floor: float) -> None:
+    """Raise NotInImage when a line's oscillation overlap (M-inner product
+    with ``grid_oscillation``) exceeds ``tol`` times max(its M-norm,
+    ``floor``), beyond roundoff: then D v = u has no solution."""
+    overlap = np.abs(overlap)
+    if np.any(overlap > tol * np.maximum(norms, floor) + 1e2 * _EPS):
+        raise NotInImage(
+            "right-hand side has an oscillation component of relative size "
+            f"{float(np.max(overlap / np.maximum(norms, 1e-300))):.3e}"
+        )
 
 
 def _read_only(*arrays) -> tuple:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionsViolated, NotDivCurlFree, TooLarge
+from .operators1d import _DENSE_NODES, _banded_lu_solve, _check_in_image
 from .tensor import GridField, TensorOps, _outer
 
 _EPS = np.finfo(np.float64).eps
@@ -151,25 +152,42 @@ def check_potential_conditions(ops: TensorOps, u) -> PotentialConditions:
 
 def _conditions(ops: TensorOps, u: np.ndarray, unorm: float) -> PotentialConditions:
     """``check_potential_conditions`` of checked vector data of M-norm
-    ``unorm``."""
+    ``unorm``.  Component i's overlap is its mode of ``_mode_overlaps``
+    that oscillates along axis i alone, so no oscillation field is built."""
     curl_norm = ops.norm(ops.curl(u))
     rel_curl = curl_norm / (_derivative_scale(ops) * unorm) if unorm > 0 else 0.0
-    overlaps = tuple(abs(ops.inner(u[i], ops.oscillations[(i,)])) / unorm
-                     if unorm > 0 else 0.0 for i in range(ops.dim))
+    d, modes = ops.dim, ops._mode_overlaps(u)
+    overlaps = tuple(abs(float(modes[i, 1 << (d - 1 - i)])) / unorm
+                     if unorm > 0 else 0.0 for i in range(d))
     return PotentialConditions(rel_curl, overlaps)
 
 
 # -- integral construction -------------------------------------------------------
 
 
-def _invert_along(op, axis: int, comp: np.ndarray, tol: float,
-                  floor: float) -> np.ndarray:
-    """Batched discrete integral of one component along one axis, each
-    line's oscillation overlap measured against ``floor`` at least."""
-    moved = np.moveaxis(comp, axis, 0)
-    out = op.invert_on_v0(moved.reshape(op.n_nodes, -1), tol=tol,
-                          norm_floor=floor)
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+def _invert_along(op, comp: np.ndarray, tol: float, floor: float) -> np.ndarray:
+    """Discrete integral of every line of ``comp`` along its last axis,
+    each line's oscillation overlap measured against ``floor`` at least.
+
+    ``comp`` is checked data whose lines the last axis holds, C-ordered or
+    a slice of such data; it is read in place, as ``(lines, n)``, with no
+    axis moved and no line copied.  The overlaps and the M-norms of all
+    lines are products along that axis.  Then the integral is one product
+    with ``_integral_inverse`` on a grid of at most ``_DENSE_NODES`` nodes,
+    and the banded solve of ``invert_on_v0``, with its bits, on a larger
+    one.
+    """
+    n, w = op.n_nodes, op.mass_weights
+    lines = comp.reshape(-1, n)
+    _check_in_image(lines @ (w * op.grid_oscillation),
+                    np.sqrt(np.einsum("ij,ij,j->i", lines, lines, w)), tol, floor)
+    out = np.empty(lines.shape)
+    out[:, 0] = 0.0
+    if n <= _DENSE_NODES:
+        np.matmul(lines[:, 1:], op._integral_inverse.T, out=out[:, 1:])
+    else:
+        out[:, 1:] = _banded_lu_solve(op._integral_lu, lines[:, 1:].T).T
+    return out.reshape(comp.shape)
 
 
 def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField:
@@ -180,7 +198,8 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     boundary, then sweep the remaining axes.  The potential vanishes at the
     lower-left domain corner.  Every oscillation overlap, of a component
     and of each line integrated, is measured against the M-norm of the
-    whole field.
+    whole field.  Each line family (the edge, the 2D ``u_1``, the 3D plane
+    and volume) is integrated along its own last axis (``_invert_along``).
     """
     u = ops.vector_data(u)
     floor = ops.norm(u)
@@ -196,12 +215,12 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
 
     op_x, op_y = ops.axis_ops[0], ops.axis_ops[1]
     if ops.dim == 2:
-        edge = op_x.invert_on_v0(u[0][:, 0], tol=tol, norm_floor=floor)
-        phi = edge[:, None] + _invert_along(op_y, 1, u[1], tol, floor)
+        edge = _invert_along(op_x, u[0][None, :, 0], tol, floor)[0]
+        phi = edge[:, None] + _invert_along(op_y, u[1], tol, floor)
     else:
-        edge = op_x.invert_on_v0(u[0][:, 0, 0], tol=tol, norm_floor=floor)
-        plane = _invert_along(op_y, 1, u[1][:, :, 0], tol, floor)
-        t3 = _invert_along(ops.axis_ops[2], 2, u[2], tol, floor)
+        edge = _invert_along(op_x, u[0][None, :, 0, 0], tol, floor)[0]
+        plane = _invert_along(op_y, u[1][:, :, 0], tol, floor)
+        t3 = _invert_along(ops.axis_ops[2], u[2], tol, floor)
         phi = edge[:, None, None] + plane[:, :, None] + t3
     return ops.field(phi)
 

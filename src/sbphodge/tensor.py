@@ -397,27 +397,36 @@ class TensorOps:
         """``filter_scalar`` on every component."""
         return self._filter(self.field_data(u, "vector"), extended)
 
+    def _mode_overlaps(self, u: np.ndarray) -> np.ndarray:
+        """The M-inner products of u with all 2^d tensor products of
+        ``_mode_factors``, shape ``(*batch, 2^d)``; leading axes of u beyond
+        the grid's are a batch.  Mode m oscillates along the axes of the set
+        bits of m, axis 0 highest.  One separable pass: u is contracted
+        with the M-weighted factors axis by axis, last axis first."""
+        d, shape = self.dim, self.shape
+        batch = u.shape[: u.ndim - d]
+        weighted = [op.mass_weights[:, None] * f
+                    for op, f in zip(self.axis_ops, self._mode_factors)]
+        c = u.reshape(-1, shape[-1]) @ weighted[-1]
+        for j in reversed(range(d - 1)):
+            c = weighted[j].T @ c.reshape(*batch, *shape[: j + 1], -1)
+        return c.reshape(*batch, 2**d)
+
     def _filter(self, u: np.ndarray, extended: bool) -> np.ndarray:
         """u minus its M-orthogonal projection onto the oscillation modes;
         leading axes of u beyond the grid's are a batch.
 
         The modes are M-orthonormal tensor products of ``_mode_factors``, so
-        the projection is one separable pass: contract u with the M-weighted
-        factors axis by axis, last axis first, for all 2^d overlaps at once;
-        zero the constant mode, and the modes of several axes unless
-        ``extended``; expand back with the factors, first axis first, so
-        that the last product writes a C-contiguous field; subtract it.
+        the projection is one separable pass: all 2^d overlaps at once
+        (``_mode_overlaps``); zero the constant mode, and the modes of
+        several axes unless ``extended``; expand back with the factors,
+        first axis first, so that the last product writes a C-contiguous
+        field; subtract it.
         """
         d, shape, factors = self.dim, self.shape, self._mode_factors
         batch = u.shape[: u.ndim - d]
-        weighted = [op.mass_weights[:, None] * f
-                    for op, f in zip(self.axis_ops, factors)]
-        c = u.reshape(-1, shape[-1]) @ weighted[-1]
-        for j in reversed(range(d - 1)):
-            c = weighted[j].T @ c.reshape(*batch, *shape[: j + 1], -1)
-        # mode m oscillates along the axes of the set bits of m, axis 0 highest
         count = np.array([bin(m).count("1") for m in range(2**d)])
-        c = c.reshape(*batch, 2**d) * ((count >= 1) if extended else (count == 1))
+        c = self._mode_overlaps(u) * ((count >= 1) if extended else (count == 1))
         for j in range(d - 1):
             c = factors[j] @ c.reshape(*batch, *shape[:j], 2, -1)
         p = (c.reshape(-1, 2) @ factors[-1].T).reshape(u.shape)

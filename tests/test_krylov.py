@@ -139,6 +139,18 @@ def test_adjoint_self_test_catches_mismatch(rng):
         broken.self_test()
 
 
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_adjoint_self_test_fails_a_nan_pairing(solver, rng):
+    # NaN compares False against the tolerance, so the pairing's difference
+    # must be tested as "within", not as "beyond"
+    a = rng.standard_normal((4, 3))
+    op = LinearMap(4, 3, lambda x: np.full(4, np.nan), lambda y: a.T @ y)
+    with pytest.raises(ValueError, match="adjoint inconsistency"):
+        op.self_test()
+    with pytest.raises(ValueError, match="adjoint inconsistency"):
+        solver(op, np.ones(4))
+
+
 def test_shape_validation():
     a = np.eye(4)
     with pytest.raises(DimensionMismatch):

@@ -430,8 +430,9 @@ def _solve_banded_integral(op, u):
 
 def test_invert_bit_equal_to_solve_banded(order, rng):
     # DGBSV is DGBTRF then DGBTRS on the same band; at order 2 the band is
-    # tridiagonal, where solve_banded runs DGTSV instead
-    for n in (MIN_NODES[order] + 3, 48, 97):
+    # tridiagonal, where solve_banded runs DGTSV instead.  Above the dense
+    # rule the integral is that banded solve.
+    for n in (65, 97):
         op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
         for shape in ((n,), (n, 7)):
             u = op.apply_d(rng.standard_normal(shape))
@@ -441,6 +442,37 @@ def test_invert_bit_equal_to_solve_banded(order, rng):
                 assert np.max(np.abs(v - ref)) <= 1e-15 * np.max(np.abs(ref))
             else:
                 assert np.array_equal(v, ref)
+
+
+def test_dense_rule_invert_agrees_with_solve_banded(order, rng):
+    # at most _DENSE_NODES nodes the integral is one product with the
+    # cached inverse of the band, not the banded solve: equal to roundoff
+    assert operators1d._DENSE_NODES == 64
+    for n in (MIN_NODES[order] + 3, 48, 64):
+        op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
+        for shape in ((n,), (n, 7)):
+            u = op.apply_d(rng.standard_normal(shape))
+            ref = _solve_banded_integral(op, u)
+            v = op.invert_on_v0(u)
+            assert np.max(np.abs(v - ref)) <= 5e-14 * np.max(np.abs(ref))
+        assert "_integral_inverse" in op.__dict__
+
+
+def test_integral_inverse_is_read_only_and_inverts_the_band(order):
+    op = build_operator_1d(order, Grid1D(-1.0, 1.0, 40))
+    inv = op._integral_inverse
+    assert op._integral_inverse is inv
+    with pytest.raises(ValueError):
+        inv[0, 0] = 0.0
+    band = op.dense()[1:, 1:]
+    assert np.max(np.abs(inv @ band - np.eye(39))) <= 1e-12
+
+
+def test_banded_integral_builds_no_inverse(order, rng):
+    op = build_operator_1d(order, Grid1D(-1.0, 1.0, 65))
+    op.invert_on_v0(op.apply_d(rng.standard_normal((65, 2))))
+    assert "_integral_lu" in op.__dict__
+    assert "_integral_inverse" not in op.__dict__
 
 
 @pytest.fixture

@@ -5,10 +5,12 @@ from sbphodge.errors import (
     ConditionsViolated,
     NonFiniteEncountered,
     NotDivCurlFree,
+    NotInImage,
     TooLarge,
 )
 from sbphodge.grid import Grid1D
 from sbphodge.potentials import (
+    _invert_along,
     check_potential_conditions,
     dense_curl,
     dense_divergence,
@@ -170,6 +172,66 @@ def test_integral_potential_of_gradients_with_a_roundoff_component(dim, order, r
     assert np.max(np.abs(ops.grad(x**2)[-1])) <= 1e-10  # a roundoff component
 
 
+def _line_families(ops, u):
+    """``(axis operator, lines)`` of each line family the integral reads,
+    its lines along the last axis: the edge, then the 2D ``u_1``, or the 3D
+    plane and volume."""
+    a = ops.axis_ops
+    if ops.dim == 2:
+        return [(a[0], u[0][None, :, 0]), (a[1], u[1])]
+    return [(a[0], u[0][None, :, 0, 0]), (a[1], u[1][:, :, 0]), (a[2], u[2])]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [49, 97])
+def test_line_family_integral_agrees_with_invert_on_v0(dim, n, order, rng):
+    """Each line family integrated along its last axis in place equals
+    ``invert_on_v0`` of its lines: bit for bit above the dense rule, where
+    both are the banded solve, and to roundoff at or below it."""
+    ops = square_tensor_ops(order, n, dim)
+    u = ops.grad(rng.standard_normal(ops.shape))
+    floor = ops.norm(u)
+    for op, lines in _line_families(ops, u):
+        got = _invert_along(op, lines, 1e-8, floor)
+        want = np.moveaxis(op.invert_on_v0(np.moveaxis(lines, -1, 0), tol=1e-8,
+                                           norm_floor=floor), 0, -1)
+        if n > 64:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [49, 97])
+def test_integral_potential_refuses_one_oscillating_line(dim, n):
+    """A gradient with one line of its last component shifted by an axis
+    oscillation passes the field's conditions at a tolerance the line's
+    own overlap exceeds: only the per-line check refuses it."""
+    ops = square_tensor_ops(6, n, dim)
+    x, y = ops.meshgrid()[:2]
+    u = ops.grad(x * y)
+    op, eps = ops.axis_ops[-1], 1e-6
+    line = (dim - 1, *(n // 2,) * (dim - 1))
+    u[line] += eps * op.grid_oscillation
+    cond = check_potential_conditions(ops, u)
+    tol = 2 * max(cond.curl_residual, *cond.oscillation_components)
+    assert cond.within(tol)
+    assert eps > 2 * tol * max(op.mass_norm(u[line]), ops.norm(u))
+    with pytest.raises(NotInImage):
+        scalar_potential_integral(ops, u, tol=tol)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_condition_overlaps_are_the_oscillation_inner_products(dim, rng):
+    ops = square_tensor_ops(6, 17, dim)
+    u = rng.standard_normal((dim, *ops.shape))
+    got = check_potential_conditions(ops, u).oscillation_components
+    unorm = ops.norm(u)
+    want = [abs(ops.inner(u[i], ops.oscillations[(i,)])) / unorm
+            for i in range(dim)]
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 def test_integral_potential_rejects_rotational_field(ops_2d, rng):
     u = ops_2d.rot(rng.standard_normal(ops_2d.shape))
     with pytest.raises(ConditionsViolated):
@@ -229,13 +291,15 @@ def test_neumann_right_hand_side_is_the_full_boundary_sum(dim, rng):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_integral_potential_measures_the_field_once(dim, inner_calls):
     """``scalar_potential_integral`` takes ``||u||_M`` once: its inner
-    products are that norm, the curl's norm and one oscillation overlap
-    per component."""
+    products are that norm and the curl's norm.  The oscillation overlaps
+    come from the separable mode contraction, so no oscillation field is
+    built."""
     ops = square_tensor_ops(4, 9, dim)
     u = ops.grad(ops.meshgrid()[0] ** 2)
     inner_calls.clear()
     scalar_potential_integral(ops, u)
-    assert len(inner_calls) == 2 + dim
+    assert len(inner_calls) == 2
+    assert "oscillations" not in vars(ops)
 
 
 def test_neumann_rejects_generic_field(ops_2d, rng):
