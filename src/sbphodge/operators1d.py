@@ -302,6 +302,32 @@ class SbpOperator1D:
             out[1:] = _banded_lu_solve(self._integral_lu, flat[1:])
         return out.reshape(u.shape)
 
+    def _invert_last_axis(self, u: np.ndarray, tol: float,
+                          norm_floor: float) -> np.ndarray:
+        """``invert_on_v0`` along the last axis of checked float data u
+        (finite, its last axis of n_nodes), whose lines that axis holds.
+
+        u is read in place as ``(lines, n)``, with no axis moved and no
+        line copied when it is C-ordered or a slice of such data, and is
+        not scanned for NaN again.  The oscillation overlaps and M-norms of
+        all lines are products along that axis.  Then the integral is one
+        product with ``_integral_inverse`` on a grid of at most
+        ``_DENSE_NODES`` nodes, and the banded solve of ``invert_on_v0``,
+        with its bits, on a larger one.
+        """
+        n, w = self.n_nodes, self.mass_weights
+        lines = u.reshape(-1, n)
+        _check_in_image(lines @ (w * self.grid_oscillation),
+                        np.sqrt(np.einsum("ij,ij,j->i", lines, lines, w)),
+                        tol, norm_floor)
+        out = np.empty(lines.shape)
+        out[:, 0] = 0.0
+        if n <= _DENSE_NODES:
+            np.matmul(lines[:, 1:], self._integral_inverse.T, out=out[:, 1:])
+        else:
+            out[:, 1:] = _banded_lu_solve(self._integral_lu, lines[:, 1:].T).T
+        return out.reshape(u.shape)
+
     @cached_property
     def _integral_lu(self) -> tuple:
         """``_banded_lu`` of rows and columns 1..n-1 of D, the system of the

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionsViolated, NotDivCurlFree, TooLarge
-from .operators1d import _DENSE_NODES, _banded_lu_solve, _check_in_image
 from .tensor import GridField, TensorOps, _outer
 
 _EPS = np.finfo(np.float64).eps
@@ -165,31 +164,6 @@ def _conditions(ops: TensorOps, u: np.ndarray, unorm: float) -> PotentialConditi
 # -- integral construction -------------------------------------------------------
 
 
-def _invert_along(op, comp: np.ndarray, tol: float, floor: float) -> np.ndarray:
-    """Discrete integral of every line of ``comp`` along its last axis,
-    each line's oscillation overlap measured against ``floor`` at least.
-
-    ``comp`` is checked data whose lines the last axis holds, C-ordered or
-    a slice of such data; it is read in place, as ``(lines, n)``, with no
-    axis moved and no line copied.  The overlaps and the M-norms of all
-    lines are products along that axis.  Then the integral is one product
-    with ``_integral_inverse`` on a grid of at most ``_DENSE_NODES`` nodes,
-    and the banded solve of ``invert_on_v0``, with its bits, on a larger
-    one.
-    """
-    n, w = op.n_nodes, op.mass_weights
-    lines = comp.reshape(-1, n)
-    _check_in_image(lines @ (w * op.grid_oscillation),
-                    np.sqrt(np.einsum("ij,ij,j->i", lines, lines, w)), tol, floor)
-    out = np.empty(lines.shape)
-    out[:, 0] = 0.0
-    if n <= _DENSE_NODES:
-        np.matmul(lines[:, 1:], op._integral_inverse.T, out=out[:, 1:])
-    else:
-        out[:, 1:] = _banded_lu_solve(op._integral_lu, lines[:, 1:].T).T
-    return out.reshape(comp.shape)
-
-
 def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField:
     """Scalar potential of a discretely curl-free, oscillation-free field.
 
@@ -199,7 +173,8 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     lower-left domain corner.  Every oscillation overlap, of a component
     and of each line integrated, is measured against the M-norm of the
     whole field.  Each line family (the edge, the 2D ``u_1``, the 3D plane
-    and volume) is integrated along its own last axis (``_invert_along``).
+    and volume) is integrated along its own last axis, in place
+    (``SbpOperator1D._invert_last_axis``).
     """
     u = ops.vector_data(u)
     floor = ops.norm(u)
@@ -213,14 +188,14 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     if failed:
         raise ConditionsViolated(failed)
 
-    op_x, op_y = ops.axis_ops[0], ops.axis_ops[1]
+    a = ops.axis_ops
     if ops.dim == 2:
-        edge = _invert_along(op_x, u[0][None, :, 0], tol, floor)[0]
-        phi = edge[:, None] + _invert_along(op_y, u[1], tol, floor)
+        edge = a[0]._invert_last_axis(u[0][:, 0], tol, floor)
+        phi = edge[:, None] + a[1]._invert_last_axis(u[1], tol, floor)
     else:
-        edge = _invert_along(op_x, u[0][None, :, 0, 0], tol, floor)[0]
-        plane = _invert_along(op_y, u[1][:, :, 0], tol, floor)
-        t3 = _invert_along(ops.axis_ops[2], u[2], tol, floor)
+        edge = a[0]._invert_last_axis(u[0][:, 0, 0], tol, floor)
+        plane = a[1]._invert_last_axis(u[1][:, :, 0], tol, floor)
+        t3 = a[2]._invert_last_axis(u[2], tol, floor)
         phi = edge[:, None, None] + plane[:, :, None] + t3
     return ops.field(phi)
 
