@@ -283,37 +283,29 @@ class SbpOperator1D:
         max(its own M-norm, ``norm_floor``).  Otherwise solves rows 1..n-1
         of ``D v = u`` for ``v[1:]``: row 0 is a combination of the others
         (the kernel vector of D^T has a nonzero first entry), so it holds
-        once the oscillation component is gone.  On a grid of at most
-        ``_DENSE_NODES`` nodes the solve is one product with
-        ``_integral_inverse``, which agrees with the banded solve to
-        roundoff; on a larger grid it is the banded solve with
-        ``_integral_lu``.
+        once the oscillation component is gone.  The solve is
+        ``_invert_last_axis`` of the transposed lines: on a grid of at most
+        ``_DENSE_NODES`` nodes one product with ``_integral_inverse``, which
+        agrees with the banded solve to roundoff; on a larger grid the
+        banded solve with ``_integral_lu``.
         """
         u, n = self._leading(u), self.n_nodes
         flat = u.reshape(n, -1)
         if not np.all(np.isfinite(flat)):
             raise NonFiniteEncountered("discrete integral of NaN or Inf")
-        _check_in_image((self.mass_weights * self.grid_oscillation) @ flat,
-                        np.sqrt(self.mass_weights @ flat**2), tol, norm_floor)
-        out = np.zeros_like(flat)
-        if n <= _DENSE_NODES:
-            np.matmul(self._integral_inverse, flat[1:], out=out[1:])
-        else:
-            out[1:] = _banded_lu_solve(self._integral_lu, flat[1:])
-        return out.reshape(u.shape)
+        return self._invert_last_axis(flat.T, tol, norm_floor).T.reshape(u.shape)
 
     def _invert_last_axis(self, u: np.ndarray, tol: float,
                           norm_floor: float) -> np.ndarray:
         """``invert_on_v0`` along the last axis of checked float data u
         (finite, its last axis of n_nodes), whose lines that axis holds.
 
-        u is read in place as ``(lines, n)``, with no axis moved and no
-        line copied when it is C-ordered or a slice of such data, and is
-        not scanned for NaN again.  The oscillation overlaps and M-norms of
-        all lines are products along that axis.  Then the integral is one
-        product with ``_integral_inverse`` on a grid of at most
-        ``_DENSE_NODES`` nodes, and the banded solve of ``invert_on_v0``,
-        with its bits, on a larger one.
+        u is seen as ``(lines, n)``, with no axis moved, and is not scanned
+        for NaN again.  The oscillation overlaps and M-norms of all lines
+        are products along that axis.  Then the integral is one product
+        with ``_integral_inverse`` on a grid of at most ``_DENSE_NODES``
+        nodes, and the banded solve on a larger one, which takes a copy of
+        the lines (``dgbtrs`` overwrites its right-hand sides).
         """
         n, w = self.n_nodes, self.mass_weights
         lines = u.reshape(-1, n)

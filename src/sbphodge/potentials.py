@@ -173,7 +173,7 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     lower-left domain corner.  Every oscillation overlap, of a component
     and of each line integrated, is measured against the M-norm of the
     whole field.  Each line family (the edge, the 2D ``u_1``, the 3D plane
-    and volume) is integrated along its own last axis, in place
+    and volume) is integrated along its own last axis, with no axis moved
     (``SbpOperator1D._invert_last_axis``).
     """
     u = ops.vector_data(u)

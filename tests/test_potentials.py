@@ -184,7 +184,7 @@ def _line_families(ops, u):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", [49, 97])
 def test_line_family_integral_agrees_with_invert_on_v0(dim, n, order, rng):
-    """Each line family integrated along its last axis in place equals
+    """Each line family integrated along its last axis equals
     ``invert_on_v0`` of its lines: bit for bit above the dense rule, where
     both are the banded solve, and to roundoff at or below it."""
     ops = square_tensor_ops(order, n, dim)
