@@ -47,6 +47,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .errors import (
     DimensionMismatch,
     GridTooSmall,
+    InvalidConfig,
     KindMismatch,
     NonFiniteEncountered,
     NotInImage,
@@ -108,8 +109,9 @@ class SbpOperator1D:
     # -- application -----------------------------------------------------
 
     def _leading(self, u) -> np.ndarray:
-        """u as a float array with n_nodes rows (else DimensionMismatch)."""
-        u = np.asarray(u, dtype=np.float64)
+        """u as a float array (``_real_data``) with n_nodes rows (else
+        DimensionMismatch)."""
+        u = _real_data(u)
         if u.shape[:1] != (self.n_nodes,):
             raise DimensionMismatch(
                 f"expected leading axis {self.n_nodes}, got shape {u.shape}")
@@ -278,10 +280,11 @@ class SbpOperator1D:
         """Discrete integral: the unique v with v[0] = 0 and D v = u.
 
         ``u`` may carry trailing axes; the inversion acts along the first one.
-        Raises NonFiniteEncountered when u holds a NaN or Inf, and NotInImage
-        when u has an oscillation component larger than ``tol`` times
-        max(its own M-norm, ``norm_floor``).  Otherwise solves rows 1..n-1
-        of ``D v = u`` for ``v[1:]``: row 0 is a combination of the others
+        Raises InvalidConfig when ``tol`` or ``norm_floor`` is NaN or
+        negative, NonFiniteEncountered when u holds a NaN or Inf, and
+        NotInImage when u has an oscillation component larger than ``tol``
+        times max(its own M-norm, ``norm_floor``).  Otherwise solves rows
+        1..n-1 of ``D v = u`` for ``v[1:]``: row 0 is a combination of the others
         (the kernel vector of D^T has a nonzero first entry), so it holds
         once the oscillation component is gone.  The solve is
         ``_invert_last_axis`` of the transposed lines: on a grid of at most
@@ -289,6 +292,7 @@ class SbpOperator1D:
         agrees with the banded solve to roundoff; on a larger grid the
         banded solve with ``_integral_lu``.
         """
+        _nonnegative(tol=tol, norm_floor=norm_floor)
         u, n = self._leading(u), self.n_nodes
         flat = u.reshape(n, -1)
         if not np.all(np.isfinite(flat)):
@@ -464,6 +468,24 @@ def _check_in_image(overlap, norms, tol: float, floor: float) -> None:
         )
 
 
+def _real_data(u) -> np.ndarray:
+    """u as a float64 array: the one rule for the data of a field or a
+    matrix, which must be of a real dtype, bool, integer or float (else
+    KindMismatch), so no complex or object data converts silently."""
+    u = np.asarray(u)
+    if u.dtype.kind not in "biuf":
+        raise KindMismatch(f"data of dtype {u.dtype} is not real")
+    return np.asarray(u, dtype=np.float64)
+
+
+def _nonnegative(**values) -> None:
+    """Raise InvalidConfig unless every named value is >= 0; inf passes
+    (it turns its check off), NaN fails."""
+    for name, x in values.items():
+        if not x >= 0:
+            raise InvalidConfig(f"{name}={x!r} is not a non-negative number")
+
+
 def _read_only(*arrays) -> tuple:
     """The arrays, each made read-only."""
     for a in arrays:
@@ -491,7 +513,7 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
     w = (band.shape[1] - len(band)) // 2
     lo, hi = len(top), n - len(bottom)
     products = []
-    if hi > lo:
+    if hi > lo and u.size:  # an empty field has no window to view
         line, dest = ((u.reshape(1, -1, 1), out.reshape(1, -1, 1)) if post == 1
                       else (u, out))
         stop = line.shape[1] - (n - hi)
@@ -530,9 +552,9 @@ def _validate_operator(op: SbpOperator1D) -> None:
     op.grid_oscillation  # nullspace consistency: raises unless it holds
 
 
-def accuracy_check(op: SbpOperator1D, tol: float = 1e-12) -> None:
+def accuracy_check(op: SbpOperator1D) -> None:
     """D must differentiate x^k exactly: k <= 2p at interior rows, k <= p at
-    closure rows.  Tolerance is relative to the size of the row data.  All
+    closure rows, to 1e-12 relative to the size of the row data.  All
     degrees are differentiated in one sweep; the lowest failing degree is
     reported."""
     x = op.grid.nodes()
@@ -548,7 +570,7 @@ def accuracy_check(op: SbpOperator1D, tol: float = 1e-12) -> None:
     # interior ones above it (none when there are no interior rows)
     worst = np.max(errors, axis=0)
     worst[p + 1 :] = np.max(errors[b : n - b, p + 1 :], axis=0, initial=0.0)
-    failed = np.flatnonzero(worst > tol * scale)
+    failed = np.flatnonzero(worst > 1e-12 * scale)
     if failed.size:
         deg = failed[0]
         raise AssertionError(

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionsViolated, NotDivCurlFree, TooLarge
+from .errors import (ConditionsViolated, DimensionMismatch,
+                     NonFiniteEncountered, NotDivCurlFree, TooLarge)
+from .operators1d import _nonnegative, _real_data
 from .tensor import GridField, TensorOps, _outer
 
 _EPS = np.finfo(np.float64).eps
@@ -56,20 +58,25 @@ def kernel_dimension(
     matrix: np.ndarray,
     expected_dim: int | None = None,
     name: str = "",
-    tol_factor: float = 10.0,
 ) -> KernelReport:
     """Numerical kernel dimension by dense SVD.
 
-    Rank threshold: sigma_max * max(rows, cols) * eps * tol_factor.  Theorem
-    checks compare against exact integer expectations, so a misclassified
-    singular value fails loudly rather than silently shifting a count.
+    Rank threshold: sigma_max * max(rows, cols) * eps * 10.  Theorem checks
+    compare against exact integer expectations, so a misclassified singular
+    value fails loudly rather than silently shifting a count.  The matrix
+    must be real (else KindMismatch), two dimensional (else
+    DimensionMismatch) and finite (else NonFiniteEncountered).
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = _real_data(matrix)
+    if matrix.ndim != 2:
+        raise DimensionMismatch(f"rank of an array of shape {matrix.shape}")
     m, n = matrix.shape
     if n > 4000:
         raise TooLarge(f"dense rank oracle limited to 4000 columns, got {n}")
+    if not np.all(np.isfinite(matrix)):
+        raise NonFiniteEncountered("rank of a matrix with NaN or Inf")
     sigma = np.linalg.svd(matrix, compute_uv=False)
-    tol = float(sigma[0]) * max(m, n) * _EPS * tol_factor if sigma.size else 0.0
+    tol = float(sigma[0]) * max(m, n) * _EPS * 10.0 if sigma.size else 0.0
     rank = int(np.sum(sigma > tol))
     return KernelReport(
         operator_name=name,
@@ -172,10 +179,13 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     boundary, then sweep the remaining axes.  The potential vanishes at the
     lower-left domain corner.  Every oscillation overlap, of a component
     and of each line integrated, is measured against the M-norm of the
-    whole field.  Each line family (the edge, the 2D ``u_1``, the 3D plane
-    and volume) is integrated along its own last axis, with no axis moved
-    (``SbpOperator1D._invert_last_axis``).
+    whole field.  Line family i, component i on the nodes where the later
+    axes sit at their left boundary (the edge, the 2D ``u_1``, the 3D plane
+    and volume), is integrated along its own last axis, with no axis moved
+    (``SbpOperator1D._invert_last_axis``).  A NaN or negative ``tol``
+    raises InvalidConfig.
     """
+    _nonnegative(tol=tol)
     u = ops.vector_data(u)
     floor = ops.norm(u)
     cond = _conditions(ops, u, floor)
@@ -188,16 +198,13 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     if failed:
         raise ConditionsViolated(failed)
 
-    a = ops.axis_ops
-    if ops.dim == 2:
-        edge = a[0]._invert_last_axis(u[0][:, 0], tol, floor)
-        phi = edge[:, None] + a[1]._invert_last_axis(u[1], tol, floor)
-    else:
-        edge = a[0]._invert_last_axis(u[0][:, 0, 0], tol, floor)
-        plane = a[1]._invert_last_axis(u[1][:, :, 0], tol, floor)
-        t3 = a[2]._invert_last_axis(u[2], tol, floor)
-        phi = edge[:, None, None] + plane[:, :, None] + t3
-    return ops.field(phi)
+    terms = []
+    for i, op in enumerate(ops.axis_ops):
+        k = ops.dim - 1 - i  # the later axes, held at their left boundary
+        line = op._invert_last_axis(u[i][(slice(None),) * (i + 1) + (0,) * k],
+                                    tol, floor)
+        terms.append(line[(...,) + (None,) * k])
+    return ops.field(sum(terms[1:], terms[0]))
 
 
 # -- discrete Neumann problem ----------------------------------------------------
@@ -211,7 +218,9 @@ def harmonic_neumann_potential(ops: TensorOps, u, tol: float = 1e-8) -> GridFiel
     ``TensorOps.gram_pinv``; the kernel of the system is the constants,
     removed by an exact mean shift.  ``E_i u_i`` is summed on the faces
     normal to axis i: the other axes' mass weights, negated on the first.
+    A NaN or negative ``tol`` raises InvalidConfig.
     """
+    _nonnegative(tol=tol)
     u = ops.vector_data(u)
     unorm = ops.norm(u)
     scale = _derivative_scale(ops) * unorm

@@ -18,8 +18,8 @@ transpose is its forward operator with ``D_i^T`` in place of ``D_i``:
 ``grad^T`` is ``div``, and ``curl^T`` is ``-curl`` in 3D and ``-rot`` in 2D;
 so are the M-adjoints ``grad_star`` and ``curl_star``, with
 ``D_i* = M^-1 E_i - D_i`` in place of ``D_i``.  The Gram operators of grad
-and curl are solved by fast diagonalization (``_fdm_pinv``), with dense
-transforms by the per-axis eigenbases only.
+and curl are solved by one fast diagonalization method (``TensorOps._fdm``),
+with dense transforms by the per-axis eigenbases only.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     WrongDimension,
 )
 from .grid import Grid1D
-from .operators1d import _apply_form, build_operator_1d
+from .operators1d import _apply_form, _real_data, build_operator_1d
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,14 +164,12 @@ class TensorOps:
             if kind is not None and u.kind != kind:
                 raise KindMismatch(f"expected a {kind} field, got {u.kind}")
             u = u.data
-        u = np.asarray(u)
-        if u.dtype.kind not in "biuf":
-            raise KindMismatch(f"field data of dtype {u.dtype} is not real")
+        u = _real_data(u)
         kind = kind or ("scalar" if u.ndim == self.dim else "vector")
         want = self.shape if kind == "scalar" else (self.dim, *self.shape)
         if u.shape != want:
             raise DimensionMismatch(f"{kind} of shape {u.shape} on grid {self.shape}")
-        return np.asarray(u, dtype=np.float64)
+        return u
 
     def vector_data(self, u) -> np.ndarray:
         """``field_data(u, "vector")``, and NonFiniteEncountered on NaN/Inf:
@@ -317,21 +315,31 @@ class TensorOps:
 
     @cached_property
     def _sums(self) -> dict:
-        """The ``_eigenvalue_sums`` built so far, by basis combination."""
+        """The eigenvalue sums of ``_fdm`` built so far, by ``dual``."""
         return {}
 
-    def _eigenvalue_sums(self, dual: int | None = None) -> np.ndarray:
-        """The sums of the per-axis eigenvalues of ``eigenbasis``, or of
-        ``dual_eigenbasis`` along axis ``dual``, over every mode, with the
-        zero mode, (0, ..., 0), set to 1: the divisors of ``_fdm_divide``.
-        Built on first use and kept, read-only, one array per combination."""
+    def _fdm(self, b: np.ndarray, dual: int | None = None) -> np.ndarray:
+        """The pseudo-inverse of the tensor sum of the pencils (D^T M D, M),
+        with (M D M^-1 D^T M, M) along axis ``dual``, applied to checked
+        scalar data b by fast diagonalization (Lynch, Rice & Thomas 1964):
+        ``basis^T`` along every axis (``eigenbasis``, or ``dual_eigenbasis``
+        along ``dual``), division by the sums of their eigenvalues, built on
+        first use and kept read-only per ``dual``, and ``basis`` along every
+        axis.  The single zero mode, (0, ..., 0), has the divisor inf, so
+        the division drops it."""
+        pairs = [op.dual_eigenbasis if i == dual else op.eigenbasis
+                 for i, op in enumerate(self.axis_ops)]
         if dual not in self._sums:
-            sums = _outer([(op.dual_eigenbasis if i == dual else op.eigenbasis)[0]
-                           for i, op in enumerate(self.axis_ops)], np.add)
-            sums[(0,) * self.dim] = 1.0
+            sums = _outer([lam for lam, _ in pairs], np.add)
+            sums[(0,) * self.dim] = np.inf
             sums.flags.writeable = False
             self._sums[dual] = sums
-        return self._sums[dual]
+        for i, (_, s) in enumerate(pairs):
+            b = _matrix_along(s.T, b, i)
+        b /= self._sums[dual]
+        for i, (_, s) in enumerate(pairs):
+            b = _matrix_along(s, b, i)
+        return b
 
     def gram_pinv(self, b) -> np.ndarray:
         """The M-mean-zero solution phi of ``L phi = b``, for b orthogonal
@@ -339,12 +347,10 @@ class TensorOps:
 
         ``L = sum_i D_i^T M D_i`` is the tensor sum of the 1D pencils
         (D^T M D, M), so it is diagonalized by the per-axis ``eigenbasis``
-        (fast diagonalization, ``_fdm_pinv``).  Its single zero mode is the
+        (fast diagonalization, ``_fdm``).  Its single zero mode is the
         constants.
         """
-        b = self.field_data(b, "scalar")
-        return _fdm_pinv([op.eigenbasis[1] for op in self.axis_ops],
-                         self._eigenvalue_sums(), b)
+        return self._fdm(self.field_data(b, "scalar"))
 
     def curl_gram_pinv(self, b) -> np.ndarray:
         """The least-M-norm solution v of ``curl^T M curl v = b`` (3D), for
@@ -358,17 +364,15 @@ class TensorOps:
         and the sum keeps the coimage invariant (conjugated with M^1/2), so
         its pseudo-inverse, one fast diagonalization per component with
         ``dual_eigenbasis`` R along axis c and ``eigenbasis`` S along the
-        others, returns the coimage solution.  The zero mode of component
-        c is ``osc_(c,) e_c``, which lies in ker curl.
+        others (``_fdm(b[c], c)``), returns the coimage solution.  The zero
+        mode of component c is ``osc_(c,) e_c``, which lies in ker curl.
         """
         if self.dim != 3:
             raise WrongDimension("the curl Gram operator acts in 3D only")
         b = self.field_data(b, "vector")
-        s = [op.eigenbasis[1] for op in self.axis_ops]
         v = np.empty_like(b)
-        for c, op in enumerate(self.axis_ops):
-            bases = [*s[:c], op.dual_eigenbasis[1], *s[c + 1 :]]
-            v[c] = _fdm_pinv(bases, self._eigenvalue_sums(c), b[c])
+        for c in range(3):
+            v[c] = self._fdm(b[c], c)
         return v
 
     # -- boundary operator ----------------------------------------------------
@@ -451,31 +455,6 @@ def _matrix_along(mat: np.ndarray, u: np.ndarray, i: int) -> np.ndarray:
         return (u.reshape(-1, n) @ mat.T).reshape(out)
     lines = u.reshape(math.prod(shape[:i]), n, math.prod(shape[i + 1 :]))
     return np.matmul(mat, lines).reshape(out)
-
-
-def _fdm_pinv(bases, sums: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the tensor sum of 1D pencils (A_i, W_i), applied to
-    b by fast diagonalization (Lynch, Rice & Thomas 1964).
-
-    ``bases`` holds one W_i-orthonormal eigenbasis per axis, and ``sums``
-    the sums of their eigenvalues (``TensorOps._eigenvalue_sums``), with
-    one zero mode, (0, ..., 0): ``basis^T`` along every axis, division by
-    the sums, ``basis`` along every axis.  The zero mode is set to 0.
-    """
-    for i, s in enumerate(bases):
-        b = _matrix_along(s.T, b, i)
-    b = _fdm_divide(sums, b)
-    for i, s in enumerate(bases):
-        b = _matrix_along(s, b, i)
-    return b
-
-
-def _fdm_divide(sums: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenbasis coefficients b divided in place by the eigenvalue
-    ``sums``, the single zero mode, (0, ..., 0), set to 0; returns b."""
-    b /= sums
-    b[(0,) * b.ndim] = 0.0
-    return b
 
 
 def build_tensor_ops(order: int, grids) -> TensorOps:

@@ -70,6 +70,19 @@ def test_dimension_mismatch(op_1d):
         op_1d.apply_d(np.ones(op_1d.n_nodes + 1))
 
 
+@pytest.mark.parametrize("n", [17, 130])  # one dense and one banded form
+@pytest.mark.parametrize("method", ["apply_d", "apply_d_transpose",
+                                    "apply_d_star"])
+def test_sweep_of_an_empty_trailing_axis_is_empty(n, method):
+    """A field with no lines sweeps to an empty result, with and without an
+    ``out=`` slot, on either side of the dense rule."""
+    sweep = getattr(build_operator_1d(4, Grid1D(0.0, 1.0, n)), method)
+    for shape in [(n, 0), (n, 3, 0), (n, 0, 2)]:
+        assert sweep(np.zeros(shape)).shape == shape
+        slot = np.empty(shape)
+        assert sweep(np.zeros(shape), out=slot) is slot
+
+
 # -- application ----------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from sbphodge.potentials import (
     dense_gradient,
     dense_rot,
     harmonic_neumann_potential,
+    kernel_dimension,
     scalar_potential_integral,
 )
 from sbphodge.tensor import (
@@ -496,6 +497,33 @@ MISUSE = {
         (lambda: _ops2().axis_ops[0].invert_on_v0(
             np.c_[np.zeros(9), np.r_[[0.0] * 8, np.inf]]),
          NonFiniteEncountered),
+    "integral potential with a nan tol":
+        (lambda: scalar_potential_integral(_ops2(), np.ones((2, 9, 9)),
+                                           tol=np.nan), InvalidConfig),
+    "neumann potential with a nan tol":
+        (lambda: harmonic_neumann_potential(_ops2(), np.ones((2, 9, 9)),
+                                            tol=np.nan), InvalidConfig),
+    "neumann potential with a negative tol":
+        (lambda: harmonic_neumann_potential(_ops2(), np.ones((2, 9, 9)),
+                                            tol=-1.0), InvalidConfig),
+    "discrete integral with a nan tol":
+        (lambda: _ops2().axis_ops[0].invert_on_v0(np.ones(9), tol=np.nan),
+         InvalidConfig),
+    "discrete integral with a nan norm_floor":
+        (lambda: _ops2().axis_ops[0].invert_on_v0(np.ones(9), norm_floor=np.nan),
+         InvalidConfig),
+    "sweep of complex data":
+        (lambda: _ops2().axis_ops[0].apply_d(np.ones(9) + 1j), KindMismatch),
+    "sweep of an object array of None":
+        (lambda: _ops2().axis_ops[0].apply_d_star(np.array([None] * 9)),
+         KindMismatch),
+    "discrete integral of complex data":
+        (lambda: _ops2().axis_ops[0].invert_on_v0(np.zeros(9) + 1j),
+         KindMismatch),
+    "rank of a vector":
+        (lambda: kernel_dimension(np.ones(5)), DimensionMismatch),
+    "rank of a nan matrix":
+        (lambda: kernel_dimension(np.full((3, 3), np.nan)), NonFiniteEncountered),
 }
 
 
