@@ -8,10 +8,11 @@ under two thread counts and compare the outputs.  The fields are fixed
 random fields on the grids of the sweep tests (``SWEEP_GRIDS`` and
 ``BENCHMARK_GRIDS`` in ``tests/test_tensor.py``), on 2D order-6 grids of 64
 and 65 nodes, the first swept and integrated by one dense block and the last
-by the banded form (``operators1d._DENSE_NODES`` is 64), and on a 2D n=513
-order-6 grid, large enough for OpenBLAS to split a product between threads.
-Each grid prints 8 lines: 7 sweeps, then ``scalar_potential_integral`` of
-``grad f``.
+by the banded form (``operators1d._DENSE_NODES`` is 64), on a 2D n=513
+order-6 grid, large enough for OpenBLAS to split a product between threads,
+and on a 3D n=70 order-6 grid, whose div and curl add their later sweeps in
+several blocks (``tensor._BLOCK_NODES``).  Each grid prints 8 lines: 7
+sweeps, then ``scalar_potential_integral`` of ``grad f``.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/hash_sweeps.py > one
     OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python scripts/hash_sweeps.py > two
@@ -36,6 +37,7 @@ def main():
                   for name, args in BENCHMARK_GRIDS.items()})
     for n in (64, 65, 513):
         grids[f"2d-n{n}"] = square_tensor_ops(6, n, 2)
+    grids["3d-n70"] = square_tensor_ops(6, 70, 3)
     for name, ops in grids.items():
         rng = np.random.default_rng(0)
         f = rng.standard_normal(ops.shape)

@@ -19,11 +19,18 @@ fixed random field, in ms, in both projection orders, per grid (default
 A second ``--calls`` table gives, per 2D grid, the time of one warm
 ``harmonic_neumann_potential`` plus ``scalar_potential_integral`` pair on
 the gradient of a harmonic cubic, as the ``neumann2d`` benchmark workload
-runs them, and of the integral alone, in ms.
+runs them, and of the integral alone, in ms.  With ``--calculus`` it
+prints a table alone, in µs, of each step of the ``large_grid`` benchmark
+workload's calculus sequence, called as that workload calls it on fixed
+random fields, each into a fresh result: ``gradient``, ``rot`` (2D),
+``divergence``, ``curl`` of a gradient, ``filter_field(extended=True)`` of a
+vector field and ``inner_product`` (default 2D n=49, 129, 1025 and 3D n=25,
+97).
 
     PYTHONPATH=src python scripts/time_sweeps.py
     PYTHONPATH=src python scripts/time_sweeps.py --baseline ../parent/src
     PYTHONPATH=src python scripts/time_sweeps.py --calls --baseline ../parent/src
+    PYTHONPATH=src python scripts/time_sweeps.py --calculus --baseline ../parent/src
     PYTHONPATH=src python scripts/time_sweeps.py --grid 2:13 --grid 3:12 --repeats 1
 """
 import os
@@ -45,6 +52,7 @@ ORDER = 6
 GRIDS = ["2:49", "2:129", "2:257", "2:513", "2:1025", "3:25", "3:49", "3:97"]
 CALL_GRIDS = ["2:49", "2:129", "2:1025", "3:25", "3:97"]
 ORDERS = ("grad-first", "curl-first")
+STEPS = ("grad", "rot", "div", "curl", "filter", "inner")
 FORMS = {"apply_d": "_d_form", "apply_d_transpose": "_dt_form"}
 
 
@@ -140,6 +148,45 @@ def time_potentials(trees, grids, repeats):
         print(f"| {dim}D n={n} | " + " | ".join(row) + " |")
 
 
+def calculus_steps(t, dim, n):
+    """The steps of ``STEPS`` on tree t's order-6 operators of a square
+    grid, each a call as the ``large_grid`` workload makes it, on fixed
+    random fields; rot is None in 3D."""
+    ops = t.square_tensor_ops(ORDER, n, dim)
+    rng = np.random.default_rng(0)
+    f = ops.field(rng.standard_normal(ops.shape))
+    u = ops.field(rng.standard_normal((dim, *ops.shape)))
+    g, filtered = t.gradient(ops, f), t.filter_field(ops, u, extended=True)
+    return {"grad": lambda: t.gradient(ops, f),
+            "rot": (lambda: t.rot(ops, f)) if dim == 2 else None,
+            "div": lambda: t.divergence(ops, u),
+            "curl": lambda: t.curl(ops, g),
+            "filter": lambda: t.filter_field(ops, u, extended=True),
+            "inner": lambda: t.inner_product(ops, u, filtered)}
+
+
+def time_calculus(trees, grids, repeats):
+    """Print the ``--calculus`` table: per grid and step, the median over
+    ``repeats`` interleaved rounds of one call, in µs."""
+    print(f"Order {ORDER}: one call of each large_grid calculus step into a "
+          f"fresh result, µs, median of {repeats} interleaved rounds\n")
+    print("| grid | " + " | ".join(STEPS) + " |")
+    print("|------|" + "-----:|" * len(STEPS))
+    for dim, n in grids:
+        steps = [calculus_steps(t, dim, n) for t in trees]
+        number = max(1, min(1000, int(4e6 // (dim * n**dim))))
+        row = []
+        for step in STEPS:
+            calls = [s[step] for s in steps]
+            if calls[0] is None:
+                row.append("")
+                continue
+            for call in calls:
+                call()  # builds the cached forms and mode factors
+            row.append(cell(interleaved(calls, repeats, number), 1e6, 1))
+        print(f"| {dim}D n={n} | " + " | ".join(row) + " |")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--grid", action="append", metavar="DIM:N",
@@ -150,14 +197,19 @@ def main(argv=None):
     parser.add_argument("--calls", action="store_true",
                         help="time whole helmholtz calls and potential pairs "
                              f"instead (default grids {' '.join(CALL_GRIDS)})")
+    parser.add_argument("--calculus", action="store_true",
+                        help="time the large_grid calculus steps instead "
+                             f"(default grids {' '.join(CALL_GRIDS)})")
     args = parser.parse_args(argv)
-    grids = args.grid or (CALL_GRIDS if args.calls else GRIDS)
+    grids = args.grid or (CALL_GRIDS if args.calls or args.calculus else GRIDS)
     grids = [tuple(int(x) for x in g.split(":")) for g in grids]
 
     import sbphodge
     trees = [sbphodge]
     if args.baseline is not None:
         trees.insert(0, load_package(args.baseline))
+    if args.calculus:
+        return time_calculus(trees, grids, args.repeats)
     if args.calls:
         time_calls(trees, grids, args.repeats)
         return time_potentials(trees, grids, args.repeats)

@@ -7,11 +7,11 @@ guess both converge to the minimum-Euclidean-norm least-squares solution.
 They stop on the residual test ``|r| <= btol |b| + atol |A| |x|`` or the
 normal-equation test ``|A^T r| <= atol |A| |r|``, with machine-precision
 floors so that ``atol = btol = 0`` still terminates; SciPy's condition limit
-is off (``conlim=0``).  A tolerance that is negative or not finite, or a
-``max_iter`` that is not a positive integer, raises InvalidConfig.  Every
-solve first runs the operator's adjoint self-test (``LinearMap.self_test``,
-three forward and three adjoint applications).  A solve returns its final
-iterate only; from a zero start, a run capped at ``max_iter=k`` returns
+is off (``conlim=0``).  A tolerance that is negative, not finite or not a
+real number, or a ``max_iter`` that is not a positive integer, raises
+InvalidConfig.  Every solve first runs the operator's adjoint self-test
+(``LinearMap.self_test``, three forward and three adjoint applications).  A
+solve returns its final iterate only; from a zero start, a run capped at ``max_iter=k`` returns
 iterate k exactly.  No preconditioning is applied.  A solve, not this module, imports
 ``scipy.sparse.linalg``, so the default direct decomposition never loads it.
 """
@@ -19,7 +19,7 @@ iterate k exactly.  No preconditioning is applied.  A solve, not this module, im
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,9 +108,10 @@ _STOPS = {1: "residual_tol", 4: "residual_tol", 2: "normal_tol",
 
 
 def check_controls(atol, btol, max_iter) -> None:
-    """InvalidConfig unless atol, btol >= 0 are finite and max_iter is
-    None or a positive integer."""
-    if not all(np.isfinite(t) and t >= 0 for t in (atol, btol)):
+    """InvalidConfig unless atol, btol >= 0 are finite real numbers
+    (``numbers.Real``) and max_iter is None or a positive integer."""
+    if not all(isinstance(t, Real) and np.isfinite(t) and t >= 0
+               for t in (atol, btol)):
         raise InvalidConfig(f"tolerances atol={atol}, btol={btol} are not "
                             "finite and non-negative")
     if max_iter is not None and not (isinstance(max_iter, Integral)

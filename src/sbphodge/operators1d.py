@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from numbers import Real
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -280,8 +281,8 @@ class SbpOperator1D:
         """Discrete integral: the unique v with v[0] = 0 and D v = u.
 
         ``u`` may carry trailing axes; the inversion acts along the first one.
-        Raises InvalidConfig when ``tol`` or ``norm_floor`` is NaN or
-        negative, NonFiniteEncountered when u holds a NaN or Inf, and
+        Raises InvalidConfig when ``tol`` or ``norm_floor`` is NaN,
+        negative or not a real number, NonFiniteEncountered when u holds a NaN or Inf, and
         NotInImage when u has an oscillation component larger than ``tol``
         times max(its own M-norm, ``norm_floor``).  Otherwise solves rows
         1..n-1 of ``D v = u`` for ``v[1:]``: row 0 is a combination of the others
@@ -479,10 +480,11 @@ def _real_data(u) -> np.ndarray:
 
 
 def _nonnegative(**values) -> None:
-    """Raise InvalidConfig unless every named value is >= 0; inf passes
-    (it turns its check off), NaN fails."""
+    """Raise InvalidConfig unless every named value is a real number
+    (``numbers.Real``) >= 0; inf passes (it turns its check off), NaN, a
+    string and None fail."""
     for name, x in values.items():
-        if not x >= 0:
+        if not (isinstance(x, Real) and x >= 0):
             raise InvalidConfig(f"{name}={x!r} is not a non-negative number")
 
 

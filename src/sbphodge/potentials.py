@@ -182,8 +182,8 @@ def scalar_potential_integral(ops: TensorOps, u, tol: float = 1e-8) -> GridField
     whole field.  Line family i, component i on the nodes where the later
     axes sit at their left boundary (the edge, the 2D ``u_1``, the 3D plane
     and volume), is integrated along its own last axis, with no axis moved
-    (``SbpOperator1D._invert_last_axis``).  A NaN or negative ``tol``
-    raises InvalidConfig.
+    (``SbpOperator1D._invert_last_axis``).  A ``tol`` that is NaN,
+    negative or not a real number raises InvalidConfig.
     """
     _nonnegative(tol=tol)
     u = ops.vector_data(u)
@@ -218,7 +218,8 @@ def harmonic_neumann_potential(ops: TensorOps, u, tol: float = 1e-8) -> GridFiel
     ``TensorOps.gram_pinv``; the kernel of the system is the constants,
     removed by an exact mean shift.  ``E_i u_i`` is summed on the faces
     normal to axis i: the other axes' mass weights, negated on the first.
-    A NaN or negative ``tol`` raises InvalidConfig.
+    A ``tol`` that is NaN, negative or not a real number raises
+    InvalidConfig.
     """
     _nonnegative(tol=tol)
     u = ops.vector_data(u)

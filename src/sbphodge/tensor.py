@@ -13,8 +13,13 @@ products contract the weights axis by axis.  ``TensorOps`` holds only its
 per-axis operators: the full mass diagonal, the per-axis mode factors and
 the oscillation fields are cached on first use.  Every oscillation field is
 a tensor product of the per-axis factors, the unit constant and the unit
-oscillation, so the oscillation filter is one separable projection.  Each
-transpose is its forward operator with ``D_i^T`` in place of ``D_i``:
+oscillation, so the oscillation filter is one separable projection.
+Neither the calculus nor the filter makes a full-size temporary: div and
+curl, their transposes and M-adjoints included, sweep each later term block
+by block of lines into one scratch of ``_BLOCK_NODES`` nodes (``_scratch``)
+and add each block to the result while it is in cache, and the filter
+expands its projection block by block of rows straight into its result.
+Each transpose is its forward operator with ``D_i^T`` in place of ``D_i``:
 ``grad^T`` is ``div``, and ``curl^T`` is ``-curl`` in 3D and ``-rot`` in 2D;
 so are the M-adjoints ``grad_star`` and ``curl_star``, with
 ``D_i* = M^-1 E_i - D_i`` in place of ``D_i``.  The Gram operators of grad
@@ -39,6 +44,19 @@ from .errors import (
 )
 from .grid import Grid1D
 from .operators1d import _apply_form, _real_data, build_operator_1d
+
+# the nodes (512 KiB) that div and curl sweep into their scratch, and the
+# filter expands, at once: the large_grid benchmark's calculus sequence at
+# 2D n=1025 (one process, budgets alternating, 180 calls each) read op_ref
+# 0.672, 0.618, 0.604, 0.606, 0.613 and 0.653 with blocks of 64 KiB to
+# 2 MiB, against 0.702 for the whole field; a 2D n=129 scalar (130 KiB)
+# and a 3D n=40 one (500 KiB) fit in one block
+_BLOCK_NODES = 2**16
+# the rows of a product taken in blocks come in multiples of this many: with
+# OpenBLAS 0.3.31 (one thread, AVX-512), blocks of 24 or 48 rows and the
+# rest got the bits of the whole product, blocks of 8, 16, 32 or 64 did not
+# for some row lengths, and a block of one row (a vector product) mostly not
+_ALIGN = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +226,9 @@ class TensorOps:
     # and M-adjoints call them, not the public forward methods, so a wrapper
     # around a public method (a profiler's, say) sees only that method's own
     # calls.  Every sweep writes into its row of the preallocated result, or
-    # into one scratch field that is then added to it.
+    # (a later term of div or curl) block by block of lines into one scratch
+    # of at most ``_BLOCK_NODES`` nodes, each block added to the result while
+    # it is in cache (``_add_along``).
 
     def grad(self, f) -> np.ndarray:
         f = self.field_data(f, "scalar")
@@ -252,24 +272,54 @@ class TensorOps:
             raise WrongDimension("curl* maps 3-vectors to 3-vectors in 3D only")
         return self._curl(self.field_data(w, "vector"), "_ds_form", -1)
 
+    def _scratch(self) -> np.ndarray:
+        """The flat scratch of ``_add_along``: the whole field if it fits in
+        ``_BLOCK_NODES`` nodes, else that many, or one slab ``u[j]`` should
+        that be more: a block holds at least one line before its axis."""
+        size = math.prod(self.shape)
+        return np.empty(min(size, max(_BLOCK_NODES, size // self.shape[0])))
+
+    def _add_along(self, i: int, u: np.ndarray, form: str, out: np.ndarray,
+                   block: np.ndarray, combine=np.add) -> None:
+        """``combine(out, D u, out=out)`` for the sweep ``_along(i, u, form)``,
+        i >= 1, taken over blocks of the lines before axis i: each block is
+        swept into the flat scratch ``block`` (``_scratch``) and combined
+        with its rows of ``out`` while it is still in cache.  A field that
+        fits in ``block`` is one block, the sweep of ``_along``; over
+        several blocks a banded sweep along the unit-stride axis adds a
+        ragged tail at each block's end, whose rows round otherwise."""
+        pre, n = math.prod(self.shape[:i]), self.shape[i]
+        u = np.ascontiguousarray(u).reshape(pre, n, -1)
+        out, form = out.reshape(u.shape), getattr(self.axis_ops[i], form)
+        for rows in _blocks(pre, len(block) // u[0].size):
+            x, y = u[rows], out[rows]
+            term = block[: x.size].reshape(x.shape)
+            _apply_form(form, x, term)
+            combine(y, term, out=y)
+
     def _div(self, u: np.ndarray, name: str) -> np.ndarray:
-        out, term = self._along(0, u[0], name), np.empty(self.shape)
+        out, block = self._along(0, u[0], name), self._scratch()
         for i in range(1, self.dim):
-            out += self._along(i, u[i], name, term)
+            self._add_along(i, u[i], name, out, block)
         return out
 
     def _curl(self, u: np.ndarray, name: str, sign: int = 1) -> np.ndarray:
         """Component c is ``D_a u_b - D_b u_a`` with ``(a, b) = (c+1, c+2)``
         mod 3, or with a and b swapped, the bits of its negation, for
-        ``sign = -1``; the 2D curl is the scalar component c = 2."""
+        ``sign = -1``; the 2D curl is the scalar component c = 2.  The sweep
+        along the lower axis of the pair is written first, so that the
+        blocked one (``_add_along``) never runs along axis 0; it is
+        subtracted, or subtracted from, to the same bits."""
         planar = self.dim == 2
         out = np.empty(self.shape if planar else (3, *self.shape))
-        term = np.empty(self.shape)
+        block = self._scratch()
         for c in (2,) if planar else range(3):
             a, b = ((c + 1) % 3, (c + 2) % 3)[::sign]
             row = out if planar else out[c]
-            self._along(a, u[b], name, row)
-            row -= self._along(b, u[a], name, term)
+            p, q = sorted((a, b))
+            self._along(p, u[q], name, row)
+            self._add_along(q, u[p], name, row, block,
+                            np.subtract if a < b else _subtract_from)
         return out
 
     def _rot(self, v: np.ndarray, name: str) -> np.ndarray:
@@ -424,17 +474,40 @@ class TensorOps:
         the projection is one separable pass: all 2^d overlaps at once
         (``_mode_overlaps``); zero the constant mode, and the modes of
         several axes unless ``extended``; expand back with the factors,
-        first axis first, so that the last product writes a C-contiguous
-        field; subtract it.
+        first axis first, the last product block of rows by block of rows
+        straight into the result, each block subtracted from u while it is
+        still in cache, so no other full-size array is made.
         """
         d, shape, factors = self.dim, self.shape, self._mode_factors
+        u = np.ascontiguousarray(u)
         batch = u.shape[: u.ndim - d]
         count = np.array([bin(m).count("1") for m in range(2**d)])
         c = self._mode_overlaps(u) * ((count >= 1) if extended else (count == 1))
         for j in range(d - 1):
             c = factors[j] @ c.reshape(*batch, *shape[:j], 2, -1)
-        p = (c.reshape(-1, 2) @ factors[-1].T).reshape(u.shape)
-        return np.subtract(u, p, out=p)
+        c, out = c.reshape(-1, 2), np.empty(u.shape)
+        lines, p = u.reshape(len(c), -1), out.reshape(len(c), -1)
+        for rows in _blocks(len(c), max(_ALIGN + 1, _BLOCK_NODES // shape[-1])):
+            np.matmul(c[rows], factors[-1].T, out=p[rows])
+            np.subtract(lines[rows], p[rows], out=p[rows])
+        return out
+
+
+def _blocks(count: int, most: int) -> list:
+    """Slices of ``range(count)``: one block if ``count <= most``, else
+    blocks of ``most`` items rounded down to a multiple of ``_ALIGN`` where
+    one fits with a row to spare, the last block the rest, joined then to
+    the block before it should it hold one item."""
+    if count <= most:
+        return [slice(0, count)]
+    step = (most - 1) // _ALIGN * _ALIGN or most
+    stops = [*range(step, count - (step < most), step), count]
+    return [slice(a, b) for a, b in zip([0, *stops], stops)]
+
+
+def _subtract_from(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``y - x``: ``np.subtract`` with its operands swapped."""
+    return np.subtract(y, x, out=out)
 
 
 def _outer(parts, ufunc=np.multiply) -> np.ndarray:

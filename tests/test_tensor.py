@@ -13,6 +13,7 @@ from sbphodge.errors import (
     WrongDimension,
 )
 import sbphodge.operators1d as operators1d
+import sbphodge.tensor as tensor
 from sbphodge.grid import Grid1D
 from sbphodge.operators1d import build_operator_1d
 from sbphodge.hodge import helmholtz, project_im_curl, project_im_grad
@@ -524,6 +525,24 @@ MISUSE = {
         (lambda: kernel_dimension(np.ones(5)), DimensionMismatch),
     "rank of a nan matrix":
         (lambda: kernel_dimension(np.full((3, 3), np.nan)), NonFiniteEncountered),
+    "neumann potential with a string tol":
+        (lambda: harmonic_neumann_potential(_ops2(), np.ones((2, 9, 9)),
+                                            tol="1e-8"), InvalidConfig),
+    "integral potential with a string tol":
+        (lambda: scalar_potential_integral(_ops2(), np.ones((2, 9, 9)),
+                                           tol="1e-8"), InvalidConfig),
+    "discrete integral with a string tol":
+        (lambda: _ops2().axis_ops[0].invert_on_v0(np.ones(9), tol="1e-8"),
+         InvalidConfig),
+    "discrete integral with a None norm_floor":
+        (lambda: _ops2().axis_ops[0].invert_on_v0(np.ones(9), norm_floor=None),
+         InvalidConfig),
+    "direct helmholtz with a string atol":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), atol="1e-3"),
+         InvalidConfig),
+    "direct helmholtz with a None atol":
+        (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), atol=None),
+         InvalidConfig),
 }
 
 
@@ -1014,3 +1033,145 @@ def test_sweeps_on_interior_slices_give_fresh_bits(order, n, rng):
             assert sweep(u, out=slot) is slot
             assert np.array_equal(slot, want), (shape, method)
             assert np.array_equal(sweep(u), want), (shape, method)
+
+
+# -- the blocked accumulation of div and curl, and the blocked filter ---------
+
+
+def _dt_entries(op):
+    rows, cols, vals = op._entries
+    return cols, rows, vals
+
+
+def _ds_entries(op):
+    a = _form_matrix(op._ds_form, op.n_nodes)
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+# name -> (its div or curl, the form it sweeps, the entries of that form's
+# matrix, the sign of its curl); the transposes and M-adjoints of curl are
+# minus the curl with D^T and D* in place of D
+CALCULUS = {
+    "div": ("div", "_d_form", lambda op: op._entries, 1),
+    "grad_transpose": ("grad_transpose", "_dt_form", _dt_entries, 1),
+    "grad_star": ("grad_star", "_ds_form", _ds_entries, 1),
+    "curl": ("curl", "_d_form", lambda op: op._entries, 1),
+    "curl_transpose": ("curl_transpose", "_dt_form", _dt_entries, -1),
+    "curl_star": ("curl_star", "_ds_form", _ds_entries, -1),
+}
+
+# fields of several blocks of tensor._BLOCK_NODES nodes, swept by banded forms
+MULTI_BLOCK_GRIDS = {
+    "2d-order8-banded": (8, [Grid1D(-1.0, 1.0, 300), Grid1D(0.0, 2.0, 297)]),
+    "3d-order6-banded": (6, [Grid1D(-1.0, 1.0, 70), Grid1D(0.0, 1.0, 69),
+                             Grid1D(0.0, 2.0, 71)]),
+}
+
+
+@pytest.mark.parametrize("name", MULTI_BLOCK_GRIDS)
+def test_blocked_calculus_within_the_forward_error_of_the_compositions(name, rng):
+    """On banded grids of several blocks, each term of div, curl, their
+    transposes and M-adjoints, fed one component at a time, agrees with
+    the sweep of ``apply_axis``, ``apply_axis_transpose`` or the form of
+    D* over the whole field to the forward-error bound, and the term
+    written first (along the lowest axis) has its bits."""
+    order, grids = MULTI_BLOCK_GRIDS[name]
+    ops = build_tensor_ops(order, grids)
+    assert ops.n_total > tensor._BLOCK_NODES
+    d = ops.dim
+    for call, form, entries, sign in CALCULUS.values():
+        if call in ("curl_transpose", "curl_star") and d == 2:
+            continue  # -rot of a scalar, which accumulates nothing, or 3D only
+        for k in range(d):
+            x = random_scalar(ops, rng)
+            u = np.zeros((d, *ops.shape))
+            u[k] = x
+            got = getattr(ops, call)(u)
+            # (axis of the term, output row, its sign, written first) fed by
+            # component k: a curl writes the term along the lower axis of
+            # its pair first, div the term along axis 0
+            if call.startswith("curl"):
+                terms = [(j, got if d == 2 else got[3 - j - k],
+                          sign * (1 if (3 - j - k + 1) % 3 == j else -1), j < k)
+                         for j in range(d) if j != k]
+            else:
+                terms = [(k, got, 1, k == 0)]
+            for j, row, s, first in terms:
+                want = ops._along(j, x, form)
+                if first:
+                    assert np.array_equal(s * row, want), (call, j, k)
+                assert_within_forward_error(
+                    np.moveaxis(s * row, j, 0), entries(ops.axis_ops[j]),
+                    np.moveaxis(x, j, 0), np.moveaxis(want, j, 0))
+
+
+def test_blocked_calculus_bit_identical_on_a_dense_grid(rng):
+    """On a 3D n=60 grid (dense forms) of several blocks, div, curl, their
+    transposes and M-adjoints equal the compositions of the sweeps over
+    the whole field bit for bit."""
+    ops = square_tensor_ops(6, 60, 3)
+    assert ops.n_total > tensor._BLOCK_NODES
+    u = random_vector(ops, rng)
+    for call, form, _, sign in CALCULUS.values():
+        dd = lambda i, a: ops._along(i, a, form)  # noqa: E731
+        if call.startswith("curl"):
+            want = np.stack([dd(1, u[2]) - dd(2, u[1]), dd(2, u[0]) - dd(0, u[2]),
+                             dd(0, u[1]) - dd(1, u[0])])
+            want = sign * want
+        else:
+            want = dd(0, u[0]) + dd(1, u[1]) + dd(2, u[2])
+        assert np.array_equal(getattr(ops, call)(u), want), call
+
+
+def _whole_field_filter(ops, u, extended):
+    """``u - c @ F^T`` in one product over the whole field: the overlaps
+    with the kept modes, expanded along every axis but the last, times the
+    last axis's mode factor."""
+    d, shape, factors = ops.dim, ops.shape, ops._mode_factors
+    batch = u.shape[: u.ndim - d]
+    count = np.array([bin(m).count("1") for m in range(2**d)])
+    c = ops._mode_overlaps(u) * ((count >= 1) if extended else (count == 1))
+    for j in range(d - 1):
+        c = factors[j] @ c.reshape(*batch, *shape[:j], 2, -1)
+    return u - (c.reshape(-1, 2) @ factors[-1].T).reshape(u.shape)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("grids", [
+    (4, [Grid1D(-1.0, 1.0, 385), Grid1D(0.0, 2.0, 300)]),
+    (6, [Grid1D(-1.0, 1.0, 40), Grid1D(0.0, 1.0, 45), Grid1D(0.0, 2.0, 68)]),
+], ids=["2d", "3d"])
+def test_blocked_filter_bit_identical_to_the_whole_field_formula(grids, extended, rng):
+    """On fields of several blocks (whose last block is the rest, or joins
+    a one-row rest), ``filter_scalar`` and ``filter_vector`` equal the
+    whole-field formula bit for bit."""
+    ops = build_tensor_ops(*grids)
+    assert ops.n_total > tensor._BLOCK_NODES
+    u = random_vector(ops, rng)
+    assert np.array_equal(ops.filter_vector(u, extended),
+                          _whole_field_filter(ops, u, extended))
+    assert np.array_equal(ops.filter_scalar(u[1], extended),
+                          _whole_field_filter(ops, u[1], extended))
+
+
+def test_calculus_scratch_is_bounded(rng):
+    """div, curl and grad* of an 8 MiB-per-component 1025 x 1025 field, and
+    curl* of a 97^3 field, allocate their result and at most 1 MiB more:
+    no full-size temporary; the filter allocates its result alone."""
+    import tracemalloc
+
+    ops2, ops3 = square_tensor_ops(6, 1025, 2), square_tensor_ops(6, 97, 3)
+    u2, u3 = random_vector(ops2, rng), random_vector(ops3, rng)
+    calls = [(ops2.div, u2), (ops2.curl, u2), (ops2.grad_star, u2),
+             (ops3.curl_star, u3),
+             (lambda u: ops2.filter_vector(u, True), u2)]
+    for call, u in calls:
+        size = call(u).nbytes  # builds the cached forms and mode factors
+        tracemalloc.start()
+        try:
+            call(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size + 2**20, (call, size, peak)
