@@ -201,13 +201,14 @@ class TensorOps:
                out: np.ndarray | None = None) -> np.ndarray:
         """The 1D operator's ``form`` (``"_d_form"`` for D_i, ``"_dt_form"``
         for D_i^T, ``"_ds_form"`` for D_i*) applied along axis i of a
-        checked scalar array, written into the C-contiguous scalar slot
-        ``out`` (which u must not overlap), or a new array; returns it.
-        On every axis ``_apply_form`` reads the C-ordered field (a copy of
-        one laid out otherwise) seen as ``(before, N_i, after)`` and writes
-        ``out`` seen so, the view the 1D sweeps find for axis i."""
+        checked scalar array, or of a block of its lines before axis i,
+        written into the C-contiguous slot ``out`` of u's size (which u must
+        not overlap), or a new scalar array; returns it.  On every axis
+        ``_apply_form`` reads the C-ordered field (a copy of one laid out
+        otherwise) seen as ``(before, N_i, after)`` and writes ``out`` seen
+        so, the view the 1D sweeps find for axis i."""
         out = np.empty(self.shape) if out is None else out
-        lines = (math.prod(self.shape[:i]), self.shape[i], -1)
+        lines = (-1, self.shape[i], math.prod(self.shape[i + 1 :]))
         _apply_form(getattr(self.axis_ops[i], form),
                     np.ascontiguousarray(u).reshape(lines), out.reshape(lines))
         return out
@@ -285,17 +286,18 @@ class TensorOps:
         i >= 1, taken over blocks of the lines before axis i: each block is
         swept into the flat scratch ``block`` (``_scratch``) and combined
         with its rows of ``out`` while it is still in cache.  A field that
-        fits in ``block`` is one block, the sweep of ``_along``; over
+        fits in ``block`` is one block, swept whole as by ``_along``; over
         several blocks a banded sweep along the unit-stride axis adds a
         ragged tail at each block's end, whose rows round otherwise."""
-        pre, n = math.prod(self.shape[:i]), self.shape[i]
-        u = np.ascontiguousarray(u).reshape(pre, n, -1)
-        out, form = out.reshape(u.shape), getattr(self.axis_ops[i], form)
-        for rows in _blocks(pre, len(block) // u[0].size):
-            x, y = u[rows], out[rows]
-            term = block[: x.size].reshape(x.shape)
-            _apply_form(form, x, term)
-            combine(y, term, out=y)
+        if u.size <= len(block):
+            combine(out, self._along(i, u, form, block.reshape(self.shape)), out=out)
+            return
+        pre = math.prod(self.shape[:i])
+        u, out = np.ascontiguousarray(u).reshape(pre, -1), out.reshape(pre, -1)
+        for rows in _blocks(pre, len(block) // u.shape[1]):
+            y = out[rows]
+            term = block[: y.size].reshape(y.shape)
+            combine(y, self._along(i, u[rows], form, term), out=y)
 
     def _div(self, u: np.ndarray, name: str) -> np.ndarray:
         out, block = self._along(0, u[0], name), self._scratch()
@@ -316,7 +318,7 @@ class TensorOps:
         for c in (2,) if planar else range(3):
             a, b = ((c + 1) % 3, (c + 2) % 3)[::sign]
             row = out if planar else out[c]
-            p, q = sorted((a, b))
+            p, q = (a, b) if a < b else (b, a)
             self._along(p, u[q], name, row)
             self._add_along(q, u[p], name, row, block,
                             np.subtract if a < b else _subtract_from)
