@@ -487,21 +487,25 @@ class TensorOps:
         c = self._mode_overlaps(u) * ((count >= 1) if extended else (count == 1))
         for j in range(d - 1):
             c = factors[j] @ c.reshape(*batch, *shape[:j], 2, -1)
-        c, out = c.reshape(-1, 2), np.empty(u.shape)
+        c, f = c.reshape(-1, 2), factors[-1].T
+        most = max(_ALIGN + 1, _BLOCK_NODES // shape[-1])
+        if len(c) <= most:  # one block: the whole field
+            p = (c @ f).reshape(u.shape)
+            return np.subtract(u, p, out=p)
+        out = np.empty(u.shape)
         lines, p = u.reshape(len(c), -1), out.reshape(len(c), -1)
-        for rows in _blocks(len(c), max(_ALIGN + 1, _BLOCK_NODES // shape[-1])):
-            np.matmul(c[rows], factors[-1].T, out=p[rows])
-            np.subtract(lines[rows], p[rows], out=p[rows])
+        for rows in _blocks(len(c), most):
+            q = p[rows]
+            np.matmul(c[rows], f, out=q)
+            np.subtract(lines[rows], q, out=q)
         return out
 
 
 def _blocks(count: int, most: int) -> list:
-    """Slices of ``range(count)``: one block if ``count <= most``, else
-    blocks of ``most`` items rounded down to a multiple of ``_ALIGN`` where
-    one fits with a row to spare, the last block the rest, joined then to
-    the block before it should it hold one item."""
-    if count <= most:
-        return [slice(0, count)]
+    """Slices of ``range(count)``, for ``count > most``: blocks of ``most``
+    items, rounded down to a multiple of ``_ALIGN`` where one fits with an
+    item to spare, then the rest, joined to the block before it should it
+    hold one item."""
     step = (most - 1) // _ALIGN * _ALIGN or most
     stops = [*range(step, count - (step < most), step), count]
     return [slice(a, b) for a, b in zip([0, *stops], stops)]
