@@ -1049,16 +1049,16 @@ def _ds_entries(op):
     return rows, cols, a[rows, cols]
 
 
-# name -> (its div or curl, the form it sweeps, the entries of that form's
+# TensorOps method -> (the form it sweeps, the entries of that form's
 # matrix, the sign of its curl); the transposes and M-adjoints of curl are
 # minus the curl with D^T and D* in place of D
 CALCULUS = {
-    "div": ("div", "_d_form", lambda op: op._entries, 1),
-    "grad_transpose": ("grad_transpose", "_dt_form", _dt_entries, 1),
-    "grad_star": ("grad_star", "_ds_form", _ds_entries, 1),
-    "curl": ("curl", "_d_form", lambda op: op._entries, 1),
-    "curl_transpose": ("curl_transpose", "_dt_form", _dt_entries, -1),
-    "curl_star": ("curl_star", "_ds_form", _ds_entries, -1),
+    "div": ("_d_form", lambda op: op._entries, 1),
+    "grad_transpose": ("_dt_form", _dt_entries, 1),
+    "grad_star": ("_ds_form", _ds_entries, 1),
+    "curl": ("_d_form", lambda op: op._entries, 1),
+    "curl_transpose": ("_dt_form", _dt_entries, -1),
+    "curl_star": ("_ds_form", _ds_entries, -1),
 }
 
 # fields of several blocks of tensor._BLOCK_NODES nodes, swept by banded forms
@@ -1080,7 +1080,7 @@ def test_blocked_calculus_within_the_forward_error_of_the_compositions(name, rng
     ops = build_tensor_ops(order, grids)
     assert ops.n_total > tensor._BLOCK_NODES
     d = ops.dim
-    for call, form, entries, sign in CALCULUS.values():
+    for call, (form, entries, sign) in CALCULUS.items():
         if call in ("curl_transpose", "curl_star") and d == 2:
             continue  # -rot of a scalar, which accumulates nothing, or 3D only
         for k in range(d):
@@ -1113,7 +1113,7 @@ def test_blocked_calculus_bit_identical_on_a_dense_grid(rng):
     ops = square_tensor_ops(6, 60, 3)
     assert ops.n_total > tensor._BLOCK_NODES
     u = random_vector(ops, rng)
-    for call, form, _, sign in CALCULUS.values():
+    for call, (form, _, sign) in CALCULUS.items():
         dd = lambda i, a: ops._along(i, a, form)  # noqa: E731
         if call.startswith("curl"):
             want = np.stack([dd(1, u[2]) - dd(2, u[1]), dd(2, u[0]) - dd(0, u[2]),
