@@ -55,7 +55,9 @@ _BLOCK_NODES = 2**16
 # the rows of a product taken in blocks come in multiples of this many: with
 # OpenBLAS 0.3.31 (one thread, AVX-512), blocks of 24 or 48 rows and the
 # rest got the bits of the whole product, blocks of 8, 16, 32 or 64 did not
-# for some row lengths, and a block of one row (a vector product) mostly not
+# for some row lengths, and a block of one row (a vector product) mostly not;
+# the build's Haswell, Sandybridge and Nehalem kernels, and 2 or 4 threads,
+# kept the tested shapes' bits too; another BLAS may round blocks otherwise
 _ALIGN = 48
 
 
@@ -487,14 +489,9 @@ class TensorOps:
         c = self._mode_overlaps(u) * ((count >= 1) if extended else (count == 1))
         for j in range(d - 1):
             c = factors[j] @ c.reshape(*batch, *shape[:j], 2, -1)
-        c, f = c.reshape(-1, 2), factors[-1].T
-        most = max(_ALIGN + 1, _BLOCK_NODES // shape[-1])
-        if len(c) <= most:  # one block: the whole field
-            p = (c @ f).reshape(u.shape)
-            return np.subtract(u, p, out=p)
-        out = np.empty(u.shape)
+        c, f, out = c.reshape(-1, 2), factors[-1].T, np.empty(u.shape)
         lines, p = u.reshape(len(c), -1), out.reshape(len(c), -1)
-        for rows in _blocks(len(c), most):
+        for rows in _blocks(len(c), max(_ALIGN + 1, _BLOCK_NODES // shape[-1])):
             q = p[rows]
             np.matmul(c[rows], f, out=q)
             np.subtract(lines[rows], q, out=q)
@@ -502,10 +499,12 @@ class TensorOps:
 
 
 def _blocks(count: int, most: int) -> list:
-    """Slices of ``range(count)``, for ``count > most``: blocks of ``most``
-    items, rounded down to a multiple of ``_ALIGN`` where one fits with an
-    item to spare, then the rest, joined to the block before it should it
-    hold one item."""
+    """Slices of ``range(count)``: one block if ``count <= most``, else
+    blocks of ``most`` items rounded down to a multiple of ``_ALIGN`` where
+    one fits with an item to spare, then the rest, joined to the block
+    before it should it hold one item."""
+    if count <= most:
+        return [slice(0, count)]
     step = (most - 1) // _ALIGN * _ALIGN or most
     stops = [*range(step, count - (step < most), step), count]
     return [slice(a, b) for a, b in zip([0, *stops], stops)]

@@ -1138,16 +1138,18 @@ def _whole_field_filter(ops, u, extended):
 
 
 @pytest.mark.parametrize("extended", [False, True])
-@pytest.mark.parametrize("grids", [
-    (4, [Grid1D(-1.0, 1.0, 385), Grid1D(0.0, 2.0, 300)]),
-    (6, [Grid1D(-1.0, 1.0, 40), Grid1D(0.0, 1.0, 45), Grid1D(0.0, 2.0, 68)]),
-], ids=["2d", "3d"])
-def test_blocked_filter_bit_identical_to_the_whole_field_formula(grids, extended, rng):
-    """On fields of several blocks (whose last block is the rest, or joins
-    a one-row rest), ``filter_scalar`` and ``filter_vector`` equal the
-    whole-field formula bit for bit."""
+@pytest.mark.parametrize("grids, several", [
+    ((6, [Grid1D(-1.0, 1.0, 49), Grid1D(0.0, 2.0, 50)]), False),
+    ((4, [Grid1D(-1.0, 1.0, 385), Grid1D(0.0, 2.0, 300)]), True),
+    ((6, [Grid1D(-1.0, 1.0, 40), Grid1D(0.0, 1.0, 45), Grid1D(0.0, 2.0, 68)]), True),
+], ids=["2d-one-block", "2d", "3d"])
+def test_blocked_filter_bit_identical_to_the_whole_field_formula(
+        grids, several, extended, rng):
+    """On a field of one block and on fields of several blocks (whose last
+    block is the rest, or joins a one-row rest), ``filter_scalar`` and
+    ``filter_vector`` equal the whole-field formula bit for bit."""
     ops = build_tensor_ops(*grids)
-    assert ops.n_total > tensor._BLOCK_NODES
+    assert (ops.n_total > tensor._BLOCK_NODES) == several
     u = random_vector(ops, rng)
     assert np.array_equal(ops.filter_vector(u, extended),
                           _whole_field_filter(ops, u, extended))
