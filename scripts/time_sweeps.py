@@ -56,13 +56,6 @@ STEPS = ("grad", "rot", "div", "curl", "filter", "inner")
 FORMS = {"apply_d": "_d_form", "apply_d_transpose": "_dt_form"}
 
 
-def along_name(ops, method):
-    """What ``ops._along`` takes for the sweep of ``method``: the name of
-    its form, or, in a tree whose operators have no form of D* (older
-    than the sweeps of D*), the name of the 1D method."""
-    return FORMS[method] if hasattr(type(ops.axis_ops[0]), "_ds_form") else method
-
-
 def load_package(src):
     """The ``sbphodge`` package under ``src``, imported as
     ``sbphodge_baseline`` so that it lives beside this tree's."""
@@ -223,7 +216,7 @@ def main(argv=None):
         for i in range(dim):
             for method in ("apply_d", "apply_d_transpose"):
                 ops = [t.square_tensor_ops(ORDER, n, dim) for t in trees]
-                calls = [lambda o=o, i=i, m=along_name(o, method), f=f, out=out:
+                calls = [lambda o=o, i=i, m=FORMS[method], f=f, out=out:
                          o._along(i, f, m, out) for o in ops]
                 cases.append((sweeps, (dim, n, i, method), number, calls))
         cases.append((setups, (dim, n), 20,

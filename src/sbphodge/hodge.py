@@ -108,12 +108,13 @@ def _project(ops, u, stage, solver, atol, btol, max_iter):
     """The projection of u onto the image of A for the ``stage``
     ``(A, A*, solve, gauge)``: ``(x, A x, stats)``, x and ``A x`` as fields.
 
-    Directly, ``x = gauge(solve(M A* u))``.  A named solver runs on
-    ``s A s^-1``, ``s = sqrt(M)``, whose Euclidean adjoint is
-    ``s A* s^-1`` (as ``A^T = M A* M^-1``), so that its Euclidean
-    least-norm guarantee becomes the M-norm one; x is ``gauge`` of its
-    solution.  A ``_Checked`` u gets the residual ``r = u - A x`` back.
-    The stats of a direct stage hold ``||r||_M`` and the normal residual
+    Both paths form ``b = A* u``, of x's shape.  Directly,
+    ``x = gauge(solve(M b))``.  A named solver runs on ``s A s^-1``,
+    ``s = sqrt(M)``, whose Euclidean adjoint is ``s A* s^-1`` (as
+    ``A^T = M A* M^-1``), so that its Euclidean least-norm guarantee
+    becomes the M-norm one; x is ``gauge`` of its solution.  A
+    ``_Checked`` u gets the residual ``r = u - A x`` back.  The stats of
+    a direct stage hold ``||r||_M`` and the normal residual
     ``||A^T M r||_{M^-1} = ||A* r||_M``.
     """
     apply, star, solve, gauge = stage
@@ -121,22 +122,20 @@ def _project(ops, u, stage, solver, atol, btol, max_iter):
         check_controls(atol, btol, max_iter)
         u = _Checked(ops.vector_data(u))
     data = u.data
+    b = star(data)
     if solver is None:
-        b = star(data)
         b *= ops.mass
         x = gauge(solve(b))
         del b  # a lower peak for the part and residual: fewer fresh heap pages
     else:
         s = np.sqrt(ops.mass)  # broadcasts over a leading component axis
-        # the potential is a vector field for the 3D curl only
-        shape = data.shape if apply == ops.curl else ops.shape
         system = LinearMap(
-            rows=data.size, cols=int(np.prod(shape)),
-            forward=lambda y: (apply(y.reshape(shape) / s) * s).ravel(),
+            rows=data.size, cols=b.size,
+            forward=lambda y: (apply(y.reshape(b.shape) / s) * s).ravel(),
             adjoint=lambda c: (star(c.reshape(data.shape) / s) * s).ravel())
         y, stats = _solver(solver)(system, (data * s).ravel(), atol=atol,
                                    btol=btol, max_iter=max_iter)
-        x = gauge(y.reshape(shape) / s)
+        x = gauge(y.reshape(b.shape) / s)
     part = apply(x)
     u.residual = r = data - part
     if solver is None:

@@ -16,9 +16,11 @@ eigenbases of the Gram pencil and its dual) is a ``cached_property``, built
 on first use, so a copy made by ``dataclasses.replace`` never carries stale
 derived state; the float coefficients of each order are converted from the
 exact rationals once.
-D, D^T and D* each have one form: a dense top block, the Toeplitz block of
-the interior stencil, and a dense bottom block, the top's rotated negation;
-on a grid of at most ``_DENSE_NODES`` nodes, one dense block.
+D, D^T and D* each have one form, cut by one rule (``_form``) from its
+matrix's entry list (D's, D's with rows and columns swapped, or D's negated
+plus D*'s two corners): a dense top block, the Toeplitz block of the
+interior stencil, and a dense bottom block, the top's rotated negation; on
+a grid of at most ``_DENSE_NODES`` nodes, one dense block.
 ``apply_d``, ``apply_d_transpose`` and ``apply_d_star`` take a numpy-style
 ``out=`` and apply a form by BLAS products on C-ordered operands
 (``_apply_form``), so every ``out=`` slot gets the same bits and a sweep
@@ -175,62 +177,58 @@ class SbpOperator1D:
 
     @cached_property
     def _d_form(self) -> tuple:
-        """The form of D that ``_apply_form`` applies: its top block is
-        ``boundary_block``."""
-        return self._form(self.boundary_block, self.interior_stencil,
-                          self._entries)
+        """The form of D that ``_apply_form`` applies, cut from
+        ``_entries``: its top block is ``boundary_block``."""
+        return self._form(self._entries, self.interior_stencil,
+                          self.boundary_block.shape)
 
     @cached_property
     def _dt_form(self) -> tuple:
-        """The form of D^T that ``_apply_form`` applies.  Its top block
-        holds the first bt = max(b + w, wt) rows of D^T, those the
-        reversed band does not give: the transpose of the first bt columns
-        of the first bt + w rows of D (its closure rows and the interior
-        rows that reach them), built from the coefficients in O(b wt)."""
-        s, block = self.interior_stencil, self.boundary_block
-        (b, wt), w = block.shape, self.halfwidth
+        """The form of D^T, cut from D's entries with rows and columns
+        swapped: its top block holds the first bt = max(b + w, wt) rows of
+        D^T, those the reversed band does not give, and the bt + w columns
+        they reach."""
+        (b, wt), w = self.boundary_block.shape, self.halfwidth
         bt = max(b + w, wt)
-        lead = np.zeros((bt + w, bt))
-        lead[:b, :wt] = block
-        k = np.arange(bt) - np.arange(b, bt + w)[:, None] + w  # stencil index
-        inside = (k >= 0) & (k < len(s))
-        lead[b:][inside] = s[k[inside]]
         rows, cols, vals = self._entries
-        return self._form(lead.T, s[::-1], (cols, rows, vals))
+        return self._form((cols, rows, vals), self.interior_stencil[::-1],
+                          (bt, bt + w))
 
     @cached_property
     def _ds_form(self) -> tuple:
-        """The form of D* = M^-1 E - D that ``_apply_form`` applies: its top
-        block is ``-boundary_block`` with ``-1/m_0`` added at [0, 0], so
-        that the rotated negation adds ``1/m_(n-1)`` at the bottom corner
-        (the mass weights are symmetric)."""
+        """The form of D* = M^-1 E - D, cut from D's negated entries, led
+        by ``-1/m_0`` at (0, 0) and ended by ``1/m_(n-1)`` at (n-1, n-1)."""
         n, m = self.n_nodes, self.mass_weights
         rows, cols, vals = self._entries
-        top = -self.boundary_block
-        top[0, 0] -= 1.0 / m[0]
-        ends = [0, n - 1]
-        return self._form(top, -self.interior_stencil,
-                          (np.r_[rows, ends], np.r_[cols, ends],
-                           np.r_[-vals, -1.0 / m[0], 1.0 / m[-1]]))
+        return self._form((np.r_[0, rows, n - 1], np.r_[0, cols, n - 1],
+                           np.r_[-1.0 / m[0], -vals, 1.0 / m[-1]]),
+                          -self.interior_stencil, self.boundary_block.shape)
 
-    def _form(self, top: np.ndarray, stencil: np.ndarray, entries) -> tuple:
-        """``(top, band, bottom)``, read-only: the dense top block, the
-        2 ``_ROWS`` x (2 ``_ROWS`` + 2w) Toeplitz block of the interior stencil
-        and the dense bottom block, the top's 180-degree rotated negation.
-        On a grid of at most ``_DENSE_NODES`` nodes, which holds every grid
-        on which the end blocks meet (2 bt <= 24 at every order), the top
-        block is the whole matrix, the sum of its ``entries``
-        ``(rows, cols, values)``, and the bottom block is empty."""
+    def _form(self, entries, stencil: np.ndarray, top_shape: tuple) -> tuple:
+        """``(top, band, bottom)``, read-only, of the matrix whose entries
+        ``(rows, cols, values)`` come in D's row order: the dense top block
+        of ``top_shape``, the sum of the entries in it, the 2 ``_ROWS`` x
+        (2 ``_ROWS`` + 2w) Toeplitz block of the stencil, and the top's
+        180-degree rotated negation.  An r x c top holds entries of D's
+        first max(r, c) rows only, which lead the list (D*'s after its
+        corner), so only they are read.  On a grid of at most
+        ``_DENSE_NODES`` nodes (every grid on which the end blocks meet,
+        2 bt <= 24) the top block is the whole matrix, the bottom empty."""
         n, w = self.n_nodes, self.halfwidth
-        bottom = -top[::-1, ::-1]
-        if n <= _DENSE_NODES:
-            top, bottom = np.zeros((n, n)), np.zeros((0, 0))
-            np.add.at(top, entries[:2], entries[2])
+        dense = n <= _DENSE_NODES
+        r, c = (n, n) if dense else top_shape
+        if not dense:  # D's rows ascend but in its bottom block, beyond r, c
+            head = np.searchsorted(self._entries[0], max(r, c)) + 1
+            entries = [a[:head] for a in entries]  # + 1: D*'s corner
+        rows, cols, vals = entries
+        keep = (rows < r) & (cols < c)
+        top = np.bincount(rows[keep] * c + cols[keep], vals[keep], r * c)
+        top = top.reshape(r, c)
+        bottom = np.zeros((0, 0)) if dense else -top[::-1, ::-1]
         rows = np.arange(2 * _ROWS)[:, None]
         band = np.zeros((2 * _ROWS, 2 * _ROWS + 2 * w))
         band[rows, rows + np.arange(2 * w + 1)] = stencil
-        return _read_only(np.array(top, order="C"), band,
-                          np.array(bottom, order="C"))
+        return _read_only(top, band, bottom)
 
     # -- diagnostics -----------------------------------------------------
 

@@ -257,11 +257,10 @@ class TensorOps:
 
     def curl_transpose(self, w) -> np.ndarray:
         """curl^T of a scalar (2D) or 3-vector (3D) field: -rot (2D) or
-        -curl (3D) with D_i^T in place of D_i."""
-        name, planar = "_dt_form", self.dim == 2
+        -curl (3D) with D_i^T in place of D_i, its sign taken by the sweeps."""
+        planar = self.dim == 2
         w = self.field_data(w, "scalar" if planar else "vector")
-        out = self._rot(w, name) if planar else self._curl(w, name)
-        return np.negative(out, out=out)
+        return (self._rot if planar else self._curl)(w, "_dt_form", -1)
 
     def grad_star(self, w) -> np.ndarray:
         """grad* = M^-1 grad^T M of a vector field: div with D_i* in place
@@ -309,9 +308,9 @@ class TensorOps:
 
     def _curl(self, u: np.ndarray, name: str, sign: int = 1) -> np.ndarray:
         """Component c is ``D_a u_b - D_b u_a`` with ``(a, b) = (c+1, c+2)``
-        mod 3, or with a and b swapped, the bits of its negation, for
-        ``sign = -1``; the 2D curl is the scalar component c = 2.  The sweep
-        along the lower axis of the pair is written first, so that the
+        mod 3, or with a and b swapped for ``sign = -1``, its negation (an
+        exact zero is +0); the 2D curl is the scalar component c = 2.  The
+        sweep along the lower axis of the pair is written first, so that the
         blocked one (``_add_along``) never runs along axis 0; it is
         subtracted, or subtracted from, to the same bits."""
         planar = self.dim == 2
@@ -326,10 +325,14 @@ class TensorOps:
                             np.subtract if a < b else _subtract_from)
         return out
 
-    def _rot(self, v: np.ndarray, name: str) -> np.ndarray:
+    def _rot(self, v: np.ndarray, name: str, sign: int = 1) -> np.ndarray:
+        """``(D_1 v, -D_0 v)``, or ``(-D_1 v, D_0 v)`` for ``sign = -1``:
+        the component with a minus is negated in place after its sweep."""
         out = np.empty((2, *self.shape))
         self._along(1, v, name, out[0])
-        np.negative(self._along(0, v, name, out[1]), out=out[1])
+        self._along(0, v, name, out[1])
+        minus = out[1] if sign == 1 else out[0]
+        np.negative(minus, out=minus)
         return out
 
     # -- inner products ------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import json
 import runpy
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from sbphodge.experiments import (
     _oscillation_claims,
     convergence_study,
     fit_eoc,
+    mhd_order_comparison,
     mhd_study,
     oscillation_table,
     pairwise_eoc,
@@ -261,6 +263,15 @@ def test_mhd_study_small():
                            "magnetosonic_global", "magnetosonic_interior"}
     assert all(np.isfinite(v) for v in errors.values())
     assert result["j_perp"].shape == (2, 21, 21)
+
+
+def test_mhd_order_comparison_reports_both_orders():
+    config = MhdConfig(n=25)
+    out = mhd_order_comparison(config)
+    assert list(out) == ["grad-first", "curl-first"]
+    for order, errors in out.items():
+        study = mhd_study(replace(config, projection_order=order))
+        assert errors == study["report"]["errors"]
 
 
 def test_mhd_pure_alfven_mode_reproduced():

@@ -151,6 +151,13 @@ def test_adjoint_self_test_fails_a_nan_pairing(solver, rng):
         solver(op, np.ones(4))
 
 
+def test_adjoint_self_test_rejects_a_forward_of_the_wrong_length(rng):
+    a = rng.standard_normal((4, 3))
+    op = LinearMap(4, 3, lambda x: (a @ x)[:3], lambda y: a.T @ y)
+    with pytest.raises(DimensionMismatch, match="forward/adjoint shapes"):
+        op.self_test()
+
+
 def test_shape_validation():
     a = np.eye(4)
     with pytest.raises(DimensionMismatch):

@@ -200,6 +200,12 @@ def test_corrupted_operator_detected(order):
     assert bad.sbp_residual() >= 1e-4
 
 
+def test_validation_rejects_a_corrupted_operator(order):
+    op = corrupt_operator(build_operator_1d(order, Grid1D(0.0, 1.0, 32)))
+    with pytest.raises(AssertionError, match="SBP identity residual"):
+        operators1d._validate_operator(op)
+
+
 # -- polynomial accuracy check ------------------------------------------------
 
 

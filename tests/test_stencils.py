@@ -10,7 +10,11 @@ from fractions import Fraction as F
 import pytest
 
 from sbphodge.errors import UnsupportedOrder
-from sbphodge.stencils import available_orders, coefficient_table
+from sbphodge.stencils import (
+    _derive_boundary_weights,
+    available_orders,
+    coefficient_table,
+)
 
 
 def dense_rational(table, n):
@@ -97,3 +101,12 @@ def test_closure_geometry(order):
     table = coefficient_table(order)
     assert table.closure_width == table.n_closure_rows + table.halfwidth
     assert table.min_nodes == 2 * table.n_closure_rows
+
+
+def test_a_closure_off_the_sbp_identity_is_rejected():
+    table = coefficient_table(4)
+    closure = [list(row) for row in table.closure]
+    closure[1][2] += F(1, 100)
+    with pytest.raises(AssertionError,
+                       match=r"violates the SBP identity at \(1, 2\)"):
+        _derive_boundary_weights(tuple(map(tuple, closure)), table.interior)
