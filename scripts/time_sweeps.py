@@ -19,7 +19,11 @@ fixed random field, in ms, in both projection orders, per grid (default
 A second ``--calls`` table gives, per 2D grid, the time of one warm
 ``harmonic_neumann_potential`` plus ``scalar_potential_integral`` pair on
 the gradient of a harmonic cubic, as the ``neumann2d`` benchmark workload
-runs them, and of the integral alone, in ms.  With ``--calculus`` it
+runs them, and of the integral alone, in ms.  Each ``--calls`` column has
+a cold twin: the median of single calls, each timed right after a 32 MiB
+buffer is streamed through the caches, as the benchmark's reference kernel
+leaves them before every call it times; one cold call is taken per warm
+call of the rounds.  With ``--calculus`` it
 prints a table alone, in µs, of each step of the ``large_grid`` benchmark
 workload's calculus sequence, called as that workload calls it on fixed
 random fields, each into a fresh result: ``gradient``, ``rot`` (2D),
@@ -54,6 +58,7 @@ CALL_GRIDS = ["2:49", "2:129", "2:1025", "3:25", "3:97"]
 ORDERS = ("grad-first", "curl-first")
 STEPS = ("grad", "rot", "div", "curl", "filter", "inner")
 FORMS = {"apply_d": "_d_form", "apply_d_transpose": "_dt_form"}
+FLUSH_BYTES = 32 << 20  # streamed through the caches before a cold call
 
 
 def load_package(src):
@@ -79,24 +84,37 @@ def cell(times, scale, digits):
     return " → ".join(f"{scale * statistics.median(t):.{digits}f}" for t in times)
 
 
-def interleaved(calls, repeats, number):
+def interleaved(calls, repeats, number, flush=None):
     """Per call, its time in each of ``repeats`` rounds; within a round the
-    calls run in alternating order."""
+    calls run in alternating order, each after the array ``flush``, if
+    given, is streamed through the caches."""
     times = [[] for _ in calls]
     for r in range(repeats):
         ks = range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))
         for k in ks:
+            if flush is not None:
+                np.add(flush, 1.0, out=flush)
             times[k].append(seconds(calls[k], number))
     return times
 
 
+def warm_and_cold(calls, repeats, number):
+    """The warm cell (``repeats`` interleaved rounds of ``number`` calls)
+    and the cold cell (``repeats * number`` single calls, each after a
+    ``FLUSH_BYTES`` stream) of ``calls``, in ms."""
+    flush = np.zeros(FLUSH_BYTES // 8)
+    return [cell(interleaved(calls, repeats, number), 1e3, 3),
+            cell(interleaved(calls, repeats * number, 1, flush), 1e3, 3)]
+
+
 def time_calls(trees, grids, repeats):
     """Print the ``--calls`` table: per grid, the median over ``repeats``
-    interleaved rounds of a warm default ``helmholtz`` call in each order."""
-    print(f"Order {ORDER}: one warm default helmholtz call, ms, "
-          f"median of {repeats} interleaved rounds\n")
-    print("| grid | " + " | ".join(ORDERS) + " |")
-    print("|------|" + "-----------:|" * len(ORDERS))
+    interleaved rounds of a warm default ``helmholtz`` call in each order,
+    and of a cold one."""
+    print(f"Order {ORDER}: one default helmholtz call, ms, warm (median of "
+          f"{repeats} interleaved rounds) and cold\n")
+    print("| grid | " + " | ".join(f"{o} | cold" for o in ORDERS) + " |")
+    print("|------|" + "-----------:|-----:|" * len(ORDERS))
     for dim, n in grids:
         ops = [t.square_tensor_ops(ORDER, n, dim) for t in trees]
         u = np.random.default_rng(0).standard_normal((dim,) + (n,) * dim)
@@ -107,7 +125,7 @@ def time_calls(trees, grids, repeats):
                      for t, o in zip(trees, ops)]
             for call in calls:
                 call()  # builds the eigenbases and forms
-            row.append(cell(interleaved(calls, repeats, number), 1e3, 3))
+            row += warm_and_cold(calls, repeats, number)
         print(f"| {dim}D n={n} | " + " | ".join(row) + " |")
 
 
@@ -116,11 +134,11 @@ def time_potentials(trees, grids, repeats):
     over ``repeats`` interleaved rounds of a warm Neumann plus integral
     potential pair on the gradient of p = x^3 - 3xy^2 + xy + x^2 - y^2,
     exactly div- and curl-free for the order-6 operators, and of the
-    integral alone."""
-    print(f"\nOrder {ORDER}: one warm potential pair on grad of a harmonic "
-          f"cubic, ms, median of {repeats} interleaved rounds\n")
-    print("| grid | Neumann + integral | integral |")
-    print("|------|-------------------:|---------:|")
+    integral alone, and of cold ones."""
+    print(f"\nOrder {ORDER}: one potential pair on grad of a harmonic cubic, "
+          f"ms, warm (median of {repeats} interleaved rounds) and cold\n")
+    print("| grid | Neumann + integral | cold | integral | cold |")
+    print("|------|-------------------:|-----:|---------:|-----:|")
     for dim, n in grids:
         if dim != 2:
             continue
@@ -137,7 +155,7 @@ def time_potentials(trees, grids, repeats):
         for calls in (pair, integral):
             for call in calls:
                 call()  # builds the eigenbases and the integral's factors
-            row.append(cell(interleaved(calls, repeats, number), 1e3, 3))
+            row += warm_and_cold(calls, repeats, number)
         print(f"| {dim}D n={n} | " + " | ".join(row) + " |")
 
 

@@ -179,8 +179,8 @@ class SbpOperator1D:
     def _d_form(self) -> tuple:
         """The form of D that ``_apply_form`` applies, cut from
         ``_entries``: its top block is ``boundary_block``."""
-        return self._form(self._entries, self.interior_stencil,
-                          self.boundary_block.shape)
+        shape = self.boundary_block.shape
+        return self._form(self._head(shape), self.interior_stencil, shape)
 
     @cached_property
     def _dt_form(self) -> tuple:
@@ -190,7 +190,7 @@ class SbpOperator1D:
         they reach."""
         (b, wt), w = self.boundary_block.shape, self.halfwidth
         bt = max(b + w, wt)
-        rows, cols, vals = self._entries
+        rows, cols, vals = self._head((bt, bt + w))
         return self._form((cols, rows, vals), self.interior_stencil[::-1],
                           (bt, bt + w))
 
@@ -199,27 +199,36 @@ class SbpOperator1D:
         """The form of D* = M^-1 E - D, cut from D's negated entries, led
         by ``-1/m_0`` at (0, 0) and ended by ``1/m_(n-1)`` at (n-1, n-1)."""
         n, m = self.n_nodes, self.mass_weights
-        rows, cols, vals = self._entries
-        return self._form((np.r_[0, rows, n - 1], np.r_[0, cols, n - 1],
-                           np.r_[-1.0 / m[0], -vals, 1.0 / m[-1]]),
-                          -self.interior_stencil, self.boundary_block.shape)
+        shape = self.boundary_block.shape
+        rows, cols, vals = self._head(shape)
+        vals = np.concatenate(([-1.0 / m[0]], -vals, [1.0 / m[-1]]))
+        return self._form((np.concatenate(([0], rows, [n - 1])),
+                           np.concatenate(([0], cols, [n - 1])), vals),
+                          -self.interior_stencil, shape)
+
+    def _head(self, top_shape: tuple) -> tuple:
+        """The entries of D that an r x c top block of ``top_shape`` may
+        read: on a grid of at most ``_DENSE_NODES`` nodes all of them, else
+        those of D's first max(r, c) rows, which lead ``_entries`` (its rows
+        ascend but in its bottom block, beyond r and c)."""
+        entries = self._entries
+        if self.n_nodes <= _DENSE_NODES:
+            return entries
+        head = np.searchsorted(entries[0], max(top_shape))
+        return tuple(a[:head] for a in entries)
 
     def _form(self, entries, stencil: np.ndarray, top_shape: tuple) -> tuple:
         """``(top, band, bottom)``, read-only, of the matrix whose entries
-        ``(rows, cols, values)`` come in D's row order: the dense top block
-        of ``top_shape``, the sum of the entries in it, the 2 ``_ROWS`` x
-        (2 ``_ROWS`` + 2w) Toeplitz block of the stencil, and the top's
-        180-degree rotated negation.  An r x c top holds entries of D's
-        first max(r, c) rows only, which lead the list (D*'s after its
-        corner), so only they are read.  On a grid of at most
-        ``_DENSE_NODES`` nodes (every grid on which the end blocks meet,
-        2 bt <= 24) the top block is the whole matrix, the bottom empty."""
+        ``(rows, cols, values)`` (``_head``'s, or those of the whole matrix)
+        are given: the dense top block of ``top_shape``, the sum of the
+        entries in it, the 2 ``_ROWS`` x (2 ``_ROWS`` + 2w) Toeplitz block
+        of the stencil, and the top's 180-degree rotated negation.  On a
+        grid of at most ``_DENSE_NODES`` nodes (every grid on which the end
+        blocks meet, 2 bt <= 24) the top block is the whole matrix, the
+        bottom empty."""
         n, w = self.n_nodes, self.halfwidth
         dense = n <= _DENSE_NODES
         r, c = (n, n) if dense else top_shape
-        if not dense:  # D's rows ascend but in its bottom block, beyond r, c
-            head = np.searchsorted(self._entries[0], max(r, c)) + 1
-            entries = [a[:head] for a in entries]  # + 1: D*'s corner
         rows, cols, vals = entries
         keep = (rows < r) & (cols < c)
         top = np.bincount(rows[keep] * c + cols[keep], vals[keep], r * c)
@@ -294,7 +303,7 @@ class SbpOperator1D:
         _nonnegative(tol=tol, norm_floor=norm_floor)
         u, n = self._leading(u), self.n_nodes
         flat = u.reshape(n, -1)
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise NonFiniteEncountered("discrete integral of NaN or Inf")
         return self._invert_last_axis(flat.T, tol, norm_floor).T.reshape(u.shape)
 
@@ -305,15 +314,16 @@ class SbpOperator1D:
 
         u is seen as ``(lines, n)``, with no axis moved, and is not scanned
         for NaN again.  The oscillation overlaps and M-norms of all lines
-        are products along that axis.  Then the integral is one product
+        are products along that axis, with ``_weighted_oscillation`` and
+        the mass weights.  Then the integral is one product
         with ``_integral_inverse`` on a grid of at most ``_DENSE_NODES``
         nodes, and the banded solve on a larger one, which takes a copy of
         the lines (``dgbtrs`` overwrites its right-hand sides).
         """
-        n, w = self.n_nodes, self.mass_weights
+        n = self.n_nodes
         lines = u.reshape(-1, n)
-        _check_in_image(lines @ (w * self.grid_oscillation),
-                        np.sqrt(np.einsum("ij,ij,j->i", lines, lines, w)),
+        _check_in_image(lines @ self._weighted_oscillation,
+                        np.sqrt((lines * lines) @ self.mass_weights),
                         tol, norm_floor)
         out = np.empty(lines.shape)
         out[:, 0] = 0.0
@@ -346,6 +356,12 @@ class SbpOperator1D:
     def grid_oscillation(self) -> np.ndarray:
         """The unit-M-norm basis vector of ker D* (``grid_oscillation_1d``)."""
         return grid_oscillation_1d(self)
+
+    @cached_property
+    def _weighted_oscillation(self) -> np.ndarray:
+        """``M grid_oscillation``, read-only: the oscillation overlap of a
+        line is its product with it."""
+        return _read_only(self.mass_weights * self.grid_oscillation)[0]
 
     # -- eigenbases of the 1D Gram pencil and its dual -----------------
 
@@ -460,7 +476,7 @@ def _check_in_image(overlap, norms, tol: float, floor: float) -> None:
     with ``grid_oscillation``) exceeds ``tol`` times max(its M-norm,
     ``floor``), beyond roundoff: then D v = u has no solution."""
     overlap = np.abs(overlap)
-    if np.any(overlap > tol * np.maximum(norms, floor) + 1e2 * _EPS):
+    if (overlap > tol * np.maximum(norms, floor) + 1e2 * _EPS).any():
         raise NotInImage(
             "right-hand side has an oscillation component of relative size "
             f"{float(np.max(overlap / np.maximum(norms, 1e-300))):.3e}"
@@ -470,7 +486,10 @@ def _check_in_image(overlap, norms, tol: float, floor: float) -> None:
 def _real_data(u) -> np.ndarray:
     """u as a float64 array: the one rule for the data of a field or a
     matrix, which must be of a real dtype, bool, integer or float (else
-    KindMismatch), so no complex or object data converts silently."""
+    KindMismatch), so no complex or object data converts silently.  A
+    float64 ndarray is returned as it is."""
+    if type(u) is np.ndarray and u.dtype == np.float64:
+        return u
     u = np.asarray(u)
     if u.dtype.kind not in "biuf":
         raise KindMismatch(f"data of dtype {u.dtype} is not real")
@@ -506,9 +525,17 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
     with a leading part of ``band`` for the ragged tail.  When post == 1,
     each product is taken as ``x @ a.T``, and the pre lines are swept as
     one line, whose rows between the interiors of two lines are end rows.
-    Then one product per end block writes the end rows of every line.
+    Then one product per end block writes the end rows of every line.  A
+    dense form (no bottom block) is its top block alone: one product, taken
+    as ``x @ a.T`` when post == 1.
     """
     top, band, bottom = form
+    if not len(bottom):
+        if u.shape[2] == 1:
+            np.matmul(u[..., 0], top.T, out=out[..., 0])
+        else:
+            np.matmul(top, u, out=out)
+        return
     (_, n, post), rows = u.shape, _ROWS
     w = (band.shape[1] - len(band)) // 2
     lo, hi = len(top), n - len(bottom)
@@ -530,9 +557,8 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
                       blocks(dest, lo, rows)),
                      (band[: stop - mid, : stop - mid + 2 * w],
                       line[:, mid - w : stop + w], dest[:, mid:stop])]
-    products.append((top, u[:, : top.shape[1]], out[:, :lo]))
-    if len(bottom):  # a dense form is its top block alone
-        products.append((bottom, u[:, n - bottom.shape[1] :], out[:, hi:]))
+    products += [(top, u[:, : top.shape[1]], out[:, :lo]),
+                 (bottom, u[:, n - bottom.shape[1] :], out[:, hi:])]
     for a, x, y in products:
         if post == 1:
             np.matmul(x[..., 0], a.T, out=y[..., 0])

@@ -158,9 +158,10 @@ def check_potential_conditions(ops: TensorOps, u) -> PotentialConditions:
 
 def _conditions(ops: TensorOps, u: np.ndarray, unorm: float) -> PotentialConditions:
     """``check_potential_conditions`` of checked vector data of M-norm
-    ``unorm``.  Component i's overlap is its mode of ``_mode_overlaps``
-    that oscillates along axis i alone, so no oscillation field is built."""
-    curl_norm = ops.norm(ops.curl(u))
+    ``unorm``, its curl swept by ``TensorOps._curl``, so u is not checked
+    again.  Component i's overlap is its mode of ``_mode_overlaps`` that
+    oscillates along axis i alone, so no oscillation field is built."""
+    curl_norm = ops.norm(ops._curl(u, "_d_form"))
     rel_curl = curl_norm / (_derivative_scale(ops) * unorm) if unorm > 0 else 0.0
     d, modes = ops.dim, ops._mode_overlaps(u)
     overlaps = tuple(abs(float(modes[i, 1 << (d - 1 - i)])) / unorm
@@ -218,16 +219,17 @@ def harmonic_neumann_potential(ops: TensorOps, u, tol: float = 1e-8) -> GridFiel
     ``TensorOps.gram_pinv``; the kernel of the system is the constants,
     removed by an exact mean shift.  ``E_i u_i`` is summed on the faces
     normal to axis i: the other axes' mass weights, negated on the first.
-    A ``tol`` that is NaN, negative or not a real number raises
-    InvalidConfig.
+    u is checked once: its div and curl are swept by ``TensorOps._div``
+    and ``TensorOps._curl`` on the checked data.  A ``tol`` that is NaN,
+    negative or not a real number raises InvalidConfig.
     """
     _nonnegative(tol=tol)
     u = ops.vector_data(u)
     unorm = ops.norm(u)
     scale = _derivative_scale(ops) * unorm
     if unorm > 0:
-        div_norm = ops.norm(ops.div(u))
-        curl_norm = ops.norm(ops.curl(u))
+        div_norm = ops.norm(ops._div(u, "_d_form"))
+        curl_norm = ops.norm(ops._curl(u, "_d_form"))
         if div_norm > tol * scale or curl_norm > tol * scale:
             raise NotDivCurlFree(
                 f"relative residuals div {div_norm / scale:.3e}, "

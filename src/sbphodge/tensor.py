@@ -8,12 +8,14 @@ materialized.  Every axis follows one layout rule: the sweep reads the
 C-ordered field seen as ``(before, N_i, after)`` and writes its row of a
 preallocated result, by the matrix products of the 1D operator's form
 (``operators1d``).  The mass matrix is the tensor product of the 1D
-diagonal weights; vector fields use one copy of it per component, and inner
-products contract the weights axis by axis.  ``TensorOps`` holds only its
-per-axis operators: the full mass diagonal, the per-axis mode factors and
-the oscillation fields are cached on first use.  Every oscillation field is
-a tensor product of the per-axis factors, the unit constant and the unit
-oscillation, so the oscillation filter is one separable projection.
+diagonal weights; vector fields use one copy of it per component, and an
+inner product is one BLAS dot per component of ``mass * a``, formed block
+by block in a scratch, with b.  ``TensorOps`` holds only its per-axis
+operators: the full mass diagonal, the per-axis mode factors, M-weighted
+too, and the oscillation fields are cached on first use.  Every
+oscillation field is a tensor product of the per-axis factors, the unit
+constant and the unit oscillation, so the oscillation filter is one
+separable projection.
 Neither the calculus nor the filter makes a full-size temporary: div and
 curl, their transposes and M-adjoints included, sweep each later term block
 by block of lines into one scratch of ``_BLOCK_NODES`` nodes (``_scratch``)
@@ -31,8 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -85,8 +88,7 @@ class GridField:
 
     @property
     def grids(self) -> tuple:
-        return tuple(Grid1D(lo, hi, n)
-                     for (lo, hi), n in zip(self.bounds, self.shape))
+        return _grids(tuple(map(tuple, self.bounds)), self.shape)
 
     @property
     def dim(self) -> int:
@@ -132,6 +134,13 @@ class TensorOps:
             for op in self.axis_ops)
 
     @cached_property
+    def _weighted_mode_factors(self) -> tuple:
+        """Per axis, ``_mode_factors`` with row j times the mass weight
+        ``m_j``: the factors that ``_mode_overlaps`` contracts u with."""
+        return tuple(op.mass_weights[:, None] * f
+                     for op, f in zip(self.axis_ops, self._mode_factors))
+
+    @cached_property
     def oscillations(self) -> dict:
         """Index tuple -> unit-M-norm oscillation field: the 1D grid
         oscillation along the indexed axes, constant along the others (the
@@ -141,7 +150,7 @@ class TensorOps:
                              for j, f in enumerate(self._mode_factors)])
                 for r in range(1, d + 1) for key in combinations(range(d), r)}
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.axis_ops)
 
@@ -164,7 +173,9 @@ class TensorOps:
         return np.meshgrid(*self.coords(), indexing="ij")
 
     def field(self, data: np.ndarray) -> GridField:
-        return GridField(np.asarray(data, dtype=np.float64), self.bounds)
+        """data, real (``_real_data``, else KindMismatch), as a field on
+        this grid's domain."""
+        return GridField(_real_data(data), self.bounds)
 
     # -- the field rule and axis applications -------------------------------
 
@@ -195,7 +206,7 @@ class TensorOps:
         """``field_data(u, "vector")``, and NonFiniteEncountered on NaN/Inf:
         the check of the input of a solve or a potential."""
         u = self.field_data(u, "vector")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise NonFiniteEncountered("vector field contains NaN or Inf")
         return u
 
@@ -215,13 +226,22 @@ class TensorOps:
                     np.ascontiguousarray(u).reshape(lines), out.reshape(lines))
         return out
 
+    def _axis(self, i) -> int:
+        """i, an axis index, an integer in ``0..dim-1`` (else
+        WrongDimension)."""
+        if not (isinstance(i, Integral) and 0 <= i < self.dim):
+            raise WrongDimension(f"axis {i!r} of a {self.dim}D grid")
+        return i
+
     def apply_axis(self, i: int, u) -> np.ndarray:
         """D_i u for a scalar field (0-based axis index)."""
-        return self._along(i, self.field_data(u, "scalar"), "_d_form")
+        return self._along(self._axis(i), self.field_data(u, "scalar"),
+                           "_d_form")
 
     def apply_axis_transpose(self, i: int, u) -> np.ndarray:
         """D_i^T u for a scalar field (0-based axis index)."""
-        return self._along(i, self.field_data(u, "scalar"), "_dt_form")
+        return self._along(self._axis(i), self.field_data(u, "scalar"),
+                           "_dt_form")
 
     # -- vector calculus ----------------------------------------------------
     # Each public method checks its field once; the private forms take
@@ -274,12 +294,18 @@ class TensorOps:
             raise WrongDimension("curl* maps 3-vectors to 3-vectors in 3D only")
         return self._curl(self.field_data(w, "vector"), "_ds_form", -1)
 
-    def _scratch(self) -> np.ndarray:
-        """The flat scratch of ``_add_along``: the whole field if it fits in
+    @cached_property
+    def _scratch_nodes(self) -> int:
+        """The size of ``_scratch``: the whole field if it fits in
         ``_BLOCK_NODES`` nodes, else that many, or one slab ``u[j]`` should
         that be more: a block holds at least one line before its axis."""
         size = math.prod(self.shape)
-        return np.empty(min(size, max(_BLOCK_NODES, size // self.shape[0])))
+        return min(size, max(_BLOCK_NODES, size // self.shape[0]))
+
+    def _scratch(self) -> np.ndarray:
+        """The flat scratch of ``_add_along`` and ``inner``, of
+        ``_scratch_nodes`` nodes."""
+        return np.empty(self._scratch_nodes)
 
     def _add_along(self, i: int, u: np.ndarray, form: str, out: np.ndarray,
                    block: np.ndarray, combine=np.add) -> None:
@@ -340,20 +366,24 @@ class TensorOps:
     def inner(self, a, b) -> float:
         """<a, b>_M of two fields of one kind.
 
-        The separable weights are contracted axis by axis: one pass sums
-        ``a * b`` over the components and the last axis, weighted along it,
-        and the other axes' weights reduce the rest, so no full-size
-        product is formed.
+        Per component, ``mass * a`` is formed in the flat scratch of
+        ``_scratch`` and reduced with b by one BLAS dot (``np.vdot``); a
+        component larger than the scratch is taken block by block of nodes,
+        so no full-size product is formed.  b is checked unless it is a.
         """
-        a = self.field_data(a)
-        b = self.field_data(b, "scalar" if a.ndim == self.dim else "vector")
-        axes = "ijk"[: self.dim]
-        full = "c" * (a.ndim - self.dim) + axes
-        w = [op.mass_weights for op in self.axis_ops]
-        out = np.einsum(f"{full},{full},{axes[-1]}->{axes[:-1]}", a, b, w[-1])
-        for wj in reversed(w[:-1]):
-            out = out @ wj
-        return float(out)
+        data = self.field_data(a)
+        kind = "scalar" if data.ndim == self.dim else "vector"
+        other = data if b is a else self.field_data(b, kind)
+        mass, scratch, total = self.mass.reshape(-1), self._scratch(), 0.0
+        a, b = data.reshape(-1, mass.size), other.reshape(-1, mass.size)
+        for start in range(0, mass.size, len(scratch)):
+            nodes = slice(start, start + len(scratch))
+            m = mass[nodes]
+            block = scratch[: len(m)]
+            for ac, bc in zip(a, b):
+                total += float(np.vdot(np.multiply(ac[nodes], m, out=block),
+                                       bc[nodes]))
+        return total
 
     def norm(self, a) -> float:
         return float(np.sqrt(self.inner(a, a)))
@@ -435,12 +465,14 @@ class TensorOps:
     # -- boundary operator ----------------------------------------------------
 
     def e_weight(self, i: int) -> np.ndarray:
-        """Diagonal of E_i = M_1 (x) ... E_i ... (x) M_d as a full array."""
+        """Diagonal of E_i = M_1 (x) ... E_i ... (x) M_d as a full array
+        (0-based axis index)."""
+        i = self._axis(i)
         return _outer([op.boundary_diag if j == i else op.mass_weights
                        for j, op in enumerate(self.axis_ops)])
 
     def boundary_pairing(self, i: int, f, g) -> float:
-        """f^T E_i g for scalar fields."""
+        """f^T E_i g for scalar fields (0-based axis index)."""
         f, g = self.field_data(f, "scalar"), self.field_data(g, "scalar")
         return float(np.sum(self.e_weight(i) * f * g))
 
@@ -463,11 +495,10 @@ class TensorOps:
         ``_mode_factors``, shape ``(*batch, 2^d)``; leading axes of u beyond
         the grid's are a batch.  Mode m oscillates along the axes of the set
         bits of m, axis 0 highest.  One separable pass: u is contracted
-        with the M-weighted factors axis by axis, last axis first."""
-        d, shape = self.dim, self.shape
+        with the M-weighted factors (``_weighted_mode_factors``) axis by
+        axis, last axis first."""
+        d, shape, weighted = self.dim, self.shape, self._weighted_mode_factors
         batch = u.shape[: u.ndim - d]
-        weighted = [op.mass_weights[:, None] * f
-                    for op, f in zip(self.axis_ops, self._mode_factors)]
         c = u.reshape(-1, shape[-1]) @ weighted[-1]
         for j in reversed(range(d - 1)):
             c = weighted[j].T @ c.reshape(*batch, *shape[: j + 1], -1)
@@ -511,6 +542,13 @@ def _blocks(count: int, most: int) -> list:
     step = (most - 1) // _ALIGN * _ALIGN or most
     stops = [*range(step, count - (step < most), step), count]
     return [slice(a, b) for a, b in zip([0, *stops], stops)]
+
+
+@lru_cache(maxsize=256)
+def _grids(bounds: tuple, shape: tuple) -> tuple:
+    """``GridField.grids``: one ``Grid1D`` per axis, built and checked once
+    per domain and shape."""
+    return tuple(Grid1D(lo, hi, n) for (lo, hi), n in zip(bounds, shape))
 
 
 def _subtract_from(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:

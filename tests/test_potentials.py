@@ -19,7 +19,7 @@ from sbphodge.potentials import (
     kernel_dimension,
     scalar_potential_integral,
 )
-from sbphodge.tensor import build_tensor_ops, square_tensor_ops
+from sbphodge.tensor import TensorOps, build_tensor_ops, square_tensor_ops
 
 
 def place(ops, arr, slot):
@@ -299,6 +299,31 @@ def test_integral_potential_measures_the_field_once(dim, inner_calls):
     scalar_potential_integral(ops, u)
     assert len(inner_calls) == 2
     assert "oscillations" not in vars(ops)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_potentials_check_their_field_once(dim, monkeypatch):
+    """The potentials sweep the div and curl of their checked field through
+    the private forms: a counter on the public ``TensorOps.div`` and
+    ``TensorOps.curl``, which check their input again, sees no call."""
+    calls = []
+    for name in ("div", "curl"):
+        public = getattr(TensorOps, name)
+
+        def counted(self, u, name=name, public=public):
+            calls.append(name)
+            return public(self, u)
+
+        monkeypatch.setattr(TensorOps, name, counted)
+    ops = square_tensor_ops(4, 9, dim)
+    x = ops.meshgrid()
+    u = ops.grad(x[0] * x[1])  # div- and curl-free
+    harmonic_neumann_potential(ops, u)
+    scalar_potential_integral(ops, u)
+    check_potential_conditions(ops, u)
+    assert calls == []
+    ops.curl(u)  # the counter sees a public call
+    assert calls == ["curl"]
 
 
 def test_neumann_rejects_generic_field(ops_2d, rng):

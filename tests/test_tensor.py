@@ -543,6 +543,26 @@ MISUSE = {
     "direct helmholtz with a None atol":
         (lambda: helmholtz(_ops2(), np.ones((2, 9, 9)), atol=None),
          InvalidConfig),
+    "field of complex data":
+        (lambda: _ops2().field(np.ones((9, 9)) + 1j), KindMismatch),
+    "field of None entries":
+        (lambda: _ops2().field([[None] * 9] * 9), KindMismatch),
+    "field of strings":
+        (lambda: _ops2().field(np.full((9, 9), "1.0")), KindMismatch),
+    "2d apply_axis along axis 2":
+        (lambda: _ops2().apply_axis(2, np.ones((9, 9))), WrongDimension),
+    "2d apply_axis along axis -1":
+        (lambda: _ops2().apply_axis(-1, np.ones((9, 9))), WrongDimension),
+    "3d apply_axis_transpose along axis 3":
+        (lambda: _ops3().apply_axis_transpose(3, np.ones((5, 5, 5))),
+         WrongDimension),
+    "2d apply_axis along axis 1.0":
+        (lambda: _ops2().apply_axis(1.0, np.ones((9, 9))), WrongDimension),
+    "2d e_weight of axis 5": (lambda: _ops2().e_weight(5), WrongDimension),
+    "2d e_weight of axis -1": (lambda: _ops2().e_weight(-1), WrongDimension),
+    "2d boundary_pairing of axis 5":
+        (lambda: _ops2().boundary_pairing(5, np.ones((9, 9)), np.ones((9, 9))),
+         WrongDimension),
 }
 
 
@@ -1155,6 +1175,37 @@ def test_blocked_filter_bit_identical_to_the_whole_field_formula(
                           _whole_field_filter(ops, u, extended))
     assert np.array_equal(ops.filter_scalar(u[1], extended),
                           _whole_field_filter(ops, u[1], extended))
+
+
+def test_inner_scratch_is_bounded(rng):
+    """The M-inner product of two 1025 x 1025 vector fields (16 MiB each)
+    allocates under 1 MiB: its products with the mass diagonal go block by
+    block into one scratch, with no full-size temporary."""
+    import tracemalloc
+
+    ops = square_tensor_ops(6, 1025, 2)
+    a, b = random_vector(ops, rng), random_vector(ops, rng)
+    ops.inner(a, b)  # builds the cached mass diagonal
+    tracemalloc.start()
+    try:
+        ops.inner(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("dim, n", [(2, 300), (3, 45)])
+def test_blocked_inner_matches_full_mass_product(dim, n, rng):
+    """On a grid larger than one scratch block, the blocked inner product
+    agrees with the full product ``vdot(mass * a, b)`` to roundoff."""
+    ops = square_tensor_ops(2, n, dim)
+    assert ops.n_total > tensor._BLOCK_NODES
+    for a, b in ((random_scalar(ops, rng), random_scalar(ops, rng)),
+                 (random_vector(ops, rng), random_vector(ops, rng))):
+        want = np.vdot(ops.mass * a, b)
+        scale = np.sqrt(np.vdot(ops.mass * a, a) * np.vdot(ops.mass * b, b))
+        assert abs(ops.inner(a, b) - want) <= 1e-14 * scale
 
 
 def test_calculus_scratch_is_bounded(rng):
