@@ -486,10 +486,7 @@ def _check_in_image(overlap, norms, tol: float, floor: float) -> None:
 def _real_data(u) -> np.ndarray:
     """u as a float64 array: the one rule for the data of a field or a
     matrix, which must be of a real dtype, bool, integer or float (else
-    KindMismatch), so no complex or object data converts silently.  A
-    float64 ndarray is returned as it is."""
-    if type(u) is np.ndarray and u.dtype == np.float64:
-        return u
+    KindMismatch), so no complex or object data converts silently."""
     u = np.asarray(u)
     if u.dtype.kind not in "biuf":
         raise KindMismatch(f"data of dtype {u.dtype} is not real")
@@ -525,17 +522,9 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
     with a leading part of ``band`` for the ragged tail.  When post == 1,
     each product is taken as ``x @ a.T``, and the pre lines are swept as
     one line, whose rows between the interiors of two lines are end rows.
-    Then one product per end block writes the end rows of every line.  A
-    dense form (no bottom block) is its top block alone: one product, taken
-    as ``x @ a.T`` when post == 1.
+    Then one product per end block writes the end rows of every line.
     """
     top, band, bottom = form
-    if not len(bottom):
-        if u.shape[2] == 1:
-            np.matmul(u[..., 0], top.T, out=out[..., 0])
-        else:
-            np.matmul(top, u, out=out)
-        return
     (_, n, post), rows = u.shape, _ROWS
     w = (band.shape[1] - len(band)) // 2
     lo, hi = len(top), n - len(bottom)
@@ -557,8 +546,9 @@ def _apply_form(form: tuple, u: np.ndarray, out: np.ndarray) -> None:
                       blocks(dest, lo, rows)),
                      (band[: stop - mid, : stop - mid + 2 * w],
                       line[:, mid - w : stop + w], dest[:, mid:stop])]
-    products += [(top, u[:, : top.shape[1]], out[:, :lo]),
-                 (bottom, u[:, n - bottom.shape[1] :], out[:, hi:])]
+    products.append((top, u[:, : top.shape[1]], out[:, :lo]))
+    if len(bottom):  # a dense form is its top block alone
+        products.append((bottom, u[:, n - bottom.shape[1] :], out[:, hi:]))
     for a, x, y in products:
         if post == 1:
             np.matmul(x[..., 0], a.T, out=y[..., 0])

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from numbers import Integral
 
@@ -88,7 +88,8 @@ class GridField:
 
     @property
     def grids(self) -> tuple:
-        return _grids(tuple(map(tuple, self.bounds)), self.shape)
+        return tuple(Grid1D(lo, hi, n)
+                     for (lo, hi), n in zip(self.bounds, self.shape))
 
     @property
     def dim(self) -> int:
@@ -369,7 +370,10 @@ class TensorOps:
         Per component, ``mass * a`` is formed in the flat scratch of
         ``_scratch`` and reduced with b by one BLAS dot (``np.vdot``); a
         component larger than the scratch is taken block by block of nodes,
-        so no full-size product is formed.  b is checked unless it is a.
+        so no full-size product is formed.  The first call on an operator
+        that has not built ``mass`` yet builds and keeps it: one N-node
+        array (8 MiB on a 1025^2 grid), shared with the solves' scaling
+        and ``_volume``.  b is checked unless it is a.
         """
         data = self.field_data(a)
         kind = "scalar" if data.ndim == self.dim else "vector"
@@ -542,13 +546,6 @@ def _blocks(count: int, most: int) -> list:
     step = (most - 1) // _ALIGN * _ALIGN or most
     stops = [*range(step, count - (step < most), step), count]
     return [slice(a, b) for a, b in zip([0, *stops], stops)]
-
-
-@lru_cache(maxsize=256)
-def _grids(bounds: tuple, shape: tuple) -> tuple:
-    """``GridField.grids``: one ``Grid1D`` per axis, built and checked once
-    per domain and shape."""
-    return tuple(Grid1D(lo, hi, n) for (lo, hi), n in zip(bounds, shape))
 
 
 def _subtract_from(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1180,18 +1180,24 @@ def test_blocked_filter_bit_identical_to_the_whole_field_formula(
 def test_inner_scratch_is_bounded(rng):
     """The M-inner product of two 1025 x 1025 vector fields (16 MiB each)
     allocates under 1 MiB: its products with the mass diagonal go block by
-    block into one scratch, with no full-size temporary."""
+    block into one scratch, with no full-size temporary.  The first call on
+    fresh operators also builds and keeps that N-node diagonal (8 MiB), and
+    nothing else of full size."""
     import tracemalloc
 
     ops = square_tensor_ops(6, 1025, 2)
     a, b = random_vector(ops, rng), random_vector(ops, rng)
-    ops.inner(a, b)  # builds the cached mass diagonal
     tracemalloc.start()
     try:
+        ops.inner(a, b)  # builds the cached mass diagonal
+        first = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kept = tracemalloc.get_traced_memory()[0]
         ops.inner(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - kept
     finally:
         tracemalloc.stop()
+    assert first < ops.mass.nbytes + 2**20, first
     assert peak < 2**20, peak
 
 
