@@ -23,7 +23,8 @@ runs them, and of the integral alone, in ms.  Each ``--calls`` column has
 a cold twin: the median of single calls, each timed right after a 32 MiB
 buffer is streamed through the caches, as the benchmark's reference kernel
 leaves them before every call it times; one cold call is taken per warm
-call of the rounds.  With ``--calculus`` it
+call of the rounds, and the cold median is followed by its quartiles in
+parentheses, since single calls spread widely.  With ``--calculus`` it
 prints a table alone, in µs, of each step of the ``large_grid`` benchmark
 workload's calculus sequence, called as that workload calls it on fixed
 random fields, each into a fresh result: ``gradient``, ``rot`` (2D),
@@ -80,8 +81,16 @@ def seconds(call, number):
     return (time.perf_counter() - start) / number
 
 
-def cell(times, scale, digits):
-    return " → ".join(f"{scale * statistics.median(t):.{digits}f}" for t in times)
+def cell(times, scale, digits, quartiles=False):
+    """Each tree's median time, scaled, as ``baseline → this tree``; with
+    ``quartiles``, each followed by its lower and upper quartile."""
+    def one(t):
+        text = f"{scale * statistics.median(t):.{digits}f}"
+        if quartiles and len(t) > 1:
+            low, _, high = statistics.quantiles(t, n=4)
+            text += f" ({scale * low:.{digits}f}–{scale * high:.{digits}f})"
+        return text
+    return " → ".join(one(t) for t in times)
 
 
 def interleaved(calls, repeats, number, flush=None):
@@ -101,10 +110,10 @@ def interleaved(calls, repeats, number, flush=None):
 def warm_and_cold(calls, repeats, number):
     """The warm cell (``repeats`` interleaved rounds of ``number`` calls)
     and the cold cell (``repeats * number`` single calls, each after a
-    ``FLUSH_BYTES`` stream) of ``calls``, in ms."""
+    ``FLUSH_BYTES`` stream, with their quartiles) of ``calls``, in ms."""
     flush = np.zeros(FLUSH_BYTES // 8)
     return [cell(interleaved(calls, repeats, number), 1e3, 3),
-            cell(interleaved(calls, repeats * number, 1, flush), 1e3, 3)]
+            cell(interleaved(calls, repeats * number, 1, flush), 1e3, 3, True)]
 
 
 def time_calls(trees, grids, repeats):
@@ -112,7 +121,7 @@ def time_calls(trees, grids, repeats):
     interleaved rounds of a warm default ``helmholtz`` call in each order,
     and of a cold one."""
     print(f"Order {ORDER}: one default helmholtz call, ms, warm (median of "
-          f"{repeats} interleaved rounds) and cold\n")
+          f"{repeats} interleaved rounds) and cold (median and quartiles)\n")
     print("| grid | " + " | ".join(f"{o} | cold" for o in ORDERS) + " |")
     print("|------|" + "-----------:|-----:|" * len(ORDERS))
     for dim, n in grids:
@@ -136,7 +145,8 @@ def time_potentials(trees, grids, repeats):
     exactly div- and curl-free for the order-6 operators, and of the
     integral alone, and of cold ones."""
     print(f"\nOrder {ORDER}: one potential pair on grad of a harmonic cubic, "
-          f"ms, warm (median of {repeats} interleaved rounds) and cold\n")
+          f"ms, warm (median of {repeats} interleaved rounds) and cold "
+          "(median and quartiles)\n")
     print("| grid | Neumann + integral | cold | integral | cold |")
     print("|------|-------------------:|-----:|---------:|-----:|")
     for dim, n in grids:

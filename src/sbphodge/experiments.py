@@ -314,9 +314,9 @@ def _curl_coimage_part(ops: TensorOps, v: np.ndarray,
     M-orthogonal to im grad), so no curl solve is needed."""
     out = v - project_im_grad(ops, v, config.solver, atol=config.atol,
                               btol=config.btol)[1].data
+    modes = ops._mode_overlaps(v)
     for i in range(ops.dim):
-        osc = ops.oscillations[(i,)]
-        out[i] -= ops.inner(v[i], osc) * osc
+        out[i] -= modes[i, ops._mode((i,))] * ops.oscillations[(i,)]
     return out
 
 

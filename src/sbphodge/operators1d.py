@@ -399,13 +399,12 @@ class SbpOperator1D:
         return mu, q / w[:, None]
 
 
-def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOperator1D:
+def build_operator_1d(order: int, grid: Grid1D) -> SbpOperator1D:
     """Construct the diagonal-norm SBP operator of interior order 2p.
 
     Coefficients come from the exact rational tables; construction checks the
     SBP identity, the polynomial accuracy of every row and nullspace
-    consistency unless ``validate`` is disabled, for a caller that runs or
-    times those checks itself.
+    consistency.
     """
     table = coefficient_table(order)
     if grid.n_nodes < table.min_nodes:
@@ -427,8 +426,7 @@ def build_operator_1d(order: int, grid: Grid1D, validate: bool = True) -> SbpOpe
         boundary_block=block / dx,
         mass_weights=mass,
     )
-    if validate:
-        _validate_operator(op)
+    _validate_operator(op)
     return op
 
 
@@ -595,8 +593,8 @@ def accuracy_check(op: SbpOperator1D) -> None:
         )
 
 
-def corrupt_operator(op: SbpOperator1D, delta: float = 1e-3) -> SbpOperator1D:
-    """Copy with one closure coefficient perturbed by ``delta`` (dimensionless).
+def corrupt_operator(op: SbpOperator1D) -> SbpOperator1D:
+    """Copy with one closure coefficient perturbed by 1e-3 (dimensionless).
 
     Negative control only: the result violates the SBP identity and nullspace
     consistency, and is deliberately built without validation.  A closure
@@ -604,7 +602,7 @@ def corrupt_operator(op: SbpOperator1D, delta: float = 1e-3) -> SbpOperator1D:
     interior rows.
     """
     closure = op.boundary_block.copy()
-    closure[0, 0] += delta / op.grid.dx
+    closure[0, 0] += 1e-3 / op.grid.dx
     return replace(op, boundary_block=closure)
 
 

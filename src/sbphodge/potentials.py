@@ -159,13 +159,13 @@ def check_potential_conditions(ops: TensorOps, u) -> PotentialConditions:
 def _conditions(ops: TensorOps, u: np.ndarray, unorm: float) -> PotentialConditions:
     """``check_potential_conditions`` of checked vector data of M-norm
     ``unorm``, its curl swept by ``TensorOps._curl``, so u is not checked
-    again.  Component i's overlap is its mode of ``_mode_overlaps`` that
-    oscillates along axis i alone, so no oscillation field is built."""
+    again.  Component i's overlap is its entry ``_mode((i,))`` of
+    ``_mode_overlaps``, so no oscillation field is built."""
     curl_norm = ops.norm(ops._curl(u, "_d_form"))
     rel_curl = curl_norm / (_derivative_scale(ops) * unorm) if unorm > 0 else 0.0
-    d, modes = ops.dim, ops._mode_overlaps(u)
-    overlaps = tuple(abs(float(modes[i, 1 << (d - 1 - i)])) / unorm
-                     if unorm > 0 else 0.0 for i in range(d))
+    modes = ops._mode_overlaps(u)
+    overlaps = tuple(abs(float(modes[i, ops._mode((i,))])) / unorm
+                     if unorm > 0 else 0.0 for i in range(ops.dim))
     return PotentialConditions(rel_curl, overlaps)
 
 

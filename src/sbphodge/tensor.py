@@ -255,11 +255,7 @@ class TensorOps:
     # it is in cache (``_add_along``).
 
     def grad(self, f) -> np.ndarray:
-        f = self.field_data(f, "scalar")
-        out = np.empty((self.dim, *self.shape))
-        for i in range(self.dim):
-            self._along(i, f, "_d_form", out[i])
-        return out
+        return self._grad(self.field_data(f, "scalar"), "_d_form")
 
     def div(self, u) -> np.ndarray:
         return self._div(self.field_data(u, "vector"), "_d_form")
@@ -326,6 +322,12 @@ class TensorOps:
             y = out[rows]
             term = block[: y.size].reshape(y.shape)
             combine(y, self._along(i, u[rows], form, term), out=y)
+
+    def _grad(self, f: np.ndarray, name: str) -> np.ndarray:
+        out = np.empty((self.dim, *self.shape))
+        for i in range(self.dim):
+            self._along(i, f, name, out[i])
+        return out
 
     def _div(self, u: np.ndarray, name: str) -> np.ndarray:
         out, block = self._along(0, u[0], name), self._scratch()
@@ -409,16 +411,16 @@ class TensorOps:
         """The eigenvalue sums of ``_fdm`` built so far, by ``dual``."""
         return {}
 
-    def _fdm(self, b: np.ndarray, dual: int | None = None) -> np.ndarray:
+    def _fdm(self, b: np.ndarray, dual: tuple = ()) -> np.ndarray:
         """The pseudo-inverse of the tensor sum of the pencils (D^T M D, M),
-        with (M D M^-1 D^T M, M) along axis ``dual``, applied to checked
-        scalar data b by fast diagonalization (Lynch, Rice & Thomas 1964):
-        ``basis^T`` along every axis (``eigenbasis``, or ``dual_eigenbasis``
-        along ``dual``), division by the sums of their eigenvalues, built on
-        first use and kept read-only per ``dual``, and ``basis`` along every
-        axis.  The single zero mode, (0, ..., 0), has the divisor inf, so
-        the division drops it."""
-        pairs = [op.dual_eigenbasis if i == dual else op.eigenbasis
+        with (M D M^-1 D^T M, M) along the axes in ``dual``, applied to
+        checked scalar data b by fast diagonalization (Lynch, Rice & Thomas
+        1964): ``basis^T`` along every axis (``dual_eigenbasis`` along those
+        in ``dual``, else ``eigenbasis``), division by the eigenvalue sums,
+        built on first use and kept read-only per ``dual``, and ``basis``
+        along every axis.  The single zero mode, (0, ..., 0), oscillates
+        along the dual axes alone; its divisor inf drops it."""
+        pairs = [op.dual_eigenbasis if i in dual else op.eigenbasis
                  for i, op in enumerate(self.axis_ops)]
         if dual not in self._sums:
             sums = _outer([lam for lam, _ in pairs], np.add)
@@ -455,15 +457,15 @@ class TensorOps:
         and the sum keeps the coimage invariant (conjugated with M^1/2), so
         its pseudo-inverse, one fast diagonalization per component with
         ``dual_eigenbasis`` R along axis c and ``eigenbasis`` S along the
-        others (``_fdm(b[c], c)``), returns the coimage solution.  The zero
-        mode of component c is ``osc_(c,) e_c``, which lies in ker curl.
+        others (``_fdm(b[c], (c,))``), returns the coimage solution.  The
+        zero mode of component c is ``osc_(c,) e_c``, in ker curl.
         """
         if self.dim != 3:
             raise WrongDimension("the curl Gram operator acts in 3D only")
         b = self.field_data(b, "vector")
         v = np.empty_like(b)
         for c in range(3):
-            v[c] = self._fdm(b[c], c)
+            v[c] = self._fdm(b[c], (c,))
         return v
 
     # -- boundary operator ----------------------------------------------------
@@ -494,13 +496,18 @@ class TensorOps:
         """``filter_scalar`` on every component."""
         return self._filter(self.field_data(u, "vector"), extended)
 
+    def _mode(self, key: tuple) -> int:
+        """The position in ``_mode_overlaps`` of ``oscillations[key]``, the
+        mode oscillating along the axes in key (the constant for ``()``)."""
+        return sum(1 << (self.dim - 1 - i) for i in key)
+
     def _mode_overlaps(self, u: np.ndarray) -> np.ndarray:
         """The M-inner products of u with all 2^d tensor products of
         ``_mode_factors``, shape ``(*batch, 2^d)``; leading axes of u beyond
-        the grid's are a batch.  Mode m oscillates along the axes of the set
-        bits of m, axis 0 highest.  One separable pass: u is contracted
-        with the M-weighted factors (``_weighted_mode_factors``) axis by
-        axis, last axis first."""
+        the grid's are a batch, and the product with ``oscillations[key]``
+        is at ``_mode(key)``.  One separable pass: u is contracted with the
+        M-weighted factors (``_weighted_mode_factors``) axis by axis, last
+        axis first."""
         d, shape, weighted = self.dim, self.shape, self._weighted_mode_factors
         batch = u.shape[: u.ndim - d]
         c = u.reshape(-1, shape[-1]) @ weighted[-1]

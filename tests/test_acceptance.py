@@ -45,7 +45,7 @@ def test_criterion_01_sbp_identity():
     worst = 0.0
     for order in (2, 4, 6, 8):
         for n in range(MIN_NODES[order], 65):
-            op = build_operator_1d(order, Grid1D(-1.0, 1.0, n), validate=False)
+            op = build_operator_1d(order, Grid1D(-1.0, 1.0, n))
             scale = np.max(np.abs(op.mass_weights[:, None] * op.dense()))
             worst = max(worst, op.sbp_residual() / (1e-13 * max(scale, 1.0)))
     elapsed = time.perf_counter() - t0

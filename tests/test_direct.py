@@ -373,6 +373,31 @@ def test_direct_curl_potential_is_least_norm(case, rng):
     assert rel(ops, _curl_coimage_part(ops, v, config), v) <= 1e-12
 
 
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+@pytest.mark.parametrize("sizes", [(33, 33, 33), (33, 36, 41)],
+                         ids=["n33", "33x36x41"])
+def test_curl_stage_part_is_the_dual_route(order, sizes, rng):
+    """The dual route to im curl, on grids the dense oracle cannot reach:
+    the 3D curl stage's part is ``u - grad~ psi - sum_i c_i osc_(K_i) e_i``.
+    ``grad~`` is grad with D* in place of D; psi solves
+    ``grad~^T M grad~ psi = M div u`` by one fast diagonalization in the
+    dual basis along every axis; ``c_i`` is the overlap of u_i with
+    ``osc_(K_i)``, K_i every axis but i.  im grad~ and the d modes are
+    M-orthogonal and span ker curl*, the M-complement of im curl."""
+    nx, ny, nz = sizes
+    ops = build_tensor_ops(order, [Grid1D(-1, 1, nx), Grid1D(0, 2, ny),
+                                   Grid1D(-1, 3, nz)])
+    u = rng.standard_normal((3, *ops.shape))
+    psi = ops._fdm(ops.mass * ops.div(u), (0, 1, 2))
+    want = u - ops._grad(psi, "_ds_form")
+    modes = ops._mode_overlaps(u)
+    for i in range(3):
+        key = tuple(j for j in range(3) if j != i)
+        want[i] -= modes[i, ops._mode(key)] * ops.oscillations[key]
+    _, part, _ = project_im_curl(ops, u)
+    assert ops.norm(part.data - want) <= 1e-13 * ops.norm(u)
+
+
 def test_neumann_matches_lsmr_reference():
     ops = square_tensor_ops(6, 17, 2)
     x, y = ops.meshgrid()

@@ -222,13 +222,22 @@ def test_integral_potential_refuses_one_oscillating_line(dim, n):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_condition_overlaps_are_the_oscillation_inner_products(dim, rng):
-    ops = square_tensor_ops(6, 17, dim)
-    u = rng.standard_normal((dim, *ops.shape))
-    got = check_potential_conditions(ops, u).oscillation_components
-    unorm = ops.norm(u)
-    want = [abs(ops.inner(u[i], ops.oscillations[(i,)])) / unorm
-            for i in range(dim)]
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+    """On a square and a non-square grid, the condition overlaps are the
+    inner products with the axis oscillations, and ``_mode(K)`` is where
+    ``_mode_overlaps`` holds the overlap with ``oscillations[K]``: each
+    oscillation field's overlaps are one there and roundoff elsewhere."""
+    skewed = [Grid1D(-1, 1, 17), Grid1D(0, 2, 20), Grid1D(-1, 3, 23)]
+    for ops in (square_tensor_ops(6, 17, dim), build_tensor_ops(6, skewed[:dim])):
+        u = rng.standard_normal((dim, *ops.shape))
+        got = check_potential_conditions(ops, u).oscillation_components
+        unorm = ops.norm(u)
+        want = [abs(ops.inner(u[i], ops.oscillations[(i,)])) / unorm
+                for i in range(dim)]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+        for key, osc in ops.oscillations.items():
+            overlaps, at = ops._mode_overlaps(osc), ops._mode(key)
+            assert abs(overlaps[at] - 1) <= 1e-14, key
+            assert np.abs(np.delete(overlaps, at)).max() <= 1e-14, key
 
 
 def test_integral_potential_rejects_rotational_field(ops_2d, rng):
